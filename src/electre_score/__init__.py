@@ -15,10 +15,12 @@ from .model import (
     validate_model,
 )
 from .credibility import (
+    CompiledCriteria,
     CredibilityMatrix,
     DerivedRelation,
     PerCriterionRelation,
     advantage,
+    compile_criteria,
     concordance,
     credibility,
     crisp_outranks,
@@ -26,10 +28,12 @@ from .credibility import (
     discordance,
     dominates,
     per_criterion_relation,
+    sigma_pair,
     threshold_at,
 )
 from .refsets import (
     ActionSetRelation,
+    ProfileTable,
     SeparabilityReport,
     SetClassification,
     check_comparability,

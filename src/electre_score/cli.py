@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .credibility import CredibilityMatrix
+from .credibility import CredibilityMatrix, compile_criteria
 from .files import (
     LoadedModel,
     ParseError,
@@ -36,12 +36,7 @@ from .model import (
     check_cutting_level,
     validate_model,
 )
-from .refsets import (
-    check_comparability,
-    check_separability,
-    classify_action_vs_levels,
-    validate_basic_assumptions,
-)
+from .refsets import ProfileTable, check_comparability, is_comparable
 from .scoring import BasicAssumptionsViolatedError, deck_of_cards_scores, score_ranges
 from .suites import SUITES
 from .sweep import sweep_lambda
@@ -52,6 +47,17 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_COMPARABILITY = 4
 EXIT_VERIFY = 5
+
+# the documented suites; sigma-invariants-veto and variable-thresholds
+# run only when a --config names them
+DEFAULT_SUITES = (
+    "dominance-implications",
+    "sigma-invariants",
+    "propositions",
+    "conformity",
+    "stability",
+    "deck-example",
+)
 
 
 class _Exit(Exception):
@@ -108,14 +114,12 @@ def cmd_evaluate(args) -> int:
     if args.force and any("basic-assumption" in f for f in result.findings):
         print("warning: scoring despite basic-assumption violations", file=sys.stderr)
 
-    comparability = check_comparability(table, model.refs, model.criteria, lam)
     names = model.refs.profile_names()
     level_labels = [f"B{k + 1}" for k in range(len(model.refs.sets))]
+    comparability = {}
     actions_out = []
-    for rng in result.ranges:
-        relations = classify_action_vs_levels(
-            table.vector(rng.action), model.refs, model.criteria, lam
-        )
+    for rng, relations in zip(result.ranges, result.relations):
+        comparability[rng.action] = is_comparable(relations)
         actions_out.append({
             "action": rng.action,
             "lower": rng.lower,
@@ -176,23 +180,30 @@ def cmd_validate(args) -> int:
             check_cutting_level(lam)
         except ValueError as exc:
             raise _Exit(EXIT_PARSE, str(exc))
-        violations = validate_basic_assumptions(model.refs, model.criteria, lam)
+    profiles = ProfileTable(compile_criteria(model.criteria), model.refs)
+    if lam is not None:
+        violations = profiles.basic_assumption_violations(lam)
         report["basic_assumptions"] = {"lambda": lam, "violations": violations}
         invalid = invalid or bool(violations)
-        separability = check_separability(model.refs, model.criteria, lam)
-        report["separability"] = _separability_json(separability)
+        report["separability"] = _separability_json(profiles.separability(lam))
         if table is not None and not validation.errors:
             comparability = check_comparability(table, model.refs, model.criteria, lam)
             report["comparability"] = comparability
             incomparable = not all(comparability.values())
     else:
         # no cutting level: report the bands of ]0.5, 1] on which the
-        # basic assumptions hold, computed from the profile-pair
-        # credibility breakpoints
-        bands = _basic_assumption_bands(model)
+        # basic assumptions hold, cut at the profile-pair credibilities
+        bands = []
+        lower = 0.5
+        for upper in profiles.breakpoints():
+            bands.append({
+                "lower": lower,
+                "upper": upper,
+                "violations": profiles.basic_assumption_violations(upper),
+            })
+            lower = upper
         report["basic_assumptions_bands"] = bands
-        separability = check_separability(model.refs, model.criteria, 1.0)
-        report["separability"] = _separability_json(separability)
+        report["separability"] = _separability_json(profiles.separability(1.0))
 
     text = write_report(report, args.output)
     if args.output is None:
@@ -224,30 +235,6 @@ def _separability_json(separability) -> dict:
         "all_soft_preference_primal": separability.all_soft_preference_primal,
         "all_soft_preference_dual": separability.all_soft_preference_dual,
     }
-
-
-def _basic_assumption_bands(model: LoadedModel) -> list[dict]:
-    from .credibility import credibility
-
-    profiles = model.refs.flat_profiles()
-    sigma = set()
-    for _, _, _, va in profiles:
-        for _, _, _, vb in profiles:
-            if va is vb:
-                continue
-            sigma.add(credibility(model.criteria, va, vb))
-    points = sorted({v for v in sigma if 0.5 < v <= 1.0} | {1.0})
-    bands = []
-    lower = 0.5
-    for upper in points:
-        violations = validate_basic_assumptions(model.refs, model.criteria, upper)
-        bands.append({
-            "lower": lower,
-            "upper": upper,
-            "violations": violations,
-        })
-        lower = upper
-    return bands
 
 
 def cmd_sigma(args) -> int:
@@ -346,7 +333,7 @@ def cmd_verify(args) -> int:
             raise _Exit(EXIT_PARSE, f"cannot read config: {exc}")
     trials = args.trials if args.trials is not None else int(config.get("trials", 500))
     seed = args.seed if args.seed is not None else int(config.get("seed", 1))
-    suite_names = config.get("suites", list(SUITES) + ["deck-example"])
+    suite_names = config.get("suites", DEFAULT_SUITES)
 
     out_dir = Path(args.output) if args.output else None
     if out_dir is not None:
@@ -383,7 +370,7 @@ def cmd_verify(args) -> int:
         print(line)
         if out_dir is not None:
             (out_dir / f"{payload['name']}.json").write_text(
-                json.dumps(round6(payload), indent=2) + "\n"
+                json.dumps(round6(payload), indent=2, allow_nan=False) + "\n"
             )
     return EXIT_VERIFY if any_failure else EXIT_OK
 

@@ -85,13 +85,9 @@ def threshold_at(spec: ThresholdSpec, criterion: Criterion, ga: float, gb: float
 
 
 def per_criterion_relation(
-    criterion: Criterion, ga: float, gb: float, tol: float = 0.0
+    criterion: Criterion, ga: float, gb: float
 ) -> PerCriterionRelation:
-    """Classify the ordered pair on one criterion under the pseudo-criterion model.
-
-    ``tol`` is an optional absolute slack on the classification boundaries
-    for noisy inputs; the default keeps comparisons exact.
-    """
+    """Classify the ordered pair on one criterion under the pseudo-criterion model."""
     q = threshold_at(criterion.indifference, criterion, ga, gb)
     p = threshold_at(criterion.preference, criterion, ga, gb)
     if q > p:
@@ -99,13 +95,13 @@ def per_criterion_relation(
             f"criterion {criterion.name}: q={q} > p={p} for pair ({ga}, {gb})"
         )
     delta = advantage(criterion, ga, gb)
-    if delta > p + tol:
+    if delta > p:
         return PerCriterionRelation.STRICT_PREF_A
-    if delta > q + tol:
+    if delta > q:
         return PerCriterionRelation.WEAK_PREF_A
-    if delta >= -q - tol:
+    if delta >= -q:
         return PerCriterionRelation.INDIFFERENT
-    if delta >= -p - tol:
+    if delta >= -p:
         return PerCriterionRelation.WEAK_PREF_B
     return PerCriterionRelation.STRICT_PREF_B
 
@@ -114,7 +110,6 @@ def concordance(
     criteria: Sequence[Criterion],
     pa: Sequence[float],
     pb: Sequence[float],
-    tol: float = 0.0,
 ) -> float:
     """Weighted strength of the coalition supporting "a outranks b".
 
@@ -130,7 +125,7 @@ def concordance(
     total_weight = 0.0
     for j, crit in enumerate(criteria):
         total_weight += crit.weight
-        rel = per_criterion_relation(crit, pa[j], pb[j], tol)
+        rel = per_criterion_relation(crit, pa[j], pb[j])
         if rel in (
             PerCriterionRelation.STRICT_PREF_A,
             PerCriterionRelation.WEAK_PREF_A,
@@ -149,7 +144,7 @@ def concordance(
     return numerator / total_weight
 
 
-def discordance(criterion: Criterion, ga: float, gb: float, tol: float = 0.0) -> float:
+def discordance(criterion: Criterion, ga: float, gb: float) -> float:
     """Per-criterion opposition against "a outranks b" (0 without a veto).
 
     Rises linearly from 0 at the preference margin to 1 at the veto
@@ -164,9 +159,9 @@ def discordance(criterion: Criterion, ga: float, gb: float, tol: float = 0.0) ->
             f"criterion {criterion.name}: veto {v} must exceed preference {p}"
         )
     delta = advantage(criterion, ga, gb)
-    if delta >= -p - tol:
+    if delta >= -p:
         return 0.0
-    if delta >= -v - tol:
+    if delta >= -v:
         return (delta + p) / (p - v)
     return 1.0
 
@@ -175,17 +170,148 @@ def credibility(
     criteria: Sequence[Criterion],
     pa: Sequence[float],
     pb: Sequence[float],
-    tol: float = 0.0,
 ) -> float:
-    """Credibility that a outranks b: concordance discounted by strong discordance."""
-    c = concordance(criteria, pa, pb, tol)
+    """Credibility that a outranks b: concordance discounted by strong discordance.
+
+    This is the scalar reference; batch code uses :func:`sigma_pair`,
+    which returns the same bits for both directions at once.
+    """
+    c = concordance(criteria, pa, pb)
     sigma = c
     for j, crit in enumerate(criteria):
-        d = discordance(crit, pa[j], pb[j], tol)
+        d = discordance(crit, pa[j], pb[j])
         if d > c:
             # d <= 1 = c would contradict d > c, so 1 - c > 0 here
             sigma *= (1.0 - d) / (1.0 - c)
     return sigma
+
+
+# ---------------------------------------------------------------------------
+# pair kernel: credibility() for both directions of a pair at once
+#
+# Thresholds depend only on the worse and the better value of a pair, so
+# one evaluation serves both directions, and the reverse advantage is the
+# exact negation of the forward one. The float operations and their order
+# are those of concordance(), discordance() and credibility(), so the
+# kernel returns the same bits as two scalar calls, and raises the same
+# errors in the same order.
+
+# where a threshold's base value comes from
+_CONSTANT, _LOWER, _HIGHER = 0, 1, 2
+
+
+def _compile_spec(spec: ThresholdSpec, is_max: bool) -> tuple[int, float, float]:
+    if spec.mode is ThresholdMode.CONSTANT:
+        return _CONSTANT, spec.intercept, 0.0
+    # direct thresholds read the worse value, inverse ones the better
+    worse_is_lower = is_max
+    reads_lower = worse_is_lower == (spec.mode is ThresholdMode.DIRECT)
+    return (_LOWER if reads_lower else _HIGHER), spec.intercept, spec.slope
+
+
+@dataclass(frozen=True)
+class CompiledCriteria:
+    """Criteria flattened to plain tuples for :func:`sigma_pair`.
+
+    Each row is ``(name, is_max, weight, q, p, v)`` where q, p and v are
+    ``(base, intercept, slope)`` and v is None without a veto.
+    """
+
+    criteria: tuple[Criterion, ...]
+    rows: tuple[tuple, ...]
+    total_weight: float
+
+
+def compile_criteria(criteria: Sequence[Criterion]) -> CompiledCriteria:
+    """Prepare criteria once per command for repeated :func:`sigma_pair` calls."""
+    criteria = tuple(criteria)
+    if not any(c.weight > 0 for c in criteria):
+        normalize_weights(criteria)  # raises AllZeroWeightsError
+    rows = []
+    total = 0.0
+    for crit in criteria:
+        # a plain loop, not sum(): concordance() adds the weights one by one
+        total += crit.weight
+        is_max = crit.direction is Direction.MAX
+        q, p, v = (
+            None if spec is None else _compile_spec(spec, is_max)
+            for spec in (crit.indifference, crit.preference, crit.veto)
+        )
+        rows.append((crit.name, is_max, crit.weight, q, p, v))
+    return CompiledCriteria(criteria, tuple(rows), total)
+
+
+def _negative(name: str, value: float, ga: float, gb: float) -> NegativeThresholdError:
+    return NegativeThresholdError(
+        f"criterion {name}: threshold {value} < 0 for pair ({ga}, {gb})"
+    )
+
+
+def sigma_pair(
+    kernel: CompiledCriteria, pa: Sequence[float], pb: Sequence[float]
+) -> tuple[float, float]:
+    """``(credibility(a, b), credibility(b, a))`` in one pass over the criteria."""
+    num_ab = 0.0
+    num_ba = 0.0
+    vetoes = []  # veto criteria that discount a direction or fail their check
+    for (name, is_max, w, qs, ps, vs), x, y in zip(kernel.rows, pa, pb):
+        d = x - y if is_max else y - x
+        lower, higher = (y, x) if y < x else (x, y)
+        # a constant threshold (base 0) is its intercept, with no addition
+        base, q, slope = qs
+        if base:
+            q = q + slope * (lower if base == _LOWER else higher)
+        if q < 0:
+            raise _negative(name, q, x, y)
+        base, p, slope = ps
+        if base:
+            p = p + slope * (lower if base == _LOWER else higher)
+        if p < 0:
+            raise _negative(name, p, x, y)
+        if q > p:
+            raise InvertedThresholdsError(
+                f"criterion {name}: q={q} > p={p} for pair ({x}, {y})"
+            )
+        # p = q leaves the weak zone ]q, p] empty, so p - q > 0 below
+        if d > q:
+            num_ab += w
+            if d <= p:
+                num_ba += ((-d + p) / (p - q)) * w
+        elif d >= -q:
+            num_ab += w
+            num_ba += w
+        else:
+            num_ba += w
+            if d >= -p:
+                num_ab += ((d + p) / (p - q)) * w
+        if vs is not None:
+            base, v, slope = vs
+            if base:
+                v = v + slope * (lower if base == _LOWER else higher)
+            if v <= p or d < -p or d > p:
+                vetoes.append((name, x, y, d, p, v))
+    c_ab = num_ab / kernel.total_weight
+    c_ba = num_ba / kernel.total_weight
+    sigma_ab, sigma_ba = c_ab, c_ba
+    # veto checks and discounts follow every threshold-order check, in
+    # criterion order, as in credibility()
+    for name, x, y, d, p, v in vetoes:
+        if v < 0:
+            raise _negative(name, v, x, y)
+        if v <= p:
+            raise InvalidVetoError(
+                f"criterion {name}: veto {v} must exceed preference {p}"
+            )
+        if d < -p:
+            dj = (d + p) / (p - v) if d >= -v else 1.0
+            if dj > c_ab:
+                sigma_ab *= (1.0 - dj) / (1.0 - c_ab)
+        elif d > p:
+            nd = -d
+            dj = (nd + p) / (p - v) if nd >= -v else 1.0
+            if dj > c_ba:
+                sigma_ba *= (1.0 - dj) / (1.0 - c_ba)
+    return sigma_ab, sigma_ba
 
 
 def crisp_outranks(sigma: float, lam: float) -> bool:
@@ -231,13 +357,13 @@ class CredibilityMatrix:
         cls,
         criteria: Sequence[Criterion],
         vectors: Mapping[str, Sequence[float]],
-        tol: float = 0.0,
     ) -> "CredibilityMatrix":
+        kernel = compile_criteria(criteria)
         entities = tuple(vectors)
         sigma: dict[tuple[str, str], float] = {}
-        for a in entities:
-            for b in entities:
-                sigma[(a, b)] = credibility(criteria, vectors[a], vectors[b], tol)
+        for i, a in enumerate(entities):
+            for b in entities[i:]:
+                sigma[(a, b)], sigma[(b, a)] = sigma_pair(kernel, vectors[a], vectors[b])
         return cls(entities, sigma)
 
     def value(self, a: str, b: str) -> float:

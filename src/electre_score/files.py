@@ -2,13 +2,16 @@
 targets, and deterministic JSON report writing.
 
 Reports round every real value to six decimals before serialization so
-identical inputs produce byte-identical files.
+identical inputs produce byte-identical files. Every number read must be
+finite: Python's ``json`` and ``float`` accept NaN and Infinity, which
+would make every comparison in the engine silently false.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -28,9 +31,23 @@ class ParseError(ValueError):
     """Unreadable or schema-invalid input file."""
 
 
+def _number(raw: Any, where: str) -> float:
+    """A finite float from a JSON value or CSV cell, or a ParseError naming it."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: not a number: {raw!r}") from exc
+    except OverflowError as exc:
+        # a JSON integer beyond the float range
+        raise ParseError(f"{where}: non-finite number (beyond the float range)") from exc
+    if not math.isfinite(value):
+        raise ParseError(f"{where}: non-finite number {raw!r}")
+    return value
+
+
 def _threshold_from_json(raw: Any, where: str) -> ThresholdSpec:
     if isinstance(raw, (int, float)):
-        return ThresholdSpec(float(raw))
+        return ThresholdSpec(_number(raw, where))
     if not isinstance(raw, dict):
         raise ParseError(f"{where}: threshold must be a number or an object")
     try:
@@ -39,10 +56,14 @@ def _threshold_from_json(raw: Any, where: str) -> ThresholdSpec:
         raise ParseError(f"{where}: unknown threshold mode {raw.get('mode')!r}") from exc
     try:
         return ThresholdSpec(
-            float(raw["intercept"]), float(raw.get("slope", 0.0)), mode
+            _number(raw["intercept"], f"{where}.intercept"),
+            _number(raw.get("slope", 0.0), f"{where}.slope"),
+            mode,
         )
     except KeyError as exc:
         raise ParseError(f"{where}: threshold needs an 'intercept'") from exc
+    except ParseError:
+        raise
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -54,11 +75,13 @@ def _criterion_from_json(raw: Any, index: int) -> Criterion:
     try:
         name = str(raw["name"])
         direction = Direction(raw["direction"])
-        weight = float(raw["weight"])
+        weight = _number(raw["weight"], f"{where}.weight")
         indifference = _threshold_from_json(raw["indifference"], f"{where}.indifference")
         preference = _threshold_from_json(raw["preference"], f"{where}.preference")
     except KeyError as exc:
         raise ParseError(f"{where}: missing field {exc}") from exc
+    except ParseError:
+        raise
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from exc
     veto = raw.get("veto")
@@ -103,6 +126,13 @@ def load_model(path: str | Path) -> LoadedModel:
         raise ParseError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"model file {path} is not valid JSON: {exc}") from exc
+    try:
+        return _model_from_json(raw)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _model_from_json(raw: Any) -> LoadedModel:
     if not isinstance(raw, dict):
         raise ParseError("model file must contain a JSON object")
 
@@ -120,11 +150,15 @@ def load_model(path: str | Path) -> LoadedModel:
     if "deck_of_cards" in raw:
         deck_raw = raw["deck_of_cards"]
         try:
-            deck = DeckOfCards(
-                tuple(int(e) for e in deck_raw["blank_cards"]),
-                tuple(float(x) for x in deck_raw.get("anchors", (0.0, 100.0))),
+            blank_cards = tuple(int(e) for e in deck_raw["blank_cards"])
+            anchors = tuple(
+                _number(x, f"deck_of_cards.anchors[{i}]")
+                for i, x in enumerate(deck_raw.get("anchors", (0.0, 100.0)))
             )
-        except (KeyError, TypeError, ValueError) as exc:
+            deck = DeckOfCards(blank_cards, anchors)
+        except ParseError:
+            raise
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"deck_of_cards block: {exc}") from exc
         if deck.levels != len(raw_sets):
             raise ParseError(
@@ -135,15 +169,17 @@ def load_model(path: str | Path) -> LoadedModel:
 
     explicit = [s.get("score") if isinstance(s, dict) else None for s in raw_sets]
     have_explicit = all(s is not None for s in explicit)
-    if have_explicit and deck_scores is not None:
-        if any(abs(float(e) - d) > 1e-9 for e, d in zip(explicit, deck_scores)):
+    if have_explicit:
+        scores = [
+            _number(e, f"reference_sets[{i}].score") for i, e in enumerate(explicit)
+        ]
+        if deck_scores is not None and any(
+            abs(e - d) > 1e-9 for e, d in zip(scores, deck_scores)
+        ):
             warnings.append(
                 "explicit reference scores differ from the deck-of-cards "
                 "computation; explicit scores are used"
             )
-        scores = [float(e) for e in explicit]
-    elif have_explicit:
-        scores = [float(e) for e in explicit]
     elif deck_scores is not None:
         scores = deck_scores
     else:
@@ -162,7 +198,10 @@ def load_model(path: str | Path) -> LoadedModel:
                     f"reference_sets[{i}].profiles[{j}]: expected "
                     f"{len(criteria)} values"
                 )
-            profiles.append(tuple(float(x) for x in vec))
+            profiles.append(tuple(
+                _number(x, f"reference_sets[{i}].profiles[{j}][{c}]")
+                for c, x in enumerate(vec)
+            ))
         names = tuple(str(n) for n in raw_set.get("names", ()))
         try:
             sets.append(ReferenceSet(score, tuple(profiles), names))
@@ -175,7 +214,7 @@ def load_model(path: str | Path) -> LoadedModel:
 
     lam = raw.get("lambda")
     if lam is not None:
-        lam = float(lam)
+        lam = _number(lam, "lambda")
 
     embedded = None
     if "performances" in raw:
@@ -185,7 +224,9 @@ def load_model(path: str | Path) -> LoadedModel:
                 raise ParseError(
                     f"performances[{action!r}]: expected {len(criteria)} values"
                 )
-            embedded[str(action)] = tuple(float(x) for x in vec)
+            embedded[str(action)] = tuple(
+                _number(x, f"performances[{action!r}][{c}]") for c, x in enumerate(vec)
+            )
 
     return LoadedModel(criteria, refs, lam, embedded, tuple(warnings))
 
@@ -214,10 +255,10 @@ def load_performances_csv(path: str | Path, criteria) -> PerformanceTable:
                 f"{path}:{line_no}: expected {len(names) + 1} cells, got {len(row)}"
             )
         action = row[0].strip()
-        try:
-            values = tuple(float(cell) for cell in row[1:])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{line_no}: non-numeric cell ({exc})") from exc
+        values = tuple(
+            _number(cell, f"{path}:{line_no}: column {name!r}")
+            for name, cell in zip(names, row[1:])
+        )
         if action in table_rows:
             raise ParseError(f"{path}:{line_no}: duplicate action {action!r}")
         table_rows[action] = values
@@ -275,7 +316,7 @@ def round6(value):
 
 
 def write_report(report: dict, output: str | Path | None) -> str:
-    text = json.dumps(round6(report), indent=2) + "\n"
+    text = json.dumps(round6(report), indent=2, allow_nan=False) + "\n"
     if output is not None:
         Path(output).write_text(text)
     return text

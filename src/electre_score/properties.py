@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .credibility import credibility, derived_relation
+from .credibility import compile_criteria, derived_relation, sigma_pair
 from .model import (
     Criterion,
     Direction,
@@ -309,10 +309,13 @@ class PropertyReport:
 
 
 class _Relations:
-    """Memoized credibility over a registry of named vectors."""
+    """Memoized credibility over a registry of named vectors.
+
+    A miss computes both directions of the pair with one kernel call.
+    """
 
     def __init__(self, criteria: Sequence[Criterion]):
-        self.criteria = tuple(criteria)
+        self.kernel = compile_criteria(criteria)
         self.vectors: dict[str, tuple[float, ...]] = {}
         self._sigma: dict[tuple[str, str], float] = {}
 
@@ -324,9 +327,10 @@ class _Relations:
         try:
             return self._sigma[(a, b)]
         except KeyError:
-            value = credibility(self.criteria, self.vectors[a], self.vectors[b])
-            self._sigma[(a, b)] = value
-            return value
+            sab, sba = sigma_pair(self.kernel, self.vectors[a], self.vectors[b])
+            self._sigma[(a, b)] = sab
+            self._sigma[(b, a)] = sba
+            return sab
 
     def strictly_preferred(self, a: str, b: str, lam: float) -> bool:
         return self.sigma(a, b) >= lam and not self.sigma(b, a) >= lam

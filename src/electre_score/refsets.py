@@ -6,16 +6,30 @@ Set-level relations are derived from the multiset of per-profile derived
 relations, so the six relation flags and the single classification can
 never disagree. Quantifiers are evaluated exhaustively; reference sets
 are small by design.
+
+Batch code computes each pair once: a :class:`ProfileTable` holds the
+credibility between every two profiles for the basic assumptions,
+separability and the lambda bands, and :func:`level_relations` relates
+one action to every level. The public functions validate the cutting
+level once and compile the criteria themselves.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .credibility import DerivedRelation, credibility, crisp_outranks, dominates
-from .model import Criterion, PerformanceTable, ReferenceStructure
+from .credibility import (
+    CompiledCriteria,
+    DerivedRelation,
+    compile_criteria,
+    derived_relation,
+    dominates,
+    sigma_pair,
+)
+from .model import Criterion, PerformanceTable, ReferenceStructure, check_cutting_level
 
 
 class SetClassification(enum.Enum):
@@ -47,51 +61,63 @@ def classify_relations(relations: Iterable[DerivedRelation]) -> ActionSetRelatio
     least one indifferent profile and no strict preference, and a set
     whose every profile is incomparable is incomparable.
     """
-    rels = list(relations)
+    rels = set(relations)
     if not rels:
         raise ValueError("reference set produced no per-profile relations")
-    n_ap = sum(r is DerivedRelation.A_PREFERRED for r in rels)
-    n_bp = sum(r is DerivedRelation.B_PREFERRED for r in rels)
-    n_ind = sum(r is DerivedRelation.INDIFFERENT for r in rels)
+    return _fold(
+        DerivedRelation.A_PREFERRED in rels,
+        DerivedRelation.B_PREFERRED in rels,
+        DerivedRelation.INDIFFERENT in rels,
+    )
 
-    if n_ap and n_bp:
+
+@functools.cache
+def _fold(ap: bool, bp: bool, ind: bool) -> ActionSetRelation:
+    # the relation depends only on which kinds occur, so the eight
+    # possible results are shared rather than built per action and level
+    if ap and bp:
         classification = SetClassification.INCOMPARABLE
-    elif n_ap:
+    elif ap:
         classification = SetClassification.ACTION_PREFERRED
-    elif n_bp:
+    elif bp:
         classification = SetClassification.SET_PREFERRED
-    elif n_ind:
+    elif ind:
         classification = SetClassification.INDIFFERENT
     else:
         classification = SetClassification.INCOMPARABLE
 
     return ActionSetRelation(
         classification=classification,
-        a_outranks_set=(n_bp == 0 and (n_ap + n_ind) > 0),
-        set_outranks_a=(n_ap == 0 and (n_bp + n_ind) > 0),
-        a_preferred=(n_bp == 0 and n_ap > 0),
-        set_preferred=(n_ap == 0 and n_bp > 0),
-        indifferent=(n_ap == 0 and n_bp == 0 and n_ind > 0),
-        incomparable=((n_ap > 0 and n_bp > 0) or (n_ap + n_bp + n_ind == 0)),
+        a_outranks_set=(not bp and (ap or ind)),
+        set_outranks_a=(not ap and (bp or ind)),
+        a_preferred=(not bp and ap),
+        set_preferred=(not ap and bp),
+        indifferent=(not ap and not bp and ind),
+        incomparable=((ap and bp) or not (ap or bp or ind)),
     )
 
 
-def _pair_relation(
-    criteria: Sequence[Criterion],
-    pa: Sequence[float],
-    pb: Sequence[float],
+def _classify(
+    kernel: CompiledCriteria,
+    action: Sequence[float],
+    profiles: Sequence[Sequence[float]],
     lam: float,
-    tol: float = 0.0,
-) -> DerivedRelation:
-    sab = crisp_outranks(credibility(criteria, pa, pb, tol), lam)
-    sba = crisp_outranks(credibility(criteria, pb, pa, tol), lam)
-    if sab and not sba:
-        return DerivedRelation.A_PREFERRED
-    if sba and not sab:
-        return DerivedRelation.B_PREFERRED
-    if sab and sba:
-        return DerivedRelation.INDIFFERENT
-    return DerivedRelation.INCOMPARABLE
+) -> ActionSetRelation:
+    pairs = (sigma_pair(kernel, action, prof) for prof in profiles)
+    return classify_relations(derived_relation(sab >= lam, sba >= lam) for sab, sba in pairs)
+
+
+def level_relations(
+    kernel: CompiledCriteria,
+    action: Sequence[float],
+    refs: ReferenceStructure,
+    lam: float,
+) -> tuple[ActionSetRelation, ...]:
+    """Relation of one action to every reference level, bottom to top.
+
+    One kernel call per profile; ``lam`` must already be validated.
+    """
+    return tuple(_classify(kernel, action, ref.profiles, lam) for ref in refs.sets)
 
 
 def classify_action_vs_set(
@@ -99,11 +125,10 @@ def classify_action_vs_set(
     profiles: Sequence[Sequence[float]],
     criteria: Sequence[Criterion],
     lam: float,
-    tol: float = 0.0,
 ) -> ActionSetRelation:
     """Relate one action performance vector to one set of limiting profiles."""
-    rels = [_pair_relation(criteria, action, prof, lam, tol) for prof in profiles]
-    return classify_relations(rels)
+    check_cutting_level(lam)
+    return _classify(compile_criteria(criteria), action, profiles, lam)
 
 
 def classify_action_vs_levels(
@@ -111,52 +136,18 @@ def classify_action_vs_levels(
     refs: ReferenceStructure,
     criteria: Sequence[Criterion],
     lam: float,
-    tol: float = 0.0,
 ) -> list[ActionSetRelation]:
     """Relation of one action to every reference level, bottom to top."""
-    return [
-        classify_action_vs_set(action, ref.profiles, criteria, lam, tol)
-        for ref in refs.sets
-    ]
+    check_cutting_level(lam)
+    return list(level_relations(compile_criteria(criteria), action, refs, lam))
 
 
-def validate_basic_assumptions(
-    refs: ReferenceStructure,
-    criteria: Sequence[Criterion],
-    lam: float,
-    tol: float = 0.0,
-) -> list[str]:
-    """Check the two structural requirements on a reference collection.
-
-    (i) within a set no profile is strictly preferred to another;
-    (ii) no profile of a lower-scored set is strictly preferred to a
-    profile of a higher-scored set. Returns one message per violation.
-    """
-    violations: list[str] = []
-    names = refs.profile_names()
-    for k, ref in enumerate(refs.sets):
-        for p in range(len(ref.profiles)):
-            for q in range(p + 1, len(ref.profiles)):
-                rel = _pair_relation(criteria, ref.profiles[p], ref.profiles[q], lam, tol)
-                if rel is DerivedRelation.A_PREFERRED:
-                    violations.append(
-                        f"within-set preference: {names[k][p]} > {names[k][q]}"
-                    )
-                elif rel is DerivedRelation.B_PREFERRED:
-                    violations.append(
-                        f"within-set preference: {names[k][q]} > {names[k][p]}"
-                    )
-    for lo in range(len(refs.sets)):
-        for hi in range(lo + 1, len(refs.sets)):
-            for p, plo in enumerate(refs.sets[lo].profiles):
-                for q, phi in enumerate(refs.sets[hi].profiles):
-                    rel = _pair_relation(criteria, plo, phi, lam, tol)
-                    if rel is DerivedRelation.A_PREFERRED:
-                        violations.append(
-                            f"lower-set profile preferred to higher-set profile: "
-                            f"{names[lo][p]} > {names[hi][q]}"
-                        )
-    return violations
+def is_comparable(relations: Sequence[ActionSetRelation]) -> bool:
+    """Strictly above the bottom set and strictly below the top set."""
+    return (
+        relations[0].classification is SetClassification.ACTION_PREFERRED
+        and relations[-1].classification is SetClassification.SET_PREFERRED
+    )
 
 
 @dataclass(frozen=True)
@@ -215,47 +206,142 @@ class SeparabilityReport:
         return self.all_soft_preference_primal and self.all_soft_preference_dual
 
 
+class ProfileTable:
+    """Credibility in both directions between every two profiles.
+
+    Built with one kernel call per pair, in the order the basic-assumption
+    check reads them (within each set, then lower set against higher set),
+    so a threshold error surfaces at the same pair as in a pairwise scan.
+    The basic assumptions, separability and the lambda bands all read
+    from one table, for any number of cutting levels.
+    """
+
+    def __init__(self, kernel: CompiledCriteria, refs: ReferenceStructure):
+        self.criteria = kernel.criteria
+        self.refs = refs
+        self._start: list[int] = []
+        vectors: list[Sequence[float]] = []
+        for ref in refs.sets:
+            self._start.append(len(vectors))
+            vectors.extend(ref.profiles)
+        start, sizes = self._start, [len(ref.profiles) for ref in refs.sets]
+        pairs = [
+            (start[k] + p, start[k] + q)
+            for k, size in enumerate(sizes) for p in range(size) for q in range(p + 1, size)
+        ]
+        pairs += [
+            (start[lo] + p, start[hi] + q)
+            for lo in range(len(sizes)) for hi in range(lo + 1, len(sizes))
+            for p in range(sizes[lo]) for q in range(sizes[hi])
+        ]
+        # the diagonal stays None: no check compares a profile with itself
+        self._sigma: list[list[float | None]] = [[None] * len(vectors) for _ in vectors]
+        for i, j in pairs:
+            self._sigma[i][j], self._sigma[j][i] = sigma_pair(kernel, vectors[i], vectors[j])
+
+    def relation(self, k: int, p: int, h: int, q: int, lam: float) -> DerivedRelation:
+        """Derived relation of profile p of level k to profile q of level h."""
+        i, j = self._start[k] + p, self._start[h] + q
+        return derived_relation(self._sigma[i][j] >= lam, self._sigma[j][i] >= lam)
+
+    def breakpoints(self) -> list[float]:
+        """Credibilities in ]0.5, 1] between distinct profiles, plus 1."""
+        values = {s for row in self._sigma for s in row if s is not None and 0.5 < s <= 1.0}
+        return sorted(values | {1.0})
+
+    def basic_assumption_violations(self, lam: float) -> list[str]:
+        """One message per violation of the basic assumptions at ``lam``.
+
+        (i) within a set no profile is strictly preferred to another;
+        (ii) no profile of a lower-scored set is strictly preferred to a
+        profile of a higher-scored set.
+        """
+        violations: list[str] = []
+        sets = self.refs.sets
+        names = self.refs.profile_names()
+        for k, ref in enumerate(sets):
+            for p in range(len(ref.profiles)):
+                for q in range(p + 1, len(ref.profiles)):
+                    rel = self.relation(k, p, k, q, lam)
+                    if rel is DerivedRelation.A_PREFERRED:
+                        violations.append(
+                            f"within-set preference: {names[k][p]} > {names[k][q]}"
+                        )
+                    elif rel is DerivedRelation.B_PREFERRED:
+                        violations.append(
+                            f"within-set preference: {names[k][q]} > {names[k][p]}"
+                        )
+        for lo in range(len(sets)):
+            for hi in range(lo + 1, len(sets)):
+                for p in range(len(sets[lo].profiles)):
+                    for q in range(len(sets[hi].profiles)):
+                        if self.relation(lo, p, hi, q, lam) is DerivedRelation.A_PREFERRED:
+                            violations.append(
+                                f"lower-set profile preferred to higher-set profile: "
+                                f"{names[lo][p]} > {names[hi][q]}"
+                            )
+        return violations
+
+    def separability(self, lam: float) -> SeparabilityReport:
+        """Dominance and preference separability flags at ``lam``."""
+        sets = self.refs.sets
+        pairs: dict[tuple[int, int], LevelPairFlags] = {}
+        for lo in range(len(sets)):
+            for hi in range(lo + 1, len(sets)):
+                low_profiles = sets[lo].profiles
+                high_profiles = sets[hi].profiles
+                dom = {
+                    (i, j): dominates(self.criteria, high, low)
+                    for i, low in enumerate(low_profiles)
+                    for j, high in enumerate(high_profiles)
+                }
+                pref = {
+                    (i, j): self.relation(hi, j, lo, i, lam) is DerivedRelation.A_PREFERRED
+                    for i in range(len(low_profiles))
+                    for j in range(len(high_profiles))
+                }
+                n_low, n_high = len(low_profiles), len(high_profiles)
+                pairs[(lo, hi)] = LevelPairFlags(
+                    strong_dominance=all(dom.values()),
+                    soft_dominance_primal=all(
+                        any(dom[(i, j)] for j in range(n_high)) for i in range(n_low)
+                    ),
+                    soft_dominance_dual=all(
+                        any(dom[(i, j)] for i in range(n_low)) for j in range(n_high)
+                    ),
+                    strong_preference=all(pref.values()),
+                    soft_preference_primal=all(
+                        any(pref[(i, j)] for j in range(n_high)) for i in range(n_low)
+                    ),
+                    soft_preference_dual=all(
+                        any(pref[(i, j)] for i in range(n_low)) for j in range(n_high)
+                    ),
+                )
+        return SeparabilityReport(pairs)
+
+
+def validate_basic_assumptions(
+    refs: ReferenceStructure,
+    criteria: Sequence[Criterion],
+    lam: float,
+) -> list[str]:
+    """Check the two structural requirements on a reference collection.
+
+    Returns one message per violation; see
+    :meth:`ProfileTable.basic_assumption_violations`.
+    """
+    check_cutting_level(lam)
+    return ProfileTable(compile_criteria(criteria), refs).basic_assumption_violations(lam)
+
+
 def check_separability(
     refs: ReferenceStructure,
     criteria: Sequence[Criterion],
     lam: float,
-    tol: float = 0.0,
 ) -> SeparabilityReport:
     """Exhaustively evaluate the dominance and preference separability flags."""
-    pairs: dict[tuple[int, int], LevelPairFlags] = {}
-    for lo in range(len(refs.sets)):
-        for hi in range(lo + 1, len(refs.sets)):
-            low_profiles = refs.sets[lo].profiles
-            high_profiles = refs.sets[hi].profiles
-            dom = {
-                (i, j): dominates(criteria, high, low)
-                for i, low in enumerate(low_profiles)
-                for j, high in enumerate(high_profiles)
-            }
-            pref = {
-                (i, j): _pair_relation(criteria, high, low, lam, tol)
-                is DerivedRelation.A_PREFERRED
-                for i, low in enumerate(low_profiles)
-                for j, high in enumerate(high_profiles)
-            }
-            n_low, n_high = len(low_profiles), len(high_profiles)
-            pairs[(lo, hi)] = LevelPairFlags(
-                strong_dominance=all(dom.values()),
-                soft_dominance_primal=all(
-                    any(dom[(i, j)] for j in range(n_high)) for i in range(n_low)
-                ),
-                soft_dominance_dual=all(
-                    any(dom[(i, j)] for i in range(n_low)) for j in range(n_high)
-                ),
-                strong_preference=all(pref.values()),
-                soft_preference_primal=all(
-                    any(pref[(i, j)] for j in range(n_high)) for i in range(n_low)
-                ),
-                soft_preference_dual=all(
-                    any(pref[(i, j)] for i in range(n_low)) for j in range(n_high)
-                ),
-            )
-    return SeparabilityReport(pairs)
+    check_cutting_level(lam)
+    return ProfileTable(compile_criteria(criteria), refs).separability(lam)
 
 
 def check_comparability(
@@ -263,18 +349,16 @@ def check_comparability(
     refs: ReferenceStructure,
     criteria: Sequence[Criterion],
     lam: float,
-    tol: float = 0.0,
 ) -> dict[str, bool]:
     """Per action: strictly above the bottom set and strictly below the top set."""
-    out: dict[str, bool] = {}
+    check_cutting_level(lam)
+    kernel = compile_criteria(criteria)
     bottom = refs.sets[0].profiles
     top = refs.sets[-1].profiles
+    out: dict[str, bool] = {}
     for action in table.actions:
         vec = table.vector(action)
-        above_bottom = classify_action_vs_set(vec, bottom, criteria, lam, tol)
-        below_top = classify_action_vs_set(vec, top, criteria, lam, tol)
-        out[action] = (
-            above_bottom.classification is SetClassification.ACTION_PREFERRED
-            and below_top.classification is SetClassification.SET_PREFERRED
+        out[action] = is_comparable(
+            (_classify(kernel, vec, bottom, lam), _classify(kernel, vec, top, lam))
         )
     return out

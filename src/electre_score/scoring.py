@@ -14,13 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import Criterion, PerformanceTable, ReferenceStructure
+from .credibility import compile_criteria
+from .model import Criterion, PerformanceTable, ReferenceStructure, check_cutting_level
 from .refsets import (
     ActionSetRelation,
+    ProfileTable,
     SetClassification,
-    check_separability,
     classify_action_vs_levels,
-    validate_basic_assumptions,
+    level_relations,
 )
 
 
@@ -151,7 +152,6 @@ def lower_bound(
     refs: ReferenceStructure,
     criteria: Sequence[Criterion],
     lam: float,
-    tol: float = 0.0,
     fast: bool = False,
 ) -> tuple[float, int]:
     """Highest reference score the action is strictly preferred to.
@@ -160,7 +160,7 @@ def lower_bound(
     the levels below; callers enable it only once both soft-dominance
     separability flags are confirmed.
     """
-    relations = classify_action_vs_levels(action, refs, criteria, lam, tol)
+    relations = classify_action_vs_levels(action, refs, criteria, lam)
     return _scan_lower(relations, refs.scores, fast)
 
 
@@ -169,21 +169,25 @@ def upper_bound(
     refs: ReferenceStructure,
     criteria: Sequence[Criterion],
     lam: float,
-    tol: float = 0.0,
     fast: bool = False,
 ) -> tuple[float, int]:
     """Lowest reference score whose set is strictly preferred to the action."""
-    relations = classify_action_vs_levels(action, refs, criteria, lam, tol)
+    relations = classify_action_vs_levels(action, refs, criteria, lam)
     return _scan_upper(relations, refs.scores, fast)
 
 
 @dataclass(frozen=True)
 class ScoringResult:
-    """Score ranges for every action plus post-hoc consistency findings."""
+    """Score ranges for every action plus post-hoc consistency findings.
+
+    ``relations`` holds, per range, the action's relation to every level
+    bottom to top: the input of the bound scan and of comparability.
+    """
 
     ranges: tuple[ScoreRange, ...]
     findings: tuple[str, ...]
     used_fast_path: bool
+    relations: tuple[tuple[ActionSetRelation, ...], ...]
 
     def by_action(self) -> dict[str, ScoreRange]:
         return {r.action: r for r in self.ranges}
@@ -230,27 +234,30 @@ def score_ranges(
     refs: ReferenceStructure,
     criteria: Sequence[Criterion],
     lam: float,
-    tol: float = 0.0,
     force: bool = False,
 ) -> ScoringResult:
     """Assign an open score range to every action of the table.
 
     Refuses to run on a collection violating the basic assumptions
     unless ``force`` is set; the separability fast path engages only
-    when both soft-dominance flags hold.
+    when both soft-dominance flags hold. Every profile pair and every
+    action-profile pair is computed once.
     """
-    violations = validate_basic_assumptions(refs, criteria, lam, tol)
+    check_cutting_level(lam)
+    kernel = compile_criteria(criteria)
+    profiles = ProfileTable(kernel, refs)
+    violations = profiles.basic_assumption_violations(lam)
     if violations and not force:
         raise BasicAssumptionsViolatedError(violations)
-
-    separability = check_separability(refs, criteria, lam, tol)
-    fast = separability.soft_dominance
+    fast = profiles.separability(lam).soft_dominance
 
     scores = refs.scores
     ranges: list[ScoreRange] = []
+    all_relations: list[tuple[ActionSetRelation, ...]] = []
     findings: list[str] = [f"basic-assumption violation: {v}" for v in violations]
     for action in table.actions:
-        relations = classify_action_vs_levels(table.vector(action), refs, criteria, lam, tol)
+        relations = level_relations(kernel, table.vector(action), refs, lam)
+        all_relations.append(relations)
         reasons = []
         lo = lo_idx = hi = hi_idx = None
         try:
@@ -266,4 +273,4 @@ def score_ranges(
         ranges.append(
             ScoreRange(action, lo, hi, lo_idx, hi_idx, "; ".join(reasons) or None)
         )
-    return ScoringResult(tuple(ranges), tuple(findings), fast)
+    return ScoringResult(tuple(ranges), tuple(findings), fast, tuple(all_relations))

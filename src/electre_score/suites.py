@@ -148,8 +148,8 @@ def _sigma_invariant_trials(
         crit = inst.criteria
         total += 1
         entities = {a: inst.table.vector(a) for a in inst.table.actions}
-        for name, _, _, vec in inst.refs.flat_profiles():
-            entities[name] = vec
+        for pname, _, _, vec in inst.refs.flat_profiles():
+            entities[pname] = vec
         keys = list(entities)
 
         def record(case: str, expected: str, observed: str) -> None:

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .credibility import credibility
+from .credibility import DerivedRelation, compile_criteria, derived_relation, sigma_pair
 from .model import Criterion, PerformanceTable, ReferenceStructure
-
 
 
 @dataclass(frozen=True)
@@ -44,11 +43,11 @@ class SweepResult:
 
 
 def _pair_mark(sigma_ap: float, sigma_pa: float, lam: float) -> str:
-    sab = sigma_ap >= lam
-    sba = sigma_pa >= lam
-    if sab and not sba:
+    """Target-table cell of the derived relation of (action, profile)."""
+    relation = derived_relation(sigma_ap >= lam, sigma_pa >= lam)
+    if relation is DerivedRelation.A_PREFERRED:
         return "a"
-    if sba and not sab:
+    if relation is DerivedRelation.B_PREFERRED:
         return "b"
     return ""
 
@@ -59,7 +58,6 @@ def sweep_lambda(
     criteria: Sequence[Criterion],
     target: Mapping[tuple[str, str], str],
     dont_care_blanks: bool = False,
-    tol: float = 0.0,
 ) -> SweepResult:
     """All maximal cutting-level bands reproducing the target exactly.
 
@@ -76,14 +74,13 @@ def sweep_lambda(
     if unknown:
         raise KeyError(f"target refers to unknown pairs: {unknown[:5]}")
 
-    sigma: dict[tuple[str, str], float] = {}
+    kernel = compile_criteria(criteria)
+    # (action, profile) -> (sigma(action, profile), sigma(profile, action))
+    sigma: dict[tuple[str, str], tuple[float, float]] = {}
     for (pname, action) in target:
-        av = table.vector(action)
-        pv = profiles[pname]
-        sigma[(action, pname)] = credibility(criteria, av, pv, tol)
-        sigma[(pname, action)] = credibility(criteria, pv, av, tol)
+        sigma[(action, pname)] = sigma_pair(kernel, table.vector(action), profiles[pname])
 
-    values = sorted({v for v in sigma.values() if 0.5 < v <= 1.0} | {1.0})
+    values = sorted({v for pair in sigma.values() for v in pair if 0.5 < v <= 1.0} | {1.0})
     bands: list[tuple[float, float, list[tuple[str, str]]]] = []
     lower = 0.5
     for upper in values:
@@ -92,7 +89,7 @@ def sweep_lambda(
             (pname, action)
             for (pname, action), mark in target.items()
             if (mark or not dont_care_blanks)
-            and _pair_mark(sigma[(action, pname)], sigma[(pname, action)], lam) != mark
+            and _pair_mark(*sigma[(action, pname)], lam) != mark
         ]
         bands.append((lower, upper, mismatches))
         lower = upper

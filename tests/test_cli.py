@@ -1,9 +1,12 @@
 import csv
 import json
 import shutil
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from electre_score import refsets
 from electre_score.cli import (
     EXIT_COMPARABILITY,
     EXIT_OK,
@@ -14,6 +17,7 @@ from electre_score.cli import (
 )
 
 THIRD = 100.0 / 3.0
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture()
@@ -384,3 +388,124 @@ class TestSyntheticModelValidation:
         assert report["separability"]["all_soft_dominance_primal"] is True
         assert report["separability"]["all_soft_dominance_dual"] is True
         assert all(report["comparability"].values())
+
+
+class TestReportsUnchanged:
+    """Hotel reports byte for byte as the scalar pairwise engine wrote them.
+
+    The files under tests/golden were written by the implementation that
+    called the scalar credibility() for every pair, before the pair
+    kernel; the kernel must not change a byte of any report.
+    """
+
+    def test_evaluate(self, hotel_files, tmp_path):
+        model, perf, _ = hotel_files
+        out = tmp_path / "r.json"
+        assert main(["evaluate", str(model), "--performances", str(perf),
+                     "--lambda", "0.65", "--output", str(out)]) == EXIT_OK
+        assert out.read_bytes() == (GOLDEN / "hotel_evaluate_0.65.json").read_bytes()
+
+    def test_banded_validate(self, hotel_files, tmp_path):
+        model, _, _ = hotel_files
+        out = tmp_path / "v.json"
+        assert main(["validate", str(model), "--output", str(out)]) == EXIT_OK
+        assert out.read_bytes() == (GOLDEN / "hotel_validate_bands.json").read_bytes()
+
+    def test_sweep_lambda(self, hotel_files, tmp_path):
+        model, perf, target = hotel_files
+        out = tmp_path / "s.json"
+        assert main(["sweep-lambda", str(model), str(target), "--performances",
+                     str(perf), "--output", str(out)]) == EXIT_VERIFY
+        assert out.read_bytes() == (GOLDEN / "hotel_sweep_lambda.json").read_bytes()
+
+
+class TestPairsComputedOnce:
+    def test_evaluate_calls_kernel_once_per_pair(self, hotel, hotel_files,
+                                                  tmp_path, monkeypatch):
+        calls = Counter()
+        kernel = refsets.sigma_pair
+
+        def counting(compiled, pa, pb):
+            calls[tuple(sorted((tuple(pa), tuple(pb))))] += 1
+            return kernel(compiled, pa, pb)
+
+        monkeypatch.setattr(refsets, "sigma_pair", counting)
+        model, perf, _ = hotel_files
+        assert main(["evaluate", str(model), "--performances", str(perf),
+                     "--lambda", "0.65", "--output", str(tmp_path / "r.json")]) == EXIT_OK
+
+        table, refs = hotel["table"], hotel["refs"]
+        profiles = [vec for _, _, _, vec in refs.flat_profiles()]
+        expected = Counter(
+            tuple(sorted((a, b)))
+            for i, a in enumerate(profiles) for b in profiles[i + 1:]
+        )
+        expected.update(
+            tuple(sorted((table.vector(a), p)))
+            for a in table.actions for p in profiles
+        )
+        assert calls == expected
+        assert sum(calls.values()) == (
+            len(profiles) * (len(profiles) - 1) // 2
+            + len(table.actions) * len(profiles)
+        )
+
+
+def _set_weight(raw, value):
+    raw["criteria"][0]["weight"] = value
+
+
+def _set_threshold(raw, value):
+    raw["criteria"][2]["preference"] = value
+
+
+def _set_profile_value(raw, value):
+    raw["reference_sets"][3]["profiles"][0][1] = value
+
+
+def _set_embedded(raw, value):
+    raw["performances"] = {"x": [value, 3000, 4, 4, 4]}
+
+
+class TestNonFiniteInput:
+    """NaN and infinities fail at parse time, naming the file and the field."""
+
+    # 10**400 is a JSON integer too large for a float
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400],
+                             ids=["nan", "inf", "-inf", "int-1e400"])
+    @pytest.mark.parametrize("edit, field", [
+        (_set_weight, "criteria[0].weight"),
+        (_set_threshold, "criteria[2].preference"),
+        (_set_profile_value, "reference_sets[3].profiles[0][1]"),
+        (_set_embedded, "performances['x'][0]"),
+    ])
+    def test_model_file(self, hotel_files, tmp_path, capsys, edit, field, value):
+        model, _, _ = hotel_files
+        raw = json.loads(model.read_text())
+        edit(raw, value)
+        model.write_text(json.dumps(raw))  # json writes NaN / Infinity tokens
+        code = main(["evaluate", str(model), "--lambda", "0.65",
+                     "--output", str(tmp_path / "r.json")])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert str(model) in err and field in err and "non-finite" in err
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity"])
+    def test_performance_cell(self, hotel_files, tmp_path, capsys, cell):
+        model, perf, _ = hotel_files
+        with open(perf, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[3][2] = cell  # a3, ACOST
+        with open(perf, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        code = main(["evaluate", str(model), "--performances", str(perf),
+                     "--lambda", "0.65", "--output", str(tmp_path / "r.json")])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"{perf}:4" in err and "'ACOST'" in err and "non-finite" in err
+
+    def test_report_writer_refuses_nan(self):
+        from electre_score.files import write_report
+
+        with pytest.raises(ValueError):
+            write_report({"value": float("nan")}, None)

@@ -9,8 +9,10 @@ from electre_score.credibility import (
     DerivedRelation,
     InvalidVetoError,
     InvertedThresholdsError,
+    NegativeThresholdError,
     PerCriterionRelation,
     advantage,
+    compile_criteria,
     concordance,
     credibility,
     crisp_outranks,
@@ -18,10 +20,22 @@ from electre_score.credibility import (
     discordance,
     dominates,
     per_criterion_relation,
+    sigma_pair,
     threshold_at,
 )
-from electre_score.model import Criterion, Direction, ThresholdMode, ThresholdSpec
+from electre_score.model import (
+    AllZeroWeightsError,
+    Criterion,
+    Direction,
+    PerformanceTable,
+    ReferenceSet,
+    ReferenceStructure,
+    ThresholdMode,
+    ThresholdSpec,
+)
 from electre_score.properties import GeneratorConfig, generate_instance
+from electre_score.refsets import validate_basic_assumptions
+from electre_score.scoring import score_ranges
 
 from oracle import engine_criterion_to_dict, sigma_oracle
 
@@ -305,3 +319,148 @@ class TestThresholdEdgeCases:
         assert per_criterion_relation(crit[0], 0.0, 1.5) is PerCriterionRelation.STRICT_PREF_B
         assert concordance(crit, (0.0,), (1.0,)) == 1.0
         assert concordance(crit, (0.0,), (1.5,)) == 0.0
+
+
+def _both_directions(criteria, pa, pb):
+    """The scalar reference for sigma_pair: a value pair or the error type."""
+    try:
+        return credibility(criteria, pa, pb), credibility(criteria, pb, pa)
+    except ValueError as exc:
+        return type(exc)
+
+
+def _kernel_outcome(criteria, pa, pb):
+    try:
+        return sigma_pair(compile_criteria(criteria), pa, pb)
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestPairKernel:
+    """sigma_pair must give the scalar credibility's exact bits, both ways."""
+
+    def test_every_ordered_hotel_pair(self, hotel, hotel_vectors):
+        crit = hotel["criteria"]
+        kernel = compile_criteria(crit)
+        for a, va in hotel_vectors.items():
+            for b, vb in hotel_vectors.items():
+                expected = (credibility(crit, va, vb), credibility(crit, vb, va))
+                assert sigma_pair(kernel, va, vb) == expected, (a, b)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_generated_instances(self, seed):
+        # even seeds constant thresholds, odd seeds direct or inverse
+        # ones; every other pair of seeds adds vetoes
+        rng = random.Random(seed)
+        inst = generate_instance(seed, GeneratorConfig(
+            n_criteria=rng.randint(1, 8),
+            n_levels=rng.randint(2, 6),
+            max_profiles_per_level=rng.randint(1, 3),
+            n_actions=rng.randint(1, 6),
+            threshold_mode=("constant", "variable")[seed % 2],
+            veto=seed % 4 >= 2,
+            strong_dominance=rng.random() < 0.5,
+        ))
+        kernel = compile_criteria(inst.criteria)
+        vectors = [inst.table.vector(a) for a in inst.table.actions]
+        vectors += [vec for _, _, _, vec in inst.refs.flat_profiles()]
+        for va in vectors:
+            for vb in vectors:
+                expected = (credibility(inst.criteria, va, vb),
+                            credibility(inst.criteria, vb, va))
+                assert sigma_pair(kernel, va, vb) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_criteria_and_vectors(self, data):
+        # thresholds may be negative, inverted or below the preference
+        # threshold for the veto: the kernel must then raise the scalar's
+        # error type
+        number = st.floats(min_value=-1e6, max_value=1e6,
+                           allow_nan=False, allow_infinity=False)
+        spec = st.one_of(
+            st.builds(ThresholdSpec, st.floats(min_value=-1.0, max_value=8.0)),
+            st.builds(
+                ThresholdSpec,
+                st.floats(min_value=-1.0, max_value=8.0),
+                st.floats(min_value=-0.2, max_value=0.5),
+                st.sampled_from([ThresholdMode.DIRECT, ThresholdMode.INVERSE]),
+            ),
+        )
+        criteria = data.draw(st.lists(
+            st.builds(
+                Criterion, st.just("g"), st.sampled_from(list(Direction)),
+                st.sampled_from([0.0, 1.0, 2.5]), spec, spec, st.none() | spec,
+            ),
+            min_size=1, max_size=6,
+        ))
+        values = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 5.0]), number)
+        vector = st.tuples(*[values] * len(criteria))
+        pa, pb = data.draw(vector), data.draw(vector)
+        assert _kernel_outcome(criteria, pa, pb) == _both_directions(criteria, pa, pb)
+
+    def test_equal_thresholds_need_no_weak_zone(self):
+        # p = q empties the weak zone, so no pair divides by p - q
+        crit = [_crit(q=1.0, p=1.0, v=3.0)]
+        for gb in (0.0, 0.5, 1.0, 1.5, 3.0, 4.0):
+            assert sigma_pair(compile_criteria(crit), (0.0,), (gb,)) == (
+                credibility(crit, (0.0,), (gb,)), credibility(crit, (gb,), (0.0,))
+            )
+
+    def test_zero_weight_veto_at_full_concordance(self):
+        # d = 1 on a weightless criterion leaves c = 1: d > c fails, so
+        # there is no discount (and no 0/0 from 1 - c)
+        crits = [_crit(name="g1"), _crit(weight=0.0, p=2.0, v=4.0, name="g2")]
+        pa, pb = (5.0, 0.0), (0.0, 10.0)
+        assert credibility(crits, pa, pb) == 1.0
+        assert sigma_pair(compile_criteria(crits), pa, pb) == (
+            1.0, credibility(crits, pb, pa)
+        )
+        assert sigma_pair(compile_criteria(crits), pb, pa) == (
+            credibility(crits, pb, pa), 1.0
+        )
+
+    def test_inverted_thresholds_checked_before_any_veto(self):
+        crits = [
+            _crit(p=2.0, v=2.0, name="g1"),            # invalid veto
+            _crit(q=3.0, p=1.0, name="g2"),            # inverted thresholds
+        ]
+        with pytest.raises(InvertedThresholdsError):
+            credibility(crits, (0.0, 0.0), (10.0, 0.0))
+        with pytest.raises(InvertedThresholdsError):
+            sigma_pair(compile_criteria(crits), (0.0, 0.0), (10.0, 0.0))
+
+
+def _two_level_model(criterion):
+    refs = ReferenceStructure((
+        ReferenceSet(0.0, ((0.0,), (0.5,))),
+        ReferenceSet(100.0, ((10.0,),)),
+    ))
+    table = PerformanceTable.from_rows([criterion], {"x": (5.0,)})
+    return table, refs
+
+
+# one criterion per error contract of the credibility kernel
+_BROKEN = {
+    AllZeroWeightsError: _crit(weight=0.0),
+    NegativeThresholdError: Criterion(
+        "g", Direction.MAX, 1.0,
+        ThresholdSpec(1.0), ThresholdSpec(-1.0, 0.1, ThresholdMode.DIRECT),
+    ),
+    InvertedThresholdsError: _crit(q=3.0, p=1.0),
+    InvalidVetoError: _crit(p=2.0, v=1.5),
+}
+
+
+class TestKernelErrorContracts:
+    @pytest.mark.parametrize("error", list(_BROKEN), ids=lambda e: e.__name__)
+    def test_raised_through_score_ranges(self, error):
+        table, refs = _two_level_model(_BROKEN[error])
+        with pytest.raises(error):
+            score_ranges(table, refs, [_BROKEN[error]], 0.75)
+
+    @pytest.mark.parametrize("error", list(_BROKEN), ids=lambda e: e.__name__)
+    def test_raised_through_basic_assumptions(self, error):
+        _, refs = _two_level_model(_BROKEN[error])
+        with pytest.raises(error):
+            validate_basic_assumptions(refs, [_BROKEN[error]], 0.75)
