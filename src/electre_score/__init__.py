@@ -3,7 +3,6 @@
 from .model import (
     AllZeroWeightsError,
     Criterion,
-    CuttingLevel,
     Direction,
     PerformanceTable,
     ReferenceSet,
@@ -38,20 +37,16 @@ from .refsets import (
     SetClassification,
     check_comparability,
     check_separability,
-    classify_action_vs_set,
     validate_basic_assumptions,
 )
 from .scoring import (
     BasicAssumptionsViolatedError,
     DeckOfCards,
-    NoLowerBoundError,
-    NoUpperBoundError,
     ScoreRange,
     ScoringResult,
     deck_of_cards_scores,
-    lower_bound,
+    scan_bounds,
     score_ranges,
-    upper_bound,
 )
 
 __version__ = "0.1.0"

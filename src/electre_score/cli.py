@@ -164,7 +164,11 @@ def cmd_evaluate(args) -> int:
 
 def cmd_validate(args) -> int:
     model, table = _load_inputs(args)
-    validation = validate_model(table, model.refs)
+    # without a performance table the criteria are checked on the profiles
+    validation = validate_model(
+        table if table is not None else PerformanceTable.from_rows(model.criteria, {}),
+        model.refs,
+    )
 
     report: dict = {
         "command": "validate",
@@ -180,17 +184,19 @@ def cmd_validate(args) -> int:
             check_cutting_level(lam)
         except ValueError as exc:
             raise _Exit(EXIT_PARSE, str(exc))
-    profiles = ProfileTable(compile_criteria(model.criteria), model.refs)
-    if lam is not None:
+    # the structural checks read credibilities, which an invalid model
+    # (zero weights, q > p, veto <= p, ...) cannot give
+    profiles = None if invalid else ProfileTable(compile_criteria(model.criteria), model.refs)
+    if profiles is not None and lam is not None:
         violations = profiles.basic_assumption_violations(lam)
         report["basic_assumptions"] = {"lambda": lam, "violations": violations}
-        invalid = invalid or bool(violations)
+        invalid = bool(violations)
         report["separability"] = _separability_json(profiles.separability(lam))
-        if table is not None and not validation.errors:
+        if table is not None:
             comparability = check_comparability(table, model.refs, model.criteria, lam)
             report["comparability"] = comparability
             incomparable = not all(comparability.values())
-    else:
+    elif profiles is not None:
         # no cutting level: report the bands of ]0.5, 1] on which the
         # basic assumptions hold, cut at the profile-pair credibilities
         bands = []
@@ -324,16 +330,37 @@ def _deck_example_report() -> dict:
     }
 
 
+def _config_int(config: dict, key: str, default: int) -> int:
+    value = config.get(key, default)
+    # bool is an int subclass; a JSON true is not a count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _Exit(EXIT_PARSE, f"config {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def cmd_verify(args) -> int:
     config = {}
     if args.config:
         try:
-            config = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise _Exit(EXIT_PARSE, f"cannot read config: {exc}")
-    trials = args.trials if args.trials is not None else int(config.get("trials", 500))
-    seed = args.seed if args.seed is not None else int(config.get("seed", 1))
+            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError covers invalid JSON and bytes that are not UTF-8;
+            # RecursionError, JSON nested too deeply
+            raise _Exit(EXIT_PARSE, f"cannot read config {args.config}: {exc}")
+        if not isinstance(config, dict):
+            raise _Exit(EXIT_PARSE, f"config {args.config} must be a JSON object")
+    trials = args.trials if args.trials is not None else _config_int(config, "trials", 500)
+    seed = args.seed if args.seed is not None else _config_int(config, "seed", 1)
+    if trials < 0:
+        raise _Exit(EXIT_PARSE, f"trial count must be >= 0, got {trials}")
     suite_names = config.get("suites", DEFAULT_SUITES)
+    if not isinstance(suite_names, (list, tuple)) or not all(
+        isinstance(name, str) for name in suite_names
+    ):
+        raise _Exit(EXIT_PARSE, f"config 'suites' must be a list of names, got {suite_names!r}")
+    unknown = [name for name in suite_names if name != "deck-example" and name not in SUITES]
+    if unknown:
+        raise _Exit(EXIT_PARSE, f"unknown suite {unknown[0]!r}")
 
     out_dir = Path(args.output) if args.output else None
     if out_dir is not None:
@@ -343,7 +370,7 @@ def cmd_verify(args) -> int:
     for name in suite_names:
         if name == "deck-example":
             payload = _deck_example_report()
-        elif name in SUITES:
+        else:
             report = SUITES[name](trials, seed)
             payload = {
                 "name": report.name,
@@ -359,8 +386,6 @@ def cmd_verify(args) -> int:
                 "passed": report.passed,
             }
             any_failure = any_failure or not report.passed
-        else:
-            raise _Exit(EXIT_PARSE, f"unknown suite {name!r}")
         line = (
             f"{payload['name']}: "
             f"{'PASS' if payload['passed'] else 'FAIL'} "

@@ -121,10 +121,13 @@ def load_model(path: str | Path) -> LoadedModel:
     warning when both are present and disagree.
     """
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"model file {path} is not valid UTF-8: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # invalid JSON, an integer literal too long to convert, deep nesting
         raise ParseError(f"model file {path} is not valid JSON: {exc}") from exc
     try:
         return _model_from_json(raw)
@@ -189,8 +192,10 @@ def _model_from_json(raw: Any) -> LoadedModel:
 
     sets = []
     for i, (raw_set, score) in enumerate(zip(raw_sets, scores)):
-        if not isinstance(raw_set, dict) or "profiles" not in raw_set:
+        if not isinstance(raw_set, dict) or not isinstance(raw_set.get("profiles"), list):
             raise ParseError(f"reference_sets[{i}]: needs a 'profiles' array")
+        if not isinstance(raw_set.get("names", []), list):
+            raise ParseError(f"reference_sets[{i}]: 'names' must be an array")
         profiles = []
         for j, vec in enumerate(raw_set["profiles"]):
             if not isinstance(vec, list) or len(vec) != len(criteria):
@@ -218,6 +223,8 @@ def _model_from_json(raw: Any) -> LoadedModel:
 
     embedded = None
     if "performances" in raw:
+        if not isinstance(raw["performances"], dict):
+            raise ParseError("'performances' must be an object of action rows")
         embedded = {}
         for action, vec in raw["performances"].items():
             if not isinstance(vec, list) or len(vec) != len(criteria):
@@ -231,13 +238,21 @@ def _model_from_json(raw: Any) -> LoadedModel:
     return LoadedModel(criteria, refs, lam, embedded, tuple(warnings))
 
 
+def _read_csv(path: str | Path, what: str) -> list[list[str]]:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} {path} is not valid UTF-8: {exc}") from exc
+    except csv.Error as exc:  # a NUL byte, an oversized field
+        raise ParseError(f"{what} {path}: {exc}") from exc
+
+
 def load_performances_csv(path: str | Path, criteria) -> PerformanceTable:
     """Read a performance table: header row of criterion names, id first."""
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise ParseError(f"cannot read performance file {path}: {exc}") from exc
+    rows = _read_csv(path, "performance file")
     if not rows:
         raise ParseError(f"performance file {path} is empty")
     header = rows[0]
@@ -277,11 +292,7 @@ def load_target_csv(path: str | Path) -> dict[tuple[str, str], str]:
     Cells: ``a`` (action strictly preferred to the profile), ``b``
     (profile strictly preferred to the action), empty (neither).
     """
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise ParseError(f"cannot read target file {path}: {exc}") from exc
+    rows = _read_csv(path, "target file")
     if not rows or len(rows[0]) < 2:
         raise ParseError(f"target file {path} needs a header with action columns")
     actions = [cell.strip() for cell in rows[0][1:]]

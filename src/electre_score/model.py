@@ -153,20 +153,8 @@ class ReferenceStructure:
         return flat
 
 
-@dataclass(frozen=True)
-class CuttingLevel:
-    """Cutting level turning fuzzy credibility into a crisp relation."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        check_cutting_level(self.value)
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def check_cutting_level(lam: float) -> float:
+    """The cutting level turning credibility into a crisp relation, in ]0.5, 1]."""
     if not 0.5 < lam <= 1.0:
         raise ValueError(f"cutting level must lie in ]0.5, 1], got {lam}")
     return lam

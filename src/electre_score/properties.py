@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .credibility import compile_criteria, derived_relation, sigma_pair
+from .credibility import DerivedRelation, compile_criteria
 from .model import (
     Criterion,
     Direction,
@@ -27,14 +27,17 @@ from .model import (
     ReferenceStructure,
     ThresholdMode,
     ThresholdSpec,
+    check_cutting_level,
 )
 from .refsets import (
     ActionSetRelation,
+    ProfileTable,
     SetClassification,
-    check_separability,
     classify_relations,
+    level_relations,
+    profile_relations,
 )
-from .scoring import NoLowerBoundError, NoUpperBoundError, _scan_lower, _scan_upper
+from .scoring import scan_bounds
 
 
 class InvalidEditError(ValueError):
@@ -305,82 +308,6 @@ class PropertyReport:
 
 
 # ---------------------------------------------------------------------------
-# memoized relation helper shared by the checkers
-
-
-class _Relations:
-    """Memoized credibility over a registry of named vectors.
-
-    A miss computes both directions of the pair with one kernel call.
-    """
-
-    def __init__(self, criteria: Sequence[Criterion]):
-        self.kernel = compile_criteria(criteria)
-        self.vectors: dict[str, tuple[float, ...]] = {}
-        self._sigma: dict[tuple[str, str], float] = {}
-
-    def register(self, key: str, vec: Sequence[float]) -> str:
-        self.vectors[key] = tuple(vec)
-        return key
-
-    def sigma(self, a: str, b: str) -> float:
-        try:
-            return self._sigma[(a, b)]
-        except KeyError:
-            sab, sba = sigma_pair(self.kernel, self.vectors[a], self.vectors[b])
-            self._sigma[(a, b)] = sab
-            self._sigma[(b, a)] = sba
-            return sab
-
-    def strictly_preferred(self, a: str, b: str, lam: float) -> bool:
-        return self.sigma(a, b) >= lam and not self.sigma(b, a) >= lam
-
-    def classify(self, action: str, profile_keys: Sequence[str], lam: float) -> ActionSetRelation:
-        rels = []
-        for pk in profile_keys:
-            sab = self.sigma(action, pk) >= lam
-            sba = self.sigma(pk, action) >= lam
-            rels.append(derived_relation(sab, sba))
-        return classify_relations(rels)
-
-    def level_relations(
-        self, action: str, levels: Sequence[Sequence[str]], lam: float
-    ) -> list[ActionSetRelation]:
-        return [self.classify(action, keys, lam) for keys in levels]
-
-    def bounds(
-        self,
-        action: str,
-        levels: Sequence[Sequence[str]],
-        scores: Sequence[float],
-        lam: float,
-        fast: bool = False,
-    ) -> tuple[tuple[float, int] | None, tuple[float, int] | None]:
-        relations = self.level_relations(action, levels, lam)
-        try:
-            lo = _scan_lower(relations, scores, fast)
-        except NoLowerBoundError:
-            lo = None
-        try:
-            hi = _scan_upper(relations, scores, fast)
-        except NoUpperBoundError:
-            hi = None
-        return lo, hi
-
-
-def _register_structure(rel: _Relations, refs: ReferenceStructure, tag: str = "") -> list[list[str]]:
-    levels: list[list[str]] = []
-    for k, ref in enumerate(refs.sets):
-        keys = []
-        for p, vec in enumerate(ref.profiles):
-            key = f"{tag}L{k}P{p}"
-            rel.register(key, vec)
-            keys.append(key)
-        levels.append(keys)
-    return levels
-
-
-# ---------------------------------------------------------------------------
 # theorem checkers
 
 
@@ -397,24 +324,24 @@ def check_conformity(
     preference, primal and dual). When unmet the report is gated and the
     deviations are logged as notes only.
     """
-    sep = check_separability(refs, criteria, lam)
+    check_cutting_level(lam)
+    table = ProfileTable(compile_criteria(criteria), refs)
+    sep = table.separability(lam)
     hypothesis = sep.soft_dominance and sep.soft_preference
-    rel = _Relations(criteria)
-    levels = _register_structure(rel, refs)
     scores = refs.scores
 
     failures: list[PropertyFailure] = []
     notes: list[str] = []
     trials = 0
-    for k in range(1, len(levels) - 1):
-        for key in levels[k]:
+    for k in range(1, len(scores) - 1):
+        for p in range(len(refs.sets[k].profiles)):
             trials += 1
-            lo, hi = rel.bounds(key, levels, scores, lam)
+            lo, hi = scan_bounds(table.profile_levels(k, p, lam), scores)
             expected = (scores[k - 1], scores[k + 1])
             observed = (None if lo is None else lo[0], None if hi is None else hi[0])
             if observed != expected:
                 entry = PropertyFailure(
-                    seed, digest, f"profile {key} at level {k + 1}",
+                    seed, digest, f"profile L{k}P{p} at level {k + 1}",
                     f"bounds {expected}", f"bounds {observed}",
                 )
                 if hypothesis:
@@ -476,11 +403,12 @@ def check_propositions(
     the ladder implications as well. Gating is per-implication: primal
     and dual soft dominance enable exactly the items stated under them.
     """
-    sep = check_separability(refs, criteria, lam)
+    check_cutting_level(lam)
+    kernel = compile_criteria(criteria)
+    table = ProfileTable(kernel, refs)
+    sep = table.separability(lam)
     primal = sep.all_soft_dominance_primal
     dual = sep.all_soft_dominance_dual
-    rel = _Relations(criteria)
-    levels = _register_structure(rel, refs)
     scores = refs.scores
 
     failures: list[PropertyFailure] = []
@@ -492,20 +420,19 @@ def check_propositions(
         failures.append(PropertyFailure(seed, digest, case, expected, observed))
 
     for name, vec in actions.items():
-        rel.register(name, vec)
         trials += 1
-        relations = rel.level_relations(name, levels, lam)
+        relations = level_relations(kernel, vec, refs, lam)
         for msg in _flag_checks_for_action(name, relations, primal, dual):
             fail(msg, "implication holds", "violated")
         if not (primal and dual):
             skipped += 1
             continue
-        lo, hi = rel.bounds(name, levels, scores, lam)
+        lo, hi = scan_bounds(relations, scores)
         if lo is None or hi is None:
             skipped += 1  # comparability failure; propositions assume both bounds
             continue
         lo_idx, hi_idx = lo[1], hi[1]
-        fast_lo, fast_hi = rel.bounds(name, levels, scores, lam, fast=True)
+        fast_lo, fast_hi = scan_bounds(relations, scores, fast=True)
         if (fast_lo, fast_hi) != (lo, hi):
             fail(f"{name}: fast path diverges", f"{(lo, hi)}", f"{(fast_lo, fast_hi)}")
         for k, r in enumerate(relations):
@@ -526,19 +453,19 @@ def check_propositions(
                      f"outside (bounds {lo_idx+1}..{hi_idx+1})")
 
     # ladder implications for the profiles themselves
-    for k, keys in enumerate(levels):
-        for key in keys:
+    for k, ref in enumerate(refs.sets):
+        for p in range(len(ref.profiles)):
             trials += 1
-            relations = rel.level_relations(key, levels, lam)
+            relations = table.profile_levels(k, p, lam)
             if dual:
                 for h in range(k + 1):
                     if not relations[h].a_outranks_set:
-                        fail(f"profile {key}: must outrank level {h+1}",
+                        fail(f"profile L{k}P{p}: must outrank level {h+1}",
                              "outranks", relations[h].classification.value)
             if primal:
-                for h in range(k + 1, len(levels)):
+                for h in range(k + 1, len(scores)):
                     if not relations[h].set_preferred:
-                        fail(f"profile {key}: level {h+1} must be preferred to it",
+                        fail(f"profile L{k}P{p}: level {h+1} must be preferred to it",
                              "set preferred", relations[h].classification.value)
 
     hypothesis = primal and dual
@@ -549,32 +476,30 @@ def check_propositions(
     )
 
 
+_ACTION_PREFERRED = DerivedRelation.A_PREFERRED  # the action over the profile
+_PROFILE_PREFERRED = DerivedRelation.B_PREFERRED  # the profile over the action
+
+
 def _expected_after_edit(
-    rel: _Relations,
-    action: str,
-    levels: Sequence[Sequence[str]],
+    rows: Sequence[Sequence[DerivedRelation]],
     scores: Sequence[float],
-    lam: float,
     lo_idx: int,
     hi_idx: int,
     edit: EditOperation,
-    new_keys: Sequence[str],
+    added: Sequence[DerivedRelation],
 ) -> tuple[float | None, float | None]:
-    """Bound values the single-edit case analysis predicts (None = no bound)."""
+    """Bound values the single-edit case analysis predicts (None = no bound).
+
+    ``rows`` holds the action's relation to every profile before the
+    edit, level by level; ``added`` its relation to the inserted profiles.
+    """
     x = list(scores)
     r, t = lo_idx, hi_idx
-
-    def strict_to_action(pk: str) -> bool:
-        return rel.strictly_preferred(pk, action, lam)
-
-    def strict_from_action(pk: str) -> bool:
-        return rel.strictly_preferred(action, pk, lam)
-
     exp_lower: float | None = x[r]
     exp_upper: float | None = x[t]
 
     if isinstance(edit, InsertSet):
-        cls = rel.classify(action, new_keys, lam).classification
+        cls = classify_relations(added).classification
         upper_neigh = x[r + 1] if r + 1 < len(x) else float("inf")
         if x[r] < edit.score < upper_neigh and cls is SetClassification.ACTION_PREFERRED:
             exp_lower = edit.score
@@ -588,50 +513,58 @@ def _expected_after_edit(
             exp_upper = x[t + 1] if t + 1 < len(x) else None
     elif isinstance(edit, InsertProfile):
         k = edit.level
-        new_key = new_keys[0]
-        if strict_to_action(new_key) and k == r:
+        new = added[0]
+        if new is _PROFILE_PREFERRED and k == r:
             exp_lower = x[r - 1] if r >= 1 else None
-        elif (
-            strict_from_action(new_key)
-            and k == r + 1
-            and not any(strict_to_action(pk) for pk in levels[k])
-        ):
+        elif new is _ACTION_PREFERRED and k == r + 1 and _PROFILE_PREFERRED not in rows[k]:
             exp_lower = x[r + 1]
-        if strict_from_action(new_key) and k == t:
+        if new is _ACTION_PREFERRED and k == t:
             exp_upper = x[t + 1] if t + 1 < len(x) else None
-        elif (
-            strict_to_action(new_key)
-            and k == t - 1
-            and not any(strict_from_action(pk) for pk in levels[k])
-        ):
+        elif new is _PROFILE_PREFERRED and k == t - 1 and _ACTION_PREFERRED not in rows[k]:
             exp_upper = x[t - 1]
     elif isinstance(edit, DeleteProfile):
-        k = edit.level
-        gone = levels[k][edit.profile_index]
-        others = [pk for i, pk in enumerate(levels[k]) if i != edit.profile_index]
-        if k == r and strict_from_action(gone) and not any(
-            strict_from_action(pk) for pk in others
-        ):
+        k, i = edit.level, edit.profile_index
+        gone = rows[k][i]
+        others = rows[k][:i] + rows[k][i + 1 :]
+        if k == r and gone is _ACTION_PREFERRED and _ACTION_PREFERRED not in others:
             exp_lower = x[r - 1] if r >= 1 else None
         elif (
             k == r + 1
-            and strict_to_action(gone)
-            and not any(strict_to_action(pk) for pk in others)
-            and any(strict_from_action(pk) for pk in others)
+            and gone is _PROFILE_PREFERRED
+            and _PROFILE_PREFERRED not in others
+            and _ACTION_PREFERRED in others
         ):
             exp_lower = x[r + 1]
-        if k == t and strict_to_action(gone) and not any(
-            strict_to_action(pk) for pk in others
-        ):
+        if k == t and gone is _PROFILE_PREFERRED and _PROFILE_PREFERRED not in others:
             exp_upper = x[t + 1] if t + 1 < len(x) else None
         elif (
             k == t - 1
-            and strict_from_action(gone)
-            and not any(strict_from_action(pk) for pk in others)
-            and any(strict_to_action(pk) for pk in others)
+            and gone is _ACTION_PREFERRED
+            and _ACTION_PREFERRED not in others
+            and _PROFILE_PREFERRED in others
         ):
             exp_upper = x[t - 1]
     return exp_lower, exp_upper
+
+
+def _edited_rows(
+    rows: Sequence[tuple[DerivedRelation, ...]],
+    refs: ReferenceStructure,
+    edit: EditOperation,
+    added: tuple[DerivedRelation, ...],
+) -> list[tuple[DerivedRelation, ...]]:
+    """The action's per-profile relations with the edit applied to them."""
+    out = list(rows)
+    if isinstance(edit, InsertSet):
+        out.insert(sum(1 for s in refs.sets if s.score < edit.score), added)
+    elif isinstance(edit, DeleteSet):
+        del out[edit.level]
+    elif isinstance(edit, InsertProfile):
+        out[edit.level] += added
+    else:
+        i = edit.profile_index
+        out[edit.level] = out[edit.level][:i] + out[edit.level][i + 1 :]
+    return out
 
 
 def check_stability(
@@ -650,60 +583,47 @@ def check_stability(
     break the soft-dominance hypothesis (before or after) are skipped
     and counted, not failed.
     """
-    sep_before = check_separability(refs, criteria, lam)
-    if not sep_before.soft_dominance:
+    check_cutting_level(lam)
+    kernel = compile_criteria(criteria)
+    if not ProfileTable(kernel, refs).separability(lam).soft_dominance:
         return PropertyReport(
             "stability", 0, (), len(edits), False,
             ("hypothesis not met before edits: soft dominance separability",),
         )
+    kept = []
+    for edit in edits:
+        new_refs = apply_edit(refs, edit)
+        if ProfileTable(kernel, new_refs).separability(lam).soft_dominance:
+            kept.append((edit, new_refs.scores))
+    if not kept:  # nothing to check, so no action-profile pair is computed
+        return PropertyReport("stability", 0, (), len(edits), True)
 
-    rel = _Relations(criteria)
-    levels = _register_structure(rel, refs)
+    # each action's relation to every profile and its bounds before any
+    # edit, for the actions that have both bounds
     scores = refs.scores
+    bounded = []
     for name, vec in actions.items():
-        rel.register(name, vec)
+        rows = [tuple(profile_relations(kernel, vec, ref.profiles, lam)) for ref in refs.sets]
+        lo, hi = scan_bounds([classify_relations(row) for row in rows], scores)
+        if lo is not None and hi is not None:
+            bounded.append((name, vec, rows, lo[1], hi[1]))
 
     failures: list[PropertyFailure] = []
-    skipped = 0
     trials = 0
-
-    for e_idx, edit in enumerate(edits):
-        new_refs = apply_edit(refs, edit)
-        if not check_separability(new_refs, criteria, lam).soft_dominance:
-            skipped += 1
-            continue
-
-        # register edited-structure levels, reusing surviving profile keys
-        if isinstance(edit, InsertSet):
-            new_keys = [
-                rel.register(f"E{e_idx}N{i}", vec) for i, vec in enumerate(edit.profiles)
-            ]
-            position = sum(1 for s in refs.sets if s.score < edit.score)
-            new_levels = [list(keys) for keys in levels]
-            new_levels.insert(position, new_keys)
-        elif isinstance(edit, DeleteSet):
-            new_keys = []
-            new_levels = [list(keys) for k, keys in enumerate(levels) if k != edit.level]
-        elif isinstance(edit, InsertProfile):
-            new_keys = [rel.register(f"E{e_idx}N0", edit.profile)]
-            new_levels = [list(keys) for keys in levels]
-            new_levels[edit.level].append(new_keys[0])
-        else:
-            new_keys = []
-            new_levels = [list(keys) for keys in levels]
-            del new_levels[edit.level][edit.profile_index]
-        new_scores = new_refs.scores
-
-        for name in actions:
-            old_lo, old_hi = rel.bounds(name, levels, scores, lam)
-            if old_lo is None or old_hi is None:
-                continue
+    for edit, new_scores in kept:
+        inserted = (
+            edit.profiles if isinstance(edit, InsertSet)
+            else (edit.profile,) if isinstance(edit, InsertProfile)
+            else ()
+        )
+        for name, vec, rows, r, t in bounded:
             trials += 1
-            r, t = old_lo[1], old_hi[1]
-            exp_lower, exp_upper = _expected_after_edit(
-                rel, name, levels, scores, lam, r, t, edit, new_keys
+            added = tuple(profile_relations(kernel, vec, inserted, lam))
+            exp_lower, exp_upper = _expected_after_edit(rows, scores, r, t, edit, added)
+            new_lo, new_hi = scan_bounds(
+                [classify_relations(row) for row in _edited_rows(rows, refs, edit, added)],
+                new_scores,
             )
-            new_lo, new_hi = rel.bounds(name, new_levels, new_scores, lam)
             got_lower = None if new_lo is None else new_lo[0]
             got_upper = None if new_hi is None else new_hi[0]
 
@@ -729,7 +649,7 @@ def check_stability(
                     f"bounds ({got_lower}, {got_upper})",
                 ))
 
-    return PropertyReport("stability", trials, tuple(failures), skipped, True)
+    return PropertyReport("stability", trials, tuple(failures), len(edits) - len(kept), True)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ are small by design.
 
 Batch code computes each pair once: a :class:`ProfileTable` holds the
 credibility between every two profiles for the basic assumptions,
-separability and the lambda bands, and :func:`level_relations` relates
-one action to every level. The public functions validate the cutting
-level once and compile the criteria themselves.
+separability, the lambda bands and each profile's relation to every
+level, and :func:`level_relations` relates one action to every level.
+The public functions validate the cutting level once and compile the
+criteria themselves.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .credibility import (
     CompiledCriteria,
@@ -97,14 +98,20 @@ def _fold(ap: bool, bp: bool, ind: bool) -> ActionSetRelation:
     )
 
 
-def _classify(
+def profile_relations(
     kernel: CompiledCriteria,
     action: Sequence[float],
     profiles: Sequence[Sequence[float]],
     lam: float,
-) -> ActionSetRelation:
+) -> Iterator[DerivedRelation]:
+    """Derived relation of one action to each profile; one kernel call each.
+
+    A one-pass iterator: the set fold needs no tuple of the relations,
+    and building one per action and level raises the peak memory of a
+    large ``evaluate`` measurably.
+    """
     pairs = (sigma_pair(kernel, action, prof) for prof in profiles)
-    return classify_relations(derived_relation(sab >= lam, sba >= lam) for sab, sba in pairs)
+    return (derived_relation(sab >= lam, sba >= lam) for sab, sba in pairs)
 
 
 def level_relations(
@@ -117,18 +124,10 @@ def level_relations(
 
     One kernel call per profile; ``lam`` must already be validated.
     """
-    return tuple(_classify(kernel, action, ref.profiles, lam) for ref in refs.sets)
-
-
-def classify_action_vs_set(
-    action: Sequence[float],
-    profiles: Sequence[Sequence[float]],
-    criteria: Sequence[Criterion],
-    lam: float,
-) -> ActionSetRelation:
-    """Relate one action performance vector to one set of limiting profiles."""
-    check_cutting_level(lam)
-    return _classify(compile_criteria(criteria), action, profiles, lam)
+    return tuple(
+        classify_relations(profile_relations(kernel, action, ref.profiles, lam))
+        for ref in refs.sets
+    )
 
 
 def classify_action_vs_levels(
@@ -244,6 +243,21 @@ class ProfileTable:
         i, j = self._start[k] + p, self._start[h] + q
         return derived_relation(self._sigma[i][j] >= lam, self._sigma[j][i] >= lam)
 
+    def profile_levels(self, k: int, p: int, lam: float) -> tuple[ActionSetRelation, ...]:
+        """Relation of profile p of level k to every level, bottom to top.
+
+        The profile scored as an action; its own cell reads as indifferent,
+        since the credibility of a vector over itself is 1.
+        """
+        return tuple(
+            classify_relations(
+                DerivedRelation.INDIFFERENT if (h, q) == (k, p)
+                else self.relation(k, p, h, q, lam)
+                for q in range(len(ref.profiles))
+            )
+            for h, ref in enumerate(self.refs.sets)
+        )
+
     def breakpoints(self) -> list[float]:
         """Credibilities in ]0.5, 1] between distinct profiles, plus 1."""
         values = {s for row in self._sigma for s in row if s is not None and 0.5 < s <= 1.0}
@@ -353,12 +367,11 @@ def check_comparability(
     """Per action: strictly above the bottom set and strictly below the top set."""
     check_cutting_level(lam)
     kernel = compile_criteria(criteria)
-    bottom = refs.sets[0].profiles
-    top = refs.sets[-1].profiles
-    out: dict[str, bool] = {}
-    for action in table.actions:
-        vec = table.vector(action)
-        out[action] = is_comparable(
-            (_classify(kernel, vec, bottom, lam), _classify(kernel, vec, top, lam))
-        )
-    return out
+    ends = (refs.sets[0].profiles, refs.sets[-1].profiles)
+    return {
+        action: is_comparable([
+            classify_relations(profile_relations(kernel, table.vector(action), end, lam))
+            for end in ends
+        ])
+        for action in table.actions
+    }

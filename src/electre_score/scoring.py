@@ -20,17 +20,12 @@ from .refsets import (
     ActionSetRelation,
     ProfileTable,
     SetClassification,
-    classify_action_vs_levels,
     level_relations,
 )
 
-
-class NoLowerBoundError(ValueError):
-    """No reference level qualifies as a lower bound for the action."""
-
-
-class NoUpperBoundError(ValueError):
-    """No reference level qualifies as an upper bound for the action."""
+# the levels a bound's universal clause admits below (lower) or above (upper) it
+_BELOW_LOWER = (SetClassification.ACTION_PREFERRED, SetClassification.INCOMPARABLE)
+_ABOVE_UPPER = (SetClassification.SET_PREFERRED, SetClassification.INCOMPARABLE)
 
 
 class BasicAssumptionsViolatedError(ValueError):
@@ -107,73 +102,33 @@ class ScoreRange:
         return self.lower is not None and self.upper is not None
 
 
-def _scan_lower(
-    relations: Sequence[ActionSetRelation], scores: Sequence[float], fast: bool
-) -> tuple[float, int]:
-    candidates = [
-        k
-        for k, rel in enumerate(relations)
-        if rel.classification is SetClassification.ACTION_PREFERRED
-    ]
-    for k in reversed(candidates):
-        if fast:
-            return scores[k], k
-        if all(
-            relations[h].classification
-            in (SetClassification.ACTION_PREFERRED, SetClassification.INCOMPARABLE)
-            for h in range(k)
-        ):
-            return scores[k], k
-    raise NoLowerBoundError("action is not strictly preferred to any reference set")
+def scan_bounds(
+    relations: Sequence[ActionSetRelation], scores: Sequence[float], fast: bool = False
+) -> tuple[tuple[float, int] | None, tuple[float, int] | None]:
+    """Lower and upper bound of one action as ``(score, level index)`` pairs.
 
-
-def _scan_upper(
-    relations: Sequence[ActionSetRelation], scores: Sequence[float], fast: bool
-) -> tuple[float, int]:
-    candidates = [
-        k
-        for k, rel in enumerate(relations)
-        if rel.classification is SetClassification.SET_PREFERRED
-    ]
-    for k in candidates:
-        if fast:
-            return scores[k], k
-        if all(
-            relations[h].classification
-            in (SetClassification.SET_PREFERRED, SetClassification.INCOMPARABLE)
-            for h in range(k + 1, len(relations))
-        ):
-            return scores[k], k
-    raise NoUpperBoundError("no reference set is strictly preferred to the action")
-
-
-def lower_bound(
-    action: Sequence[float],
-    refs: ReferenceStructure,
-    criteria: Sequence[Criterion],
-    lam: float,
-    fast: bool = False,
-) -> tuple[float, int]:
-    """Highest reference score the action is strictly preferred to.
-
-    Returns (score, level index). ``fast`` skips the universal clause on
-    the levels below; callers enable it only once both soft-dominance
-    separability flags are confirmed.
+    ``relations`` is the action's relation to every level, bottom to top.
+    The lower bound is the highest level the action is strictly preferred
+    to with every level below action-preferred or incomparable; the upper
+    bound is symmetric. ``fast`` skips that universal clause; callers
+    enable it only once both soft-dominance separability flags are
+    confirmed. A missing bound is ``None``.
     """
-    relations = classify_action_vs_levels(action, refs, criteria, lam)
-    return _scan_lower(relations, refs.scores, fast)
-
-
-def upper_bound(
-    action: Sequence[float],
-    refs: ReferenceStructure,
-    criteria: Sequence[Criterion],
-    lam: float,
-    fast: bool = False,
-) -> tuple[float, int]:
-    """Lowest reference score whose set is strictly preferred to the action."""
-    relations = classify_action_vs_levels(action, refs, criteria, lam)
-    return _scan_upper(relations, refs.scores, fast)
+    n = len(relations)
+    lower = upper = None
+    for k in reversed(range(n)):
+        if relations[k].classification is SetClassification.ACTION_PREFERRED and (
+            fast or all(relations[h].classification in _BELOW_LOWER for h in range(k))
+        ):
+            lower = scores[k], k
+            break
+    for k in range(n):
+        if relations[k].classification is SetClassification.SET_PREFERRED and (
+            fast or all(relations[h].classification in _ABOVE_UPPER for h in range(k + 1, n))
+        ):
+            upper = scores[k], k
+            break
+    return lower, upper
 
 
 @dataclass(frozen=True)
@@ -258,19 +213,14 @@ def score_ranges(
     for action in table.actions:
         relations = level_relations(kernel, table.vector(action), refs, lam)
         all_relations.append(relations)
-        reasons = []
-        lo = lo_idx = hi = hi_idx = None
-        try:
-            lo, lo_idx = _scan_lower(relations, scores, fast)
-        except NoLowerBoundError:
-            reasons.append("no lower bound")
-        try:
-            hi, hi_idx = _scan_upper(relations, scores, fast)
-        except NoUpperBoundError:
-            reasons.append("no upper bound")
-        if lo_idx is not None and hi_idx is not None:
-            findings.extend(_range_findings(action, relations, scores, lo_idx, hi_idx))
-        ranges.append(
-            ScoreRange(action, lo, hi, lo_idx, hi_idx, "; ".join(reasons) or None)
+        lower, upper = scan_bounds(relations, scores, fast)
+        lo, lo_idx = lower or (None, None)
+        hi, hi_idx = upper or (None, None)
+        reason = "; ".join(
+            f"no {side} bound" for side, bound in (("lower", lower), ("upper", upper))
+            if bound is None
         )
+        if lower and upper:
+            findings.extend(_range_findings(action, relations, scores, lo_idx, hi_idx))
+        ranges.append(ScoreRange(action, lo, hi, lo_idx, hi_idx, reason or None))
     return ScoringResult(tuple(ranges), tuple(findings), fast, tuple(all_relations))

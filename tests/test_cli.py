@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -509,3 +512,146 @@ class TestNonFiniteInput:
 
         with pytest.raises(ValueError):
             write_report({"value": float("nan")}, None)
+
+
+def _zero_weights(raw):
+    for criterion in raw["criteria"]:
+        criterion["weight"] = 0.0
+
+
+def _q_above_p(raw):
+    raw["criteria"][2]["indifference"] = 3.0  # p = 2
+
+
+def _veto_at_p(raw):
+    raw["criteria"][2]["veto"] = 2.0  # p = 2
+
+
+class TestValidateInvalidModel:
+    """An invalid model gives a report listing its errors and exit 3."""
+
+    OPTIONS = pytest.mark.parametrize("lam", [None, "0.65"], ids=["bands", "lambda"])
+    TABLE = pytest.mark.parametrize("with_perf", [False, True], ids=["no-csv", "csv"])
+
+    def _validate(self, hotel_files, tmp_path, edit, lam, with_perf):
+        model, perf, _ = hotel_files
+        raw = json.loads(model.read_text())
+        edit(raw)
+        model.write_text(json.dumps(raw))
+        out = tmp_path / "v.json"
+        argv = ["validate", str(model), "--output", str(out)]
+        argv += ["--lambda", lam] if lam else []
+        argv += ["--performances", str(perf)] if with_perf else []
+        assert main(argv) == EXIT_VALIDATION
+        report = json.loads(out.read_text())
+        assert "basic_assumptions" not in report and "separability" not in report
+        return report["model_errors"]
+
+    @OPTIONS
+    @TABLE
+    def test_all_zero_weights(self, hotel_files, tmp_path, lam, with_perf):
+        errors = self._validate(hotel_files, tmp_path, _zero_weights, lam, with_perf)
+        assert "no criterion has positive weight" in errors
+
+    @OPTIONS
+    @TABLE
+    def test_q_above_p(self, hotel_files, tmp_path, lam, with_perf):
+        errors = self._validate(hotel_files, tmp_path, _q_above_p, lam, with_perf)
+        assert any("RECRU" in e and "exceeds p" in e for e in errors)
+
+    @OPTIONS
+    @TABLE
+    def test_veto_not_above_p(self, hotel_files, tmp_path, lam, with_perf):
+        errors = self._validate(hotel_files, tmp_path, _veto_at_p, lam, with_perf)
+        assert any("RECRU" in e and "must exceed" in e for e in errors)
+
+
+class TestVerifyConfigValues:
+    @pytest.mark.parametrize("config", [
+        {"trials": "many"},
+        {"seed": "x"},
+        [1, 2],
+        {"trials": 1.5},
+        {"trials": -1},
+        {"trials": True},
+        {"suites": "stability"},
+        {"suites": ["stability", 3]},
+        {"suites": ["conformity", "nope"]},
+    ], ids=["trials-str", "seed-str", "list", "trials-float", "trials-negative",
+            "trials-bool", "suites-str", "suites-non-str", "suites-unknown-late"])
+    def test_bad_value_is_parse_error(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["verify", "--config", str(cfg)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before any suite runs
+        assert "error:" in captured.err
+
+    def test_deeply_nested_config_is_parse_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 100_000)
+        assert main(["verify", "--config", str(cfg)]) == EXIT_PARSE
+
+    def test_negative_trials_flag_is_parse_error(self):
+        assert main(["verify", "--trials", "-1"]) == EXIT_PARSE
+
+
+class TestNonUtf8Input:
+    BAD = b"\xff\xfe{}"
+
+    def test_model_file(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes(self.BAD)
+        assert main(["validate", str(model)]) == EXIT_PARSE
+        assert str(model) in capsys.readouterr().err
+
+    def test_performance_csv(self, hotel_files, capsys):
+        model, perf, _ = hotel_files
+        perf.write_bytes(perf.read_bytes() + self.BAD)
+        assert main(["evaluate", str(model), "--performances", str(perf),
+                     "--lambda", "0.65"]) == EXIT_PARSE
+        assert str(perf) in capsys.readouterr().err
+
+    def test_target_csv(self, hotel_files, capsys):
+        model, perf, target = hotel_files
+        target.write_bytes(self.BAD)
+        assert main(["sweep-lambda", str(model), str(target),
+                     "--performances", str(perf)]) == EXIT_PARSE
+        assert str(target) in capsys.readouterr().err
+
+    def test_verify_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(self.BAD)
+        assert main(["verify", "--config", str(cfg)]) == EXIT_PARSE
+        assert str(cfg) in capsys.readouterr().err
+
+
+class TestTracedEntry:
+    """The benchmark's traced entry wraps functions by name; renaming one
+    that it lists must fail here, not only in a traced benchmark run."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def _trace(self, tmp_path, *cli_args):
+        trace = tmp_path / "trace.json"
+        env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, str(self.ROOT / "perfbench" / "trace_cli.py"), str(trace),
+             *cli_args],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(trace.read_text())
+        assert report["exit"] == 0
+        return report["totals"]
+
+    def test_evaluate(self, hotel_files, tmp_path):
+        model, perf, _ = hotel_files
+        totals = self._trace(tmp_path, "evaluate", str(model), "--performances", str(perf),
+                             "--lambda", "0.65", "--output", str(tmp_path / "r.json"))
+        assert totals["scoring.score_ranges"]["count"] == 1
+
+    def test_verify(self, tmp_path):
+        totals = self._trace(tmp_path, "verify", "--trials", "2",
+                             "--output", str(tmp_path / "reports"))
+        assert totals["properties.check"]["count"] >= 6  # three checked suites x 2

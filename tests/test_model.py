@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from electre_score.model import (
     AllZeroWeightsError,
     Criterion,
-    CuttingLevel,
     Direction,
     PerformanceTable,
     ReferenceSet,
     ReferenceStructure,
     ThresholdMode,
     ThresholdSpec,
+    check_cutting_level,
     normalize_weights,
     validate_model,
 )
@@ -69,11 +69,11 @@ class TestCuttingLevel:
     @pytest.mark.parametrize("bad", [0.5, 0.49, 1.0001, 0.0, -1.0])
     def test_rejects_out_of_band(self, bad):
         with pytest.raises(ValueError):
-            CuttingLevel(bad)
+            check_cutting_level(bad)
 
     @pytest.mark.parametrize("ok", [0.500001, 0.75, 1.0])
     def test_accepts_band(self, ok):
-        assert float(CuttingLevel(ok)) == ok
+        assert check_cutting_level(ok) == ok
 
 
 class TestValidateModel:

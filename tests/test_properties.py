@@ -19,8 +19,13 @@ from electre_score.properties import (
     make_edits,
     shrink_instance,
 )
-from electre_score.refsets import check_separability
-from electre_score.scoring import lower_bound, upper_bound
+from electre_score.refsets import check_separability, classify_action_vs_levels
+from electre_score.scoring import scan_bounds
+
+
+def bounds(vec, refs, crit, lam):
+    """(lower, upper) as (score, level) pairs, None where a bound is missing."""
+    return scan_bounds(classify_action_vs_levels(vec, refs, crit, lam), refs.scores)
 
 
 class TestGenerator:
@@ -135,13 +140,13 @@ class TestConformityChecker:
         # must report failures instead of staying green
         inst = generate_instance(5, GeneratorConfig(
             n_criteria=3, n_levels=4, max_profiles_per_level=1, n_actions=0))
-        real = props._scan_lower
+        real = props.scan_bounds
 
-        def corrupted(relations, scores, fast):
-            value, idx = real(relations, scores, fast)
-            return (scores[0], 0) if idx != 0 else (value, idx)
+        def corrupted(relations, scores, fast=False):
+            lower, upper = real(relations, scores, fast)
+            return (scores[0], 0) if lower is not None else None, upper
 
-        monkeypatch.setattr(props, "_scan_lower", corrupted)
+        monkeypatch.setattr(props, "scan_bounds", corrupted)
         report = check_conformity(inst.refs, inst.criteria, 0.75)
         assert report.failures
 
@@ -195,14 +200,12 @@ class TestStabilityChecker:
         crit, refs = inst.criteria, inst.refs
         for action in inst.table.actions:
             vec = inst.table.vector(action)
-            try:
-                lo, lo_idx = lower_bound(vec, refs, crit, 0.75)
-            except Exception:
+            lower, _ = bounds(vec, refs, crit, 0.75)
+            if lower is None or lower[1] == 0:
                 continue
-            if lo_idx == 0:
-                continue
+            lo_idx = lower[1]
             edited = apply_edit(refs, DeleteSet(lo_idx))
-            new_lo, new_idx = lower_bound(vec, edited, crit, 0.75)
+            new_lo, new_idx = bounds(vec, edited, crit, 0.75)[0]
             assert new_lo == refs.scores[lo_idx - 1]
 
     def test_insert_set_below_all_lower_bounds_changes_nothing(self):
@@ -216,15 +219,12 @@ class TestStabilityChecker:
         edited = apply_edit(refs, InsertSet(score, (mid,)))
         for action in inst.table.actions:
             vec = inst.table.vector(action)
-            try:
-                old = (lower_bound(vec, refs, crit, 0.75),
-                       upper_bound(vec, refs, crit, 0.75))
-            except Exception:
+            old = bounds(vec, refs, crit, 0.75)
+            if None in old:
                 continue
             if old[0][0] == refs.scores[0]:
                 continue  # the insert sits directly below this bound
-            new = (lower_bound(vec, edited, crit, 0.75),
-                   upper_bound(vec, edited, crit, 0.75))
+            new = bounds(vec, edited, crit, 0.75)
             assert (new[0][0], new[1][0]) == (old[0][0], old[1][0])
 
     def test_incomparable_profile_insert_changes_nothing(self):
@@ -264,15 +264,15 @@ class TestStabilityChecker:
         rng = random.Random(11)
         edits = make_edits(inst, rng, count=4)
         actions = {a: inst.table.vector(a) for a in inst.table.actions}
-        real = props._scan_upper
+        real = props.scan_bounds
 
-        def corrupted(relations, scores, fast):
-            value, idx = real(relations, scores, fast)
-            if idx + 1 < len(scores):
-                return scores[idx + 1], idx + 1
-            return value, idx
+        def corrupted(relations, scores, fast=False):
+            lower, upper = real(relations, scores, fast)
+            if upper is not None and upper[1] + 1 < len(scores):
+                upper = scores[upper[1] + 1], upper[1] + 1
+            return lower, upper
 
-        monkeypatch.setattr(props, "_scan_upper", corrupted)
+        monkeypatch.setattr(props, "scan_bounds", corrupted)
         report = check_stability(inst.refs, inst.criteria, 0.75, edits, actions)
         assert report.failures
 
@@ -380,8 +380,7 @@ class TestStabilityHandCases:
         assert report.trials == 1
         assert report.failures == ()
         edited = apply_edit(refs, edit)
-        assert lower_bound((15.0,), edited, crit, 0.75) == (20.0, 1)
-        assert upper_bound((15.0,), edited, crit, 0.75) == (25.0, 2)
+        assert bounds((15.0,), edited, crit, 0.75) == ((20.0, 1), (25.0, 2))
 
     def test_insert_profile_at_lower_bound_level_pushes_bound_down(self):
         crit, refs = _single_criterion_chain()
@@ -396,8 +395,7 @@ class TestStabilityHandCases:
         assert report.trials == 1
         assert report.failures == ()
         edited = apply_edit(refs, edit)
-        assert lower_bound((15.0,), edited, crit, 0.75) == (10.0, 0)
-        assert upper_bound((15.0,), edited, crit, 0.75) == (30.0, 2)
+        assert bounds((15.0,), edited, crit, 0.75) == ((10.0, 0), (30.0, 2))
 
     def test_delete_profile_moves_lower_bound_up(self):
         # three criteria, weights (2,1,1), constant q=1, p=2; the x=30
@@ -423,13 +421,11 @@ class TestStabilityHandCases:
         ))
         a = (15.0, 15.0, 3.0)
         lam = 0.7
-        assert lower_bound(a, refs, crit, lam) == (20.0, 1)
-        assert upper_bound(a, refs, crit, lam) == (40.0, 3)
+        assert bounds(a, refs, crit, lam) == ((20.0, 1), (40.0, 3))
 
         edit = DeleteProfile(2, 0)
         report = check_stability(refs, crit, lam, [edit], {"a": a})
         assert report.trials == 1
         assert report.failures == ()
         edited = apply_edit(refs, edit)
-        assert lower_bound(a, edited, crit, lam) == (30.0, 2)
-        assert upper_bound(a, edited, crit, lam) == (40.0, 3)
+        assert bounds(a, edited, crit, lam) == ((30.0, 2), (40.0, 3))

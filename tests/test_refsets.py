@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from electre_score.credibility import DerivedRelation
+from electre_score.credibility import DerivedRelation, compile_criteria
 from electre_score.properties import GeneratorConfig, generate_instance
 from electre_score.refsets import (
+    ProfileTable,
     SetClassification,
     check_comparability,
     check_separability,
-    classify_action_vs_set,
+    classify_action_vs_levels,
     classify_relations,
     validate_basic_assumptions,
 )
@@ -68,12 +69,11 @@ class TestClassifyActionVsSet:
         crit = hotel["criteria"]
         refs = hotel["refs"]
         a1 = hotel_vectors["a1"]
-        level3 = classify_action_vs_set(a1, refs.sets[2].profiles, crit, 0.65)
-        assert level3.classification is SetClassification.ACTION_PREFERRED
-        level6 = classify_action_vs_set(a1, refs.sets[5].profiles, crit, 0.65)
-        assert level6.classification is SetClassification.SET_PREFERRED
+        at_065 = classify_action_vs_levels(a1, refs, crit, 0.65)
+        assert at_065[2].classification is SetClassification.ACTION_PREFERRED
+        assert at_065[5].classification is SetClassification.SET_PREFERRED
         # both level-4 profiles outrank a1 back at 0.70 (13/18 and 103/108)
-        level4 = classify_action_vs_set(a1, refs.sets[3].profiles, crit, 0.70)
+        level4 = classify_action_vs_levels(a1, refs, crit, 0.70)[3]
         assert level4.classification is SetClassification.INDIFFERENT
 
     def test_matches_oracle_on_hotel(self, hotel, hotel_vectors):
@@ -81,14 +81,32 @@ class TestClassifyActionVsSet:
         refs = hotel["refs"]
         for lam in (0.55, 0.65, 0.72, 0.9):
             for action in hotel["table"].actions:
-                for k, ref in enumerate(refs.sets):
-                    got = classify_action_vs_set(
-                        hotel_vectors[action], ref.profiles, crit, lam
-                    )
+                levels = classify_action_vs_levels(hotel_vectors[action], refs, crit, lam)
+                for k, (ref, got) in enumerate(zip(refs.sets, levels)):
                     want = classify_oracle(
                         HOTEL_ORACLE_CRITERIA, hotel_vectors[action], ref.profiles, lam
                     )
                     assert got.classification.value == want, (action, k, lam)
+
+
+class TestProfileLevels:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_table_row_matches_profile_scored_as_action(self, seed):
+        # the table reads a profile's own cell as indifferent, which is
+        # what the kernel gives for a vector against itself
+        rng = random.Random(seed)
+        inst = generate_instance(seed, GeneratorConfig(
+            n_criteria=rng.randint(1, 5), n_levels=rng.randint(2, 5),
+            max_profiles_per_level=3, n_actions=0,
+            threshold_mode=rng.choice(("constant", "variable")),
+            veto=rng.random() < 0.5, strong_dominance=False,
+        ))
+        lam = rng.choice((0.55, 0.7, 0.9, 1.0))
+        table = ProfileTable(compile_criteria(inst.criteria), inst.refs)
+        for k, ref in enumerate(inst.refs.sets):
+            for p, vec in enumerate(ref.profiles):
+                assert list(table.profile_levels(k, p, lam)) == classify_action_vs_levels(
+                    vec, inst.refs, inst.criteria, lam)
 
 
 class TestBasicAssumptions:
@@ -229,8 +247,7 @@ class TestSetRelationImplications:
         lam = rng.choice((0.55, 0.7, 0.9))
         for action in inst.table.actions:
             vec = inst.table.vector(action)
-            for ref in inst.refs.sets:
-                rel = classify_action_vs_set(vec, ref.profiles, inst.criteria, lam)
+            for rel in classify_action_vs_levels(vec, inst.refs, inst.criteria, lam):
                 if rel.a_preferred:
                     assert rel.a_outranks_set
                     assert not rel.set_outranks_a
@@ -253,10 +270,8 @@ class TestSetRelationImplications:
                 v + rng.uniform(0.0, 1.0) * (1 if c.direction is Direction.MAX else -1)
                 for v, c in zip(vec, inst.criteria)
             )
-            for ref in inst.refs.sets:
-                rel = classify_action_vs_set(vec, ref.profiles, inst.criteria, lam)
+            levels = classify_action_vs_levels(vec, inst.refs, inst.criteria, lam)
+            better_levels = classify_action_vs_levels(better, inst.refs, inst.criteria, lam)
+            for rel, rel2 in zip(levels, better_levels):
                 if rel.a_preferred:
-                    rel2 = classify_action_vs_set(
-                        better, ref.profiles, inst.criteria, lam
-                    )
                     assert rel2.a_preferred

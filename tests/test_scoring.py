@@ -7,20 +7,23 @@ from hypothesis import strategies as st
 from electre_score.hotel import HOTEL_DECK, HOTEL_SCORES
 from electre_score.model import Direction, PerformanceTable
 from electre_score.properties import GeneratorConfig, generate_instance
+from electre_score.refsets import classify_action_vs_levels
 from electre_score.scoring import (
     BasicAssumptionsViolatedError,
     DeckOfCards,
-    NoLowerBoundError,
-    NoUpperBoundError,
     deck_of_cards_scores,
-    lower_bound,
+    scan_bounds,
     score_ranges,
-    upper_bound,
 )
 
 from oracle import HOTEL_ORACLE_CRITERIA, bounds_oracle
 
 THIRD = 100.0 / 3.0
+
+
+def bounds(vec, refs, crit, lam, fast=False):
+    """(lower, upper) as (score, level) pairs, None where a bound is missing."""
+    return scan_bounds(classify_action_vs_levels(vec, refs, crit, lam), refs.scores, fast)
 
 
 class TestDeckOfCards:
@@ -77,20 +80,18 @@ class TestDeckOfCards:
 class TestHotelBounds:
     def test_bounds_at_065(self, hotel, hotel_vectors):
         crit, refs = hotel["criteria"], hotel["refs"]
-        assert lower_bound(hotel_vectors["a1"], refs, crit, 0.65) == (THIRD, 2)
-        assert upper_bound(hotel_vectors["a1"], refs, crit, 0.65) == (250 / 3, 5)
-        assert lower_bound(hotel_vectors["a2"], refs, crit, 0.65) == (50.0, 3)
-        assert lower_bound(hotel_vectors["a4"], refs, crit, 0.65) == (THIRD, 2)
-        assert upper_bound(hotel_vectors["a4"], refs, crit, 0.65) == (175 / 3, 4)
-        assert upper_bound(hotel_vectors["a5"], refs, crit, 0.65) == (175 / 3, 4)
+        assert bounds(hotel_vectors["a1"], refs, crit, 0.65) == ((THIRD, 2), (250 / 3, 5))
+        assert bounds(hotel_vectors["a2"], refs, crit, 0.65)[0] == (50.0, 3)
+        assert bounds(hotel_vectors["a4"], refs, crit, 0.65) == ((THIRD, 2), (175 / 3, 4))
+        assert bounds(hotel_vectors["a5"], refs, crit, 0.65)[1] == (175 / 3, 4)
 
     def test_bottom_profile_has_no_lower_bound(self, hotel, hotel_vectors):
-        with pytest.raises(NoLowerBoundError):
-            lower_bound(hotel_vectors["b11"], hotel["refs"], hotel["criteria"], 0.65)
+        lower, _ = bounds(hotel_vectors["b11"], hotel["refs"], hotel["criteria"], 0.65)
+        assert lower is None
 
     def test_top_profile_has_no_upper_bound(self, hotel, hotel_vectors):
-        with pytest.raises(NoUpperBoundError):
-            upper_bound(hotel_vectors["b71"], hotel["refs"], hotel["criteria"], 0.65)
+        _, upper = bounds(hotel_vectors["b71"], hotel["refs"], hotel["criteria"], 0.65)
+        assert upper is None
 
     @pytest.mark.parametrize("lam", [0.55, 0.62, 0.65, 0.70, 0.715, 0.75, 0.9])
     def test_bounds_match_literal_definition_oracle(self, hotel, hotel_vectors, lam):
@@ -100,15 +101,8 @@ class TestHotelBounds:
             want = bounds_oracle(
                 HOTEL_ORACLE_CRITERIA, hotel_vectors[action], levels, refs.scores, lam
             )
-            try:
-                got_lower = lower_bound(hotel_vectors[action], refs, crit, lam)[0]
-            except NoLowerBoundError:
-                got_lower = None
-            try:
-                got_upper = upper_bound(hotel_vectors[action], refs, crit, lam)[0]
-            except NoUpperBoundError:
-                got_upper = None
-            assert (got_lower, got_upper) == want, (action, lam)
+            got = bounds(hotel_vectors[action], refs, crit, lam)
+            assert tuple(b and b[0] for b in got) == want, (action, lam)
 
 
 class TestScoreRanges:
@@ -173,8 +167,7 @@ class TestConformityOfGeneratedCollections:
         refs, crit = inst.refs, inst.criteria
         for k in range(1, len(refs.sets) - 1):
             for vec in refs.sets[k].profiles:
-                lo = lower_bound(vec, refs, crit, 0.75)
-                hi = upper_bound(vec, refs, crit, 0.75)
+                lo, hi = bounds(vec, refs, crit, 0.75)
                 assert lo[0] == refs.scores[k - 1]
                 assert hi[0] == refs.scores[k + 1]
 
@@ -195,6 +188,40 @@ class TestStructuralRequirements:
         sub = score_ranges(sub_table, inst.refs, inst.criteria, lam).by_action()
         for a in keep:
             assert (sub[a].lower, sub[a].upper) == (full[a].lower, full[a].upper)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_independence_of_actions(self, seed):
+        # adding, removing or reordering other actions never changes an
+        # action's range: each action is scored against the reference
+        # sets alone
+        rng = random.Random(seed)
+        inst = generate_instance(seed, GeneratorConfig(
+            n_criteria=rng.randint(1, 5), n_levels=rng.randint(2, 6),
+            max_profiles_per_level=rng.randint(1, 3), n_actions=8,
+            threshold_mode=rng.choice(("constant", "variable")),
+            veto=rng.random() < 0.5, strong_dominance=rng.random() < 0.5,
+        ))
+        lam = rng.choice((0.55, 0.65, 0.75, 0.85, 0.95, 1.0))
+        rows = {a: inst.table.vector(a) for a in inst.table.actions}
+
+        def ranges(table_rows):
+            table = PerformanceTable.from_rows(inst.criteria, table_rows)
+            result = score_ranges(table, inst.refs, inst.criteria, lam, force=True)
+            return result.by_action()
+
+        full = ranges(rows)
+        names = list(rows)
+        rng.shuffle(names)
+        others = {f"x{k}": ref.profiles[0] for k, ref in enumerate(inst.refs.sets)}
+        variants = [
+            {a: rows[a] for a in names},  # reordered
+            {a: rows[a] for a in names[: len(names) // 2]},  # others removed
+            {**others, **{a: rows[a] for a in names[:3]}},  # others added
+        ]
+        for variant in variants:
+            for action, got in ranges(variant).items():
+                if action in full:
+                    assert got == full[action], (seed, action)
 
     def test_homogeneity_duplicate_action(self, hotel):
         rows = {a: hotel["table"].vector(a) for a in hotel["table"].actions}
@@ -238,8 +265,9 @@ class TestFastPathAgreement:
             rng = result.by_action()[action]
             if not rng.defined:
                 continue
-            assert lower_bound(vec, inst.refs, inst.criteria, 0.75, fast=False)[0] == rng.lower
-            assert upper_bound(vec, inst.refs, inst.criteria, 0.75, fast=False)[0] == rng.upper
+            general = bounds(vec, inst.refs, inst.criteria, 0.75, fast=False)
+            assert general == bounds(vec, inst.refs, inst.criteria, 0.75, fast=True)
+            assert (general[0][0], general[1][0]) == (rng.lower, rng.upper)
 
 
 class TestProfileCloneRange:
