@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 
-from electre_score.credibility import CredibilityMatrix
+from electre_score.credibility import compile_criteria, sigma_pair
 from electre_score.hotel import hotel_criteria, hotel_reference_structure, hotel_table
 from electre_score.refsets import check_comparability, check_separability
 from electre_score.scoring import score_ranges
@@ -19,17 +19,16 @@ def main() -> None:
     table = hotel_table()
     refs = hotel_reference_structure()
 
-    vectors = {a: table.vector(a) for a in table.actions}
-    for name, _, _, vec in refs.flat_profiles():
-        vectors[name] = vec
-    matrix = CredibilityMatrix.compute(criteria, vectors)
+    kernel = compile_criteria(criteria)
+    profiles = [(name, vec) for name, _, _, vec in refs.flat_profiles()]
 
     print(f"credibility of actions vs profiles (lambda = {args.lam}):")
-    profiles = [name for name, _, _, _ in refs.flat_profiles()]
-    header = "      " + "".join(f"{p:>9}" for p in profiles)
+    header = "      " + "".join(f"{p:>9}" for p, _ in profiles)
     print(header)
     for a in table.actions:
-        row = "".join(f"{matrix.value(a, p):9.4f}" for p in profiles)
+        row = "".join(
+            f"{sigma_pair(kernel, table.vector(a), vec)[0]:9.4f}" for _, vec in profiles
+        )
         print(f"{a:>5} {row}")
 
     sep = check_separability(refs, criteria, args.lam)

@@ -10,7 +10,7 @@ mismatch columns).
 
 from __future__ import annotations
 
-from electre_score.credibility import credibility
+from electre_score.credibility import compile_criteria, credibility
 from electre_score.hotel import (
     HOTEL_SCORES,
     hotel_criteria,
@@ -18,7 +18,7 @@ from electre_score.hotel import (
     hotel_table,
     hotel_target_relations,
 )
-from electre_score.refsets import validate_basic_assumptions
+from electre_score.refsets import ProfileTable
 from electre_score.scoring import score_ranges
 from electre_score.sweep import sweep_lambda
 
@@ -33,11 +33,10 @@ def main() -> None:
     print(f"breakpoints ({len(result.breakpoints)}):")
     print("  " + ", ".join(f"{b:.9f}" for b in result.breakpoints))
     print(f"exact-match bands: {[ (iv.lower, iv.upper) for iv in result.intervals ]}")
-    if result.best_band is not None:
-        print(
-            f"closest band ]{result.best_band.lower:.9f}, "
-            f"{result.best_band.upper:.9f}] misses: {list(result.mismatches_best)}"
-        )
+    print(
+        f"closest band ]{result.best_band.lower:.9f}, "
+        f"{result.best_band.upper:.9f}] misses: {list(result.mismatches_best)}"
+    )
 
     shipped = {
         "a1": (HOTEL_SCORES[2], HOTEL_SCORES[5]),
@@ -48,11 +47,12 @@ def main() -> None:
     }
 
     print("\nper-band details (right endpoint used as representative):")
-    lower = 0.5
-    for upper in result.breakpoints:
-        lam = upper
-        violations = validate_basic_assumptions(refs, criteria, lam)
-        ranges = score_ranges(table, refs, criteria, lam, force=True)
+    # one table of profile credibilities serves the basic assumptions of every band
+    ends = result.breakpoints
+    profiles = ProfileTable(compile_criteria(criteria), refs)
+    band_violations = profiles.basic_assumption_violations(ends)
+    for lower, upper, violations in zip((0.5, *ends), ends, band_violations):
+        ranges = score_ranges(table, refs, criteria, upper, force=True)
         def matches(r) -> bool:
             return (
                 r.defined
@@ -75,7 +75,6 @@ def main() -> None:
             f"assumptions={'ok' if not violations else 'VIOLATED'}  "
             f"ranges {agree}/5" + (f"  off: {', '.join(off)}" if off else "")
         )
-        lower = upper
 
     # the two hard conflicts inside the relation target
     vecs = {a: table.vector(a) for a in table.actions}

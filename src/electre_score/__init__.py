@@ -15,7 +15,6 @@ from .model import (
 )
 from .credibility import (
     CompiledCriteria,
-    CredibilityMatrix,
     DerivedRelation,
     PerCriterionRelation,
     advantage,

@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .credibility import CredibilityMatrix, compile_criteria
+from .credibility import compile_criteria, sigma_pair
 from .files import (
     LoadedModel,
     ParseError,
@@ -188,7 +188,7 @@ def cmd_validate(args) -> int:
     # (zero weights, q > p, veto <= p, ...) cannot give
     profiles = None if invalid else ProfileTable(compile_criteria(model.criteria), model.refs)
     if profiles is not None and lam is not None:
-        violations = profiles.basic_assumption_violations(lam)
+        [violations] = profiles.basic_assumption_violations([lam])
         report["basic_assumptions"] = {"lambda": lam, "violations": violations}
         invalid = bool(violations)
         report["separability"] = _separability_json(profiles.separability(lam))
@@ -199,16 +199,13 @@ def cmd_validate(args) -> int:
     elif profiles is not None:
         # no cutting level: report the bands of ]0.5, 1] on which the
         # basic assumptions hold, cut at the profile-pair credibilities
-        bands = []
-        lower = 0.5
-        for upper in profiles.breakpoints():
-            bands.append({
-                "lower": lower,
-                "upper": upper,
-                "violations": profiles.basic_assumption_violations(upper),
-            })
-            lower = upper
-        report["basic_assumptions_bands"] = bands
+        ends = profiles.breakpoints()
+        report["basic_assumptions_bands"] = [
+            {"lower": lower, "upper": upper, "violations": violations}
+            for lower, upper, violations in zip(
+                [0.5, *ends], ends, profiles.basic_assumption_violations(ends)
+            )
+        ]
         report["separability"] = _separability_json(profiles.separability(1.0))
 
     text = write_report(report, args.output)
@@ -251,13 +248,19 @@ def cmd_sigma(args) -> int:
     vectors = {a: table.vector(a) for a in table.actions}
     for name, _, _, vec in model.refs.flat_profiles():
         vectors[name] = vec
-    matrix = CredibilityMatrix.compute(model.criteria, vectors)
+    names = list(vectors)
+    kernel = compile_criteria(model.criteria)
+    # each unordered pair once, the diagonal included
+    sigma = [[0.0] * len(names) for _ in names]
+    for i, a in enumerate(names):
+        for j in range(i, len(names)):
+            sigma[i][j], sigma[j][i] = sigma_pair(kernel, vectors[a], vectors[names[j]])
 
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["sigma"] + list(matrix.entities))
-    for a in matrix.entities:
-        writer.writerow([a] + [f"{matrix.value(a, b):.6f}" for b in matrix.entities])
+    writer.writerow(["sigma"] + names)
+    for name, row in zip(names, sigma):
+        writer.writerow([name] + [f"{s:.6f}" for s in row])
     text = buf.getvalue()
     if args.output is not None:
         Path(args.output).write_text(text)
@@ -289,7 +292,7 @@ def cmd_sweep_lambda(args) -> int:
             for iv in result.intervals
         ],
         "breakpoints": list(result.breakpoints),
-        "closest_band": None if result.best_band is None else {
+        "closest_band": {
             "lower": result.best_band.lower,
             "upper": result.best_band.upper,
             "mismatched_pairs": [list(p) for p in result.mismatches_best],

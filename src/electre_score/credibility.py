@@ -11,8 +11,9 @@ concordance index; both follow the standard pseudo-criterion reading.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .model import (
     Criterion,
@@ -331,6 +332,30 @@ def derived_relation(sab: bool, sba: bool) -> DerivedRelation:
     return DerivedRelation.INCOMPARABLE
 
 
+def band_ends(sigmas: Iterable[float]) -> list[float]:
+    """Right endpoints of the cutting-level bands that ``sigmas`` cut ]0.5, 1] into.
+
+    A pair's derived relation changes only where the cutting level crosses
+    one of its two credibilities, so it is constant on each band.
+    """
+    return sorted({s for s in sigmas if 0.5 < s <= 1.0} | {1.0})
+
+
+def preferred_bands(ends: Sequence[float], sab: float, sba: float) -> range:
+    """Indices of the bands of ``ends`` on which a is strictly preferred to b.
+
+    Band i of the sorted cutting levels ``ends`` is judged at its right
+    endpoint, and ``sigma >= ends[i]`` holds exactly for i below
+    ``bisect_right(ends, sigma)``. So the run is where
+    ``derived_relation(sab >= u, sba >= u)`` is A_PREFERRED, found by
+    comparisons alone; ``ends=[lam]`` judges the single level lam. An empty
+    run starts at its stop, so ``range(start)`` and ``range(stop, len(ends))``
+    are its complement.
+    """
+    stop = bisect_right(ends, sab)
+    return range(min(bisect_right(ends, sba), stop), stop)
+
+
 def dominates(
     criteria: Sequence[Criterion], pa: Sequence[float], pb: Sequence[float]
 ) -> bool:
@@ -343,34 +368,3 @@ def dominates(
         if delta > 0:
             strict = True
     return strict
-
-
-@dataclass(frozen=True)
-class CredibilityMatrix:
-    """Credibility over every ordered pair of a fixed entity universe."""
-
-    entities: tuple[str, ...]
-    sigma: Mapping[tuple[str, str], float]
-
-    @classmethod
-    def compute(
-        cls,
-        criteria: Sequence[Criterion],
-        vectors: Mapping[str, Sequence[float]],
-    ) -> "CredibilityMatrix":
-        kernel = compile_criteria(criteria)
-        entities = tuple(vectors)
-        sigma: dict[tuple[str, str], float] = {}
-        for i, a in enumerate(entities):
-            for b in entities[i:]:
-                sigma[(a, b)], sigma[(b, a)] = sigma_pair(kernel, vectors[a], vectors[b])
-        return cls(entities, sigma)
-
-    def value(self, a: str, b: str) -> float:
-        return self.sigma[(a, b)]
-
-    def outranks(self, a: str, b: str, lam: float) -> bool:
-        return crisp_outranks(self.sigma[(a, b)], lam)
-
-    def relation(self, a: str, b: str, lam: float) -> DerivedRelation:
-        return derived_relation(self.outranks(a, b, lam), self.outranks(b, a, lam))

@@ -25,9 +25,11 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .credibility import (
     CompiledCriteria,
     DerivedRelation,
+    band_ends,
     compile_criteria,
     derived_relation,
     dominates,
+    preferred_bands,
     sigma_pair,
 )
 from .model import Criterion, PerformanceTable, ReferenceStructure, check_cutting_level
@@ -224,18 +226,18 @@ class ProfileTable:
             self._start.append(len(vectors))
             vectors.extend(ref.profiles)
         start, sizes = self._start, [len(ref.profiles) for ref in refs.sets]
-        pairs = [
+        self._within = [
             (start[k] + p, start[k] + q)
             for k, size in enumerate(sizes) for p in range(size) for q in range(p + 1, size)
         ]
-        pairs += [
+        self._across = [
             (start[lo] + p, start[hi] + q)
             for lo in range(len(sizes)) for hi in range(lo + 1, len(sizes))
             for p in range(sizes[lo]) for q in range(sizes[hi])
         ]
         # the diagonal stays None: no check compares a profile with itself
         self._sigma: list[list[float | None]] = [[None] * len(vectors) for _ in vectors]
-        for i, j in pairs:
+        for i, j in self._within + self._across:
             self._sigma[i][j], self._sigma[j][i] = sigma_pair(kernel, vectors[i], vectors[j])
 
     def relation(self, k: int, p: int, h: int, q: int, lam: float) -> DerivedRelation:
@@ -259,42 +261,33 @@ class ProfileTable:
         )
 
     def breakpoints(self) -> list[float]:
-        """Credibilities in ]0.5, 1] between distinct profiles, plus 1."""
-        values = {s for row in self._sigma for s in row if s is not None and 0.5 < s <= 1.0}
-        return sorted(values | {1.0})
+        """Band ends cut by the credibilities between distinct profiles."""
+        return band_ends(s for row in self._sigma for s in row if s is not None)
 
-    def basic_assumption_violations(self, lam: float) -> list[str]:
-        """One message per violation of the basic assumptions at ``lam``.
+    def basic_assumption_violations(self, ends: Sequence[float]) -> list[list[str]]:
+        """One message list per band of the sorted cutting levels ``ends``.
 
         (i) within a set no profile is strictly preferred to another;
         (ii) no profile of a lower-scored set is strictly preferred to a
-        profile of a higher-scored set.
+        profile of a higher-scored set. Pass ``[lam]`` for a single
+        cutting level. Each pair is judged once, over a run of bands, and
+        each band lists its messages in the order of a pairwise scan.
         """
-        violations: list[str] = []
-        sets = self.refs.sets
-        names = self.refs.profile_names()
-        for k, ref in enumerate(sets):
-            for p in range(len(ref.profiles)):
-                for q in range(p + 1, len(ref.profiles)):
-                    rel = self.relation(k, p, k, q, lam)
-                    if rel is DerivedRelation.A_PREFERRED:
-                        violations.append(
-                            f"within-set preference: {names[k][p]} > {names[k][q]}"
-                        )
-                    elif rel is DerivedRelation.B_PREFERRED:
-                        violations.append(
-                            f"within-set preference: {names[k][q]} > {names[k][p]}"
-                        )
-        for lo in range(len(sets)):
-            for hi in range(lo + 1, len(sets)):
-                for p in range(len(sets[lo].profiles)):
-                    for q in range(len(sets[hi].profiles)):
-                        if self.relation(lo, p, hi, q, lam) is DerivedRelation.A_PREFERRED:
-                            violations.append(
-                                f"lower-set profile preferred to higher-set profile: "
-                                f"{names[lo][p]} > {names[hi][q]}"
-                            )
-        return violations
+        bands: list[list[str]] = [[] for _ in ends]
+        names = [name for level in self.refs.profile_names() for name in level]
+        sigma = self._sigma
+        for i, j in self._within:
+            for a, b in ((i, j), (j, i)):
+                message = f"within-set preference: {names[a]} > {names[b]}"
+                for band in preferred_bands(ends, sigma[a][b], sigma[b][a]):
+                    bands[band].append(message)
+        for i, j in self._across:
+            message = (
+                f"lower-set profile preferred to higher-set profile: {names[i]} > {names[j]}"
+            )
+            for band in preferred_bands(ends, sigma[i][j], sigma[j][i]):
+                bands[band].append(message)
+        return bands
 
     def separability(self, lam: float) -> SeparabilityReport:
         """Dominance and preference separability flags at ``lam``."""
@@ -345,7 +338,7 @@ def validate_basic_assumptions(
     :meth:`ProfileTable.basic_assumption_violations`.
     """
     check_cutting_level(lam)
-    return ProfileTable(compile_criteria(criteria), refs).basic_assumption_violations(lam)
+    return ProfileTable(compile_criteria(criteria), refs).basic_assumption_violations([lam])[0]
 
 
 def check_separability(

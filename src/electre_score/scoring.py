@@ -201,7 +201,7 @@ def score_ranges(
     check_cutting_level(lam)
     kernel = compile_criteria(criteria)
     profiles = ProfileTable(kernel, refs)
-    violations = profiles.basic_assumption_violations(lam)
+    [violations] = profiles.basic_assumption_violations([lam])
     if violations and not force:
         raise BasicAssumptionsViolatedError(violations)
     fast = profiles.separability(lam).soft_dominance

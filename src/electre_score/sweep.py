@@ -3,16 +3,19 @@
 Crisp relations only change when the cutting level crosses a credibility
 value, so the admissible set for any relation target is a union of
 left-open right-closed intervals whose endpoints are credibility values
-(or the domain bounds 0.5 and 1). The sweep enumerates those elementary
-bands and evaluates each at its right endpoint; no sampling is involved.
+(or the domain bounds 0.5 and 1). The sweep judges every elementary band
+at its right endpoint, with no sampling: each target pair misses on at
+most two runs of bands (:func:`~.credibility.preferred_bands`), and one
+difference array counts the misses of every band.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .credibility import DerivedRelation, compile_criteria, derived_relation, sigma_pair
+from .credibility import band_ends, compile_criteria, preferred_bands, sigma_pair
 from .model import Criterion, PerformanceTable, ReferenceStructure
 
 
@@ -35,21 +38,11 @@ class SweepResult:
     intervals: tuple[LambdaInterval, ...]
     breakpoints: tuple[float, ...]
     mismatches_best: tuple[tuple[str, str], ...]  # closest band's failing pairs
-    best_band: LambdaInterval | None
+    best_band: LambdaInterval
 
     @property
     def feasible(self) -> bool:
         return bool(self.intervals)
-
-
-def _pair_mark(sigma_ap: float, sigma_pa: float, lam: float) -> str:
-    """Target-table cell of the derived relation of (action, profile)."""
-    relation = derived_relation(sigma_ap >= lam, sigma_pa >= lam)
-    if relation is DerivedRelation.A_PREFERRED:
-        return "a"
-    if relation is DerivedRelation.B_PREFERRED:
-        return "b"
-    return ""
 
 
 def sweep_lambda(
@@ -64,7 +57,7 @@ def sweep_lambda(
     ``target`` maps (profile name, action id) to ``"a"`` (action strictly
     preferred), ``"b"`` (profile strictly preferred) or ``""``. A blank
     demands indifference-or-incomparability unless ``dont_care_blanks``
-    relaxes it to no constraint.
+    relaxes it to no constraint; any other mark raises KeyError.
     """
     profiles = {name: vec for name, _, _, vec in refs.flat_profiles()}
     unknown = [
@@ -75,38 +68,48 @@ def sweep_lambda(
         raise KeyError(f"target refers to unknown pairs: {unknown[:5]}")
 
     kernel = compile_criteria(criteria)
-    # (action, profile) -> (sigma(action, profile), sigma(profile, action))
-    sigma: dict[tuple[str, str], tuple[float, float]] = {}
-    for (pname, action) in target:
-        sigma[(action, pname)] = sigma_pair(kernel, table.vector(action), profiles[pname])
-
-    values = sorted({v for pair in sigma.values() for v in pair if 0.5 < v <= 1.0} | {1.0})
-    bands: list[tuple[float, float, list[tuple[str, str]]]] = []
-    lower = 0.5
-    for upper in values:
-        lam = upper  # right endpoint lies in the band and represents it
-        mismatches = [
-            (pname, action)
-            for (pname, action), mark in target.items()
-            if (mark or not dont_care_blanks)
-            and _pair_mark(*sigma[(action, pname)], lam) != mark
-        ]
-        bands.append((lower, upper, mismatches))
-        lower = upper
+    # (profile, action) -> (sigma(action, profile), sigma(profile, action))
+    sigma = {
+        (pname, action): sigma_pair(kernel, table.vector(action), profiles[pname])
+        for (pname, action) in target
+    }
+    ends = band_ends(v for pair in sigma.values() for v in pair)
+    lowers = [0.5, *ends[:-1]]
+    n = len(ends)
+    # constrained pair -> the runs of bands on which its mark fails
+    misses: dict[tuple[str, str], tuple[range, range]] = {}
+    for key, mark in target.items():
+        if mark or not dont_care_blanks:
+            sap, spa = sigma[key]
+            a = preferred_bands(ends, sap, spa)
+            b = preferred_bands(ends, spa, sap)
+            misses[key] = {
+                "a": (range(a.start), range(a.stop, n)),
+                "b": (range(b.start), range(b.stop, n)),
+                "": (a, b),
+            }[mark]
+    diff = [0] * (n + 1)
+    for runs in misses.values():
+        for run in runs:
+            diff[run.start] += 1
+            diff[run.stop] -= 1
+    counts = list(itertools.accumulate(diff[:n]))
 
     intervals: list[LambdaInterval] = []
-    for lower, upper, mismatches in bands:
-        if mismatches:
+    for lower, upper, count in zip(lowers, ends, counts):
+        if count:
             continue
         if intervals and intervals[-1].upper == lower:
             intervals[-1] = LambdaInterval(intervals[-1].lower, upper)
         else:
             intervals.append(LambdaInterval(lower, upper))
 
-    best = min(bands, key=lambda b: len(b[2]))
+    best = counts.index(min(counts))
     return SweepResult(
         intervals=tuple(intervals),
-        breakpoints=tuple(values),
-        mismatches_best=tuple(best[2]),
-        best_band=LambdaInterval(best[0], best[1]),
+        breakpoints=tuple(ends),
+        mismatches_best=tuple(
+            key for key, runs in misses.items() if any(best in run for run in runs)
+        ),
+        best_band=LambdaInterval(lowers[best], ends[best]),
     )

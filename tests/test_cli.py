@@ -421,6 +421,30 @@ class TestReportsUnchanged:
                      str(perf), "--output", str(out)]) == EXIT_VERIFY
         assert out.read_bytes() == (GOLDEN / "hotel_sweep_lambda.json").read_bytes()
 
+    def test_sigma(self, hotel_files, tmp_path):
+        model, perf, _ = hotel_files
+        out = tmp_path / "sigma.csv"
+        assert main(["sigma", str(model), "--performances", str(perf),
+                     "--output", str(out)]) == EXIT_OK
+        assert out.read_bytes() == (GOLDEN / "hotel_sigma.csv").read_bytes()
+
+
+class TestScriptsUnchanged:
+    """The scripts run as written in the README and print what they printed
+    when their goldens were written; nothing else exercises them."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    @pytest.mark.parametrize("script", ["hotel_demo", "lambda_band_analysis"])
+    def test_stdout(self, script, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, str(self.ROOT / "scripts" / f"{script}.py")],
+            cwd=tmp_path, env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == (GOLDEN / f"{script}.txt").read_bytes()
+
 
 class TestPairsComputedOnce:
     def test_evaluate_calls_kernel_once_per_pair(self, hotel, hotel_files,

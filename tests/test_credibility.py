@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from electre_score.credibility import (
-    CredibilityMatrix,
     DerivedRelation,
     InvalidVetoError,
     InvertedThresholdsError,
@@ -209,15 +208,20 @@ class TestCrispAndDerived:
         assert derived_relation(False, False) is DerivedRelation.INCOMPARABLE
 
     def test_hotel_pairs_at_070(self, hotel, hotel_vectors):
-        crit = hotel["criteria"]
-        matrix = CredibilityMatrix.compute(
-            crit, {k: hotel_vectors[k] for k in ("a1", "b31", "b42")}
-        )
-        assert matrix.relation("a1", "b31", 0.7) is DerivedRelation.A_PREFERRED
-        assert matrix.relation("a1", "a1", 0.7) is DerivedRelation.INDIFFERENT
+        kernel = compile_criteria(hotel["criteria"])
+
+        def sigma(a, b):
+            return sigma_pair(kernel, hotel_vectors[a], hotel_vectors[b])
+
+        def relation(a, b, lam):
+            sab, sba = sigma(a, b)
+            return derived_relation(crisp_outranks(sab, lam), crisp_outranks(sba, lam))
+
+        assert relation("a1", "b31", 0.7) is DerivedRelation.A_PREFERRED
+        assert relation("a1", "a1", 0.7) is DerivedRelation.INDIFFERENT
         # sigma(a1,b42) = 1 and sigma(b42,a1) = 103/108, both above 0.7
-        assert matrix.value("b42", "a1") == pytest.approx(103 / 108, abs=1e-12)
-        assert matrix.relation("a1", "b42", 0.7) is DerivedRelation.INDIFFERENT
+        assert sigma("a1", "b42") == (1.0, pytest.approx(103 / 108, abs=1e-12))
+        assert relation("a1", "b42", 0.7) is DerivedRelation.INDIFFERENT
 
 
 class TestDominates:
