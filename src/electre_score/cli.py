@@ -26,7 +26,6 @@ from .files import (
     load_model,
     load_performances_csv,
     load_target_csv,
-    round6,
     table_from_embedded,
     write_report,
 )
@@ -38,9 +37,10 @@ from .model import (
 )
 from .refsets import ProfileTable, check_comparability, is_comparable
 from .scoring import BasicAssumptionsViolatedError, deck_of_cards_scores, score_ranges
-from .suites import SUITES
-from .sweep import sweep_lambda
-from .hotel import HOTEL_DECK, HOTEL_SCORES
+
+# sweep, hotel and the verify suites (properties, hashlib, random) are
+# imported inside the commands that run them: every command is its own
+# short process, and the others should not pay to load them
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -270,6 +270,8 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_sweep_lambda(args) -> int:
+    from .sweep import sweep_lambda
+
     model, table = _load_inputs(args)
     if table is None:
         raise _Exit(EXIT_PARSE, "sweep-lambda needs a performance table")
@@ -313,6 +315,8 @@ def cmd_sweep_lambda(args) -> int:
 
 
 def _deck_example_report() -> dict:
+    from .hotel import HOTEL_DECK, HOTEL_SCORES
+
     computed = deck_of_cards_scores(HOTEL_DECK)
     matches = all(abs(c - s) < 1e-6 for c, s in zip(computed, HOTEL_SCORES))
     return {
@@ -342,6 +346,8 @@ def _config_int(config: dict, key: str, default: int) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .suites import SUITES
+
     config = {}
     if args.config:
         try:
@@ -397,9 +403,7 @@ def cmd_verify(args) -> int:
         )
         print(line)
         if out_dir is not None:
-            (out_dir / f"{payload['name']}.json").write_text(
-                json.dumps(round6(payload), indent=2, allow_nan=False) + "\n"
-            )
+            write_report(payload, out_dir / f"{payload['name']}.json")
     return EXIT_VERIFY if any_failure else EXIT_OK
 
 

@@ -1,7 +1,7 @@
 """File formats: JSON model files, CSV performance tables, CSV relation
 targets, and deterministic JSON report writing.
 
-Reports round every real value to six decimals before serialization so
+Reports round every real value to six decimals as they are written, so
 identical inputs produce byte-identical files. Every number read must be
 finite: Python's ``json`` and ``float`` accept NaN and Infinity, which
 would make every comparison in the engine silently false.
@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -296,11 +297,21 @@ def load_target_csv(path: str | Path) -> dict[tuple[str, str], str]:
     if not rows or len(rows[0]) < 2:
         raise ParseError(f"target file {path} needs a header with action columns")
     actions = [cell.strip() for cell in rows[0][1:]]
+    # a repeated column or row would silently keep only its last marks
+    seen: set[str] = set()
+    for action in actions:
+        if action in seen:
+            raise ParseError(f"{path}:1: duplicate action column {action!r}")
+        seen.add(action)
     target: dict[tuple[str, str], str] = {}
+    profiles: set[str] = set()
     for line_no, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         profile = row[0].strip()
+        if profile in profiles:
+            raise ParseError(f"{path}:{line_no}: duplicate profile row {profile!r}")
+        profiles.add(profile)
         cells = [cell.strip().lower() for cell in row[1:]]
         if len(cells) != len(actions):
             raise ParseError(
@@ -315,19 +326,67 @@ def load_target_csv(path: str | Path) -> dict[tuple[str, str], str]:
     return target
 
 
-def round6(value):
-    """Recursively round floats to six decimals for deterministic reports."""
-    if isinstance(value, float):
-        return round(value, 6)
-    if isinstance(value, dict):
-        return {k: round6(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [round6(v) for v in value]
-    return value
+def _encode(value: Any, append, newline: str) -> None:
+    """Append ``value`` as JSON with two-space indentation, floats rounded.
+
+    The pieces joined are the bytes of ``json.dumps(value, indent=2,
+    allow_nan=False)`` with every float first rounded to six decimals:
+    strings go through the json module's C quoting, floats and ints
+    through ``float.__repr__`` and ``int.__repr__`` as json does, and
+    keys must be strings. One pass, with no rounded copy of the report
+    and no pure-Python encoder generators.
+    """
+    if isinstance(value, str):
+        append(_quote(value))
+    elif isinstance(value, float):
+        value = round(value, 6)
+        if not math.isfinite(value):
+            raise ValueError(
+                "Out of range float values are not JSON compliant: " + repr(value)
+            )
+        append(float.__repr__(value))
+    elif value is None:
+        append("null")
+    elif value is True:
+        append("true")
+    elif value is False:
+        append("false")
+    elif isinstance(value, int):
+        append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            append(sep)
+            append(_quote(key))
+            append(": ")
+            _encode(item, append, inner)
+            sep = "," + inner
+        append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            append(sep)
+            _encode(item, append, inner)
+            sep = "," + inner
+        append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def write_report(report: dict, output: str | Path | None) -> str:
-    text = json.dumps(round6(report), indent=2, allow_nan=False) + "\n"
+    """The report as deterministic JSON text, also written to ``output``."""
+    pieces: list[str] = []
+    _encode(report, pieces.append, "\n")
+    pieces.append("\n")
+    text = "".join(pieces)
     if output is not None:
         Path(output).write_text(text)
     return text

@@ -68,9 +68,10 @@ def sweep_lambda(
         raise KeyError(f"target refers to unknown pairs: {unknown[:5]}")
 
     kernel = compile_criteria(criteria)
+    vectors = {action: table.vector(action) for action in {a for _, a in target}}
     # (profile, action) -> (sigma(action, profile), sigma(profile, action))
     sigma = {
-        (pname, action): sigma_pair(kernel, table.vector(action), profiles[pname])
+        (pname, action): sigma_pair(kernel, vectors[action], profiles[pname])
         for (pname, action) in target
     }
     ends = band_ends(v for pair in sigma.values() for v in pair)

@@ -262,6 +262,35 @@ class TestSweepLambda:
                      "--output", str(tmp_path / "s.json")])
         assert code == EXIT_PARSE
 
+    def _sweep_err(self, hotel_files, tmp_path, capsys):
+        model, perf, target = hotel_files
+        code = main(["sweep-lambda", str(model), str(target),
+                     "--performances", str(perf),
+                     "--output", str(tmp_path / "s.json")])
+        assert code == EXIT_PARSE
+        assert not (tmp_path / "s.json").exists()
+        return capsys.readouterr().err
+
+    def test_repeated_action_column_rejected(self, hotel_files, tmp_path, capsys):
+        _, _, target = hotel_files
+        # a second a4 column whose marks differ from the first
+        with open(target, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[0].append("a4")
+        for row, mark in zip(rows[1:], "aaaaaabbbb"):
+            row.append(mark)
+        with open(target, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        err = self._sweep_err(hotel_files, tmp_path, capsys)
+        assert f"{target}:1:" in err and "duplicate action column 'a4'" in err
+
+    def test_repeated_profile_row_rejected(self, hotel_files, tmp_path, capsys):
+        _, _, target = hotel_files
+        with open(target, "a") as fh:
+            fh.write("b41,a,a,a,a,a\n")
+        err = self._sweep_err(hotel_files, tmp_path, capsys)
+        assert f"{target}:12:" in err and "duplicate profile row 'b41'" in err
+
 
 class TestVerify:
     def test_small_run_passes(self, tmp_path, capsys):
@@ -648,6 +677,29 @@ class TestNonUtf8Input:
         cfg.write_bytes(self.BAD)
         assert main(["verify", "--config", str(cfg)]) == EXIT_PARSE
         assert str(cfg) in capsys.readouterr().err
+
+
+class TestLazyImports:
+    """Importing the CLI loads only what evaluate, validate and sigma run;
+    the sweep, the verify suites and the hotel data load with their command."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def test_cli_import_leaves_command_modules_unloaded(self):
+        probe = (
+            "import sys, electre_score.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('electre_score')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(self.ROOT / "src")},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.strip()
+        assert "electre_score.cli" in loaded
+        for module in ("suites", "properties", "hotel", "sweep"):
+            assert f"'electre_score.{module}'" not in loaded
 
 
 class TestTracedEntry:

@@ -1,4 +1,5 @@
-"""The input boundary: any file content loads or fails with a ParseError."""
+"""The file boundary: any file content loads or fails with a ParseError,
+and reports are written with the bytes of the json module."""
 
 import json
 from pathlib import Path
@@ -13,6 +14,7 @@ from electre_score.files import (
     load_model,
     load_performances_csv,
     load_target_csv,
+    write_report,
 )
 from electre_score.hotel import hotel_criteria
 
@@ -89,3 +91,48 @@ def test_hotel_model_with_one_value_replaced(scratch, path, value):
     scratch.write_text(json.dumps(raw))
     model = _loads_or_parse_error(load_model, scratch)
     assert model is None or isinstance(model, LoadedModel)
+
+
+def _reference_report(value) -> str:
+    """The writer's specification: a rounded copy through json.dumps."""
+
+    def round6(value):
+        if isinstance(value, float):
+            return round(value, 6)
+        if isinstance(value, dict):
+            return {k: round6(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [round6(v) for v in value]
+        return value
+
+    return json.dumps(round6(value), indent=2, allow_nan=False) + "\n"
+
+
+STRINGS = st.text(max_size=8) | st.sampled_from(
+    ["", "\"quoted\"", "back\\slash", "\x00\x1f\n\t\x7f", "\u00e9\u4e2d\U0001f600", "\u2028\ud800"]
+)
+REPORTS = st.recursive(
+    st.none() | st.booleans() | STRINGS
+    | st.integers() | st.integers(min_value=-10**4000, max_value=10**4000)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 1e20, 1e-7, 5e-7, 0.1234565, 2.675, 1.0000005, 123456.7654321]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(STRINGS, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(REPORTS)
+def test_report_writer_matches_json_dumps(report):
+    assert write_report(report, None) == _reference_report(report)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_report_writer_refuses_non_finite(value):
+    report = {"actions": [{"lower": 1.5, "upper": (value,)}]}
+    with pytest.raises(ValueError):
+        _reference_report(report)
+    with pytest.raises(ValueError):
+        write_report(report, None)
