@@ -30,7 +30,6 @@ from .credibility import (
     threshold_at,
 )
 from .refsets import (
-    ActionSetRelation,
     ProfileTable,
     SeparabilityReport,
     SetClassification,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -26,7 +27,6 @@ from .files import (
     load_model,
     load_performances_csv,
     load_target_csv,
-    table_from_embedded,
     write_report,
 )
 from .model import (
@@ -72,7 +72,7 @@ def _load_inputs(args) -> tuple[LoadedModel, PerformanceTable | None]:
     if getattr(args, "performances", None):
         table = load_performances_csv(args.performances, model.criteria)
     elif model.embedded_performances:
-        table = table_from_embedded(model.criteria, model.embedded_performances)
+        table = PerformanceTable(model.criteria, model.embedded_performances)
     return model, table
 
 
@@ -131,7 +131,7 @@ def cmd_evaluate(args) -> int:
             ),
             "reason": rng.reason,
             "classifications": {
-                label: rel.classification.value
+                label: rel.value
                 for label, rel in zip(level_labels, relations)
             },
         })
@@ -245,7 +245,7 @@ def cmd_sigma(args) -> int:
     if table is None:
         raise _Exit(EXIT_PARSE, "sigma needs a performance table (CSV or embedded)")
     _require_valid_model(model, table)
-    vectors = {a: table.vector(a) for a in table.actions}
+    vectors = dict(table.rows)
     for name, _, _, vec in model.refs.flat_profiles():
         vectors[name] = vec
     names = list(vectors)
@@ -314,27 +314,20 @@ def cmd_sweep_lambda(args) -> int:
     return EXIT_OK
 
 
-def _deck_example_report() -> dict:
+def _deck_example_report():
     from .hotel import HOTEL_DECK, HOTEL_SCORES
+    from .properties import PropertyReport
 
     computed = deck_of_cards_scores(HOTEL_DECK)
     matches = all(abs(c - s) < 1e-6 for c, s in zip(computed, HOTEL_SCORES))
-    return {
-        "name": "deck-example",
-        "trials": 1,
-        "failures": [],
-        "skipped": 0,
-        "hypothesis_met": True,
-        "notes": [
-            "documented discrepancy: the bundled hotel deck's blank-card "
-            "counts do not reproduce its elicited score list under the "
-            "cumulative unit formula; the elicited list stays authoritative",
-            f"computed: {[round(x, 4) for x in computed]}",
-            f"elicited: {[round(x, 4) for x in HOTEL_SCORES]}",
-            f"formula-consistent: {matches}",
-        ],
-        "passed": True,
-    }
+    return PropertyReport("deck-example", 1, notes=(
+        "documented discrepancy: the bundled hotel deck's blank-card "
+        "counts do not reproduce its elicited score list under the "
+        "cumulative unit formula; the elicited list stays authoritative",
+        f"computed: {[round(x, 4) for x in computed]}",
+        f"elicited: {[round(x, 4) for x in HOTEL_SCORES]}",
+        f"formula-consistent: {matches}",
+    ))
 
 
 def _config_int(config: dict, key: str, default: int) -> int:
@@ -378,32 +371,20 @@ def cmd_verify(args) -> int:
     any_failure = False
     for name in suite_names:
         if name == "deck-example":
-            payload = _deck_example_report()
+            report = _deck_example_report()
         else:
             report = SUITES[name](trials, seed)
-            payload = {
-                "name": report.name,
-                "trials": report.trials,
-                "failures": [
-                    {"seed": f.seed, "digest": f.digest, "case": f.case,
-                     "expected": f.expected, "observed": f.observed}
-                    for f in report.failures
-                ],
-                "skipped": report.skipped,
-                "hypothesis_met": report.hypothesis_met,
-                "notes": list(report.notes),
-                "passed": report.passed,
-            }
-            any_failure = any_failure or not report.passed
-        line = (
-            f"{payload['name']}: "
-            f"{'PASS' if payload['passed'] else 'FAIL'} "
-            f"({payload['trials']} trials, {len(payload['failures'])} failures, "
-            f"{payload['skipped']} skipped)"
+        any_failure = any_failure or not report.passed
+        print(
+            f"{report.name}: {'PASS' if report.passed else 'FAIL'} "
+            f"({report.trials} trials, {len(report.failures)} failures, "
+            f"{report.skipped} skipped)"
         )
-        print(line)
         if out_dir is not None:
-            write_report(payload, out_dir / f"{payload['name']}.json")
+            write_report(
+                {**dataclasses.asdict(report), "passed": report.passed},
+                out_dir / f"{report.name}.json",
+            )
     return EXIT_VERIFY if any_failure else EXIT_OK
 
 

@@ -76,8 +76,7 @@ def threshold_at(spec: ThresholdSpec, criterion: Criterion, ga: float, gb: float
             worse, better = min(ga, gb), max(ga, gb)
         else:
             worse, better = max(ga, gb), min(ga, gb)
-        base = worse if spec.mode is ThresholdMode.DIRECT else better
-        value = spec.intercept + spec.slope * base
+        value = spec.at(worse if spec.mode is ThresholdMode.DIRECT else better)
     if value < 0:
         raise NegativeThresholdError(
             f"criterion {criterion.name}: threshold {value} < 0 for pair ({ga}, {gb})"

@@ -122,7 +122,9 @@ def load_model(path: str | Path) -> LoadedModel:
     warning when both are present and disagree.
     """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_object)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise ParseError(f"cannot read model file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -134,6 +136,16 @@ def load_model(path: str | Path) -> LoadedModel:
         return _model_from_json(raw)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def _object(pairs: list[tuple[str, Any]]) -> dict:
+    # json keeps the last of repeated keys, silently dropping the others
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"repeated key {key!r} in one object")
+        obj[key] = value
+    return obj
 
 
 def _model_from_json(raw: Any) -> LoadedModel:
@@ -154,12 +166,18 @@ def _model_from_json(raw: Any) -> LoadedModel:
     if "deck_of_cards" in raw:
         deck_raw = raw["deck_of_cards"]
         try:
-            blank_cards = tuple(int(e) for e in deck_raw["blank_cards"])
+            blank_cards = deck_raw["blank_cards"]
+            if not isinstance(blank_cards, list):
+                raise ParseError("deck_of_cards.blank_cards: expected an array")
+            for i, e in enumerate(blank_cards):
+                # bool is an int subclass, and int() would truncate 1.5 or read "2"
+                if isinstance(e, bool) or not isinstance(e, int):
+                    raise ParseError(f"deck_of_cards.blank_cards[{i}]: not an integer: {e!r}")
             anchors = tuple(
                 _number(x, f"deck_of_cards.anchors[{i}]")
                 for i, x in enumerate(deck_raw.get("anchors", (0.0, 100.0)))
             )
-            deck = DeckOfCards(blank_cards, anchors)
+            deck = DeckOfCards(tuple(blank_cards), anchors)
         except ParseError:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -280,11 +298,7 @@ def load_performances_csv(path: str | Path, criteria) -> PerformanceTable:
         table_rows[action] = values
     if not table_rows:
         raise ParseError(f"performance file {path} has no action rows")
-    return PerformanceTable.from_rows(criteria, table_rows)
-
-
-def table_from_embedded(criteria, embedded: Mapping[str, tuple[float, ...]]) -> PerformanceTable:
-    return PerformanceTable.from_rows(criteria, dict(embedded))
+    return PerformanceTable(tuple(criteria), table_rows)
 
 
 def load_target_csv(path: str | Path) -> dict[tuple[str, str], str]:

@@ -3,7 +3,7 @@
 All types are frozen dataclasses: once built, a model is safe to share
 across threads and across repeated evaluations. Structural checks that
 need the whole model (threshold ordering over the observed performance
-range, score ordering, table totality) live in :func:`validate_model`,
+range, score ordering, profile arity) live in :func:`validate_model`,
 which reports violations instead of raising so a caller can show all
 problems at once.
 """
@@ -49,6 +49,10 @@ class ThresholdSpec:
         if self.mode is ThresholdMode.CONSTANT and self.slope != 0.0:
             raise ValueError("constant threshold requires slope = 0")
 
+    def at(self, g: float) -> float:
+        """The threshold's value at performance ``g``."""
+        return self.intercept + self.slope * g
+
 
 @dataclass(frozen=True)
 class Criterion:
@@ -73,11 +77,22 @@ class Criterion:
 
 @dataclass(frozen=True)
 class PerformanceTable:
-    """Actions x criteria performances, total by construction."""
+    """Actions x criteria performances: one row per action, in criteria order.
 
-    actions: tuple[str, ...]
+    Every row has one value per criterion, so the table is total by
+    construction.
+    """
+
     criteria: tuple[Criterion, ...]
-    performances: Mapping[tuple[str, str], float]
+    rows: Mapping[str, tuple[float, ...]]
+
+    def __post_init__(self) -> None:
+        for action, values in self.rows.items():
+            if len(values) != len(self.criteria):
+                raise ValueError(
+                    f"action {action!r}: expected {len(self.criteria)} performances, "
+                    f"got {len(values)}"
+                )
 
     @classmethod
     def from_rows(
@@ -86,22 +101,17 @@ class PerformanceTable:
         rows: Mapping[str, Sequence[float]],
     ) -> "PerformanceTable":
         """Build a table from per-action performance vectors (criteria order)."""
-        perf: dict[tuple[str, str], float] = {}
-        for action, values in rows.items():
-            if len(values) != len(criteria):
-                raise ValueError(
-                    f"action {action!r}: expected {len(criteria)} performances, "
-                    f"got {len(values)}"
-                )
-            for crit, value in zip(criteria, values):
-                perf[(action, crit.name)] = float(value)
-        return cls(tuple(rows), tuple(criteria), perf)
+        return cls(
+            tuple(criteria),
+            {action: tuple(map(float, values)) for action, values in rows.items()},
+        )
 
-    def value(self, action: str, criterion: str) -> float:
-        return self.performances[(action, criterion)]
+    @property
+    def actions(self) -> tuple[str, ...]:
+        return tuple(self.rows)
 
     def vector(self, action: str) -> tuple[float, ...]:
-        return tuple(self.performances[(action, c.name)] for c in self.criteria)
+        return self.rows[action]
 
 
 @dataclass(frozen=True)
@@ -185,20 +195,14 @@ class ValidationReport:
         return not self.errors
 
 
-def _evaluate_spec(spec: ThresholdSpec, g: float) -> float:
-    return spec.intercept + spec.slope * g
-
-
 def _observed_values(
-    table: PerformanceTable | None, refs: ReferenceStructure | None, j: int, name: str
+    table: PerformanceTable | None, refs: ReferenceStructure | None, j: int
 ) -> list[float]:
-    # tolerant of missing cells / short profiles: totality and arity are
-    # reported separately, threshold checks just use what is present
+    # tolerant of short profiles: their arity is reported separately,
+    # threshold checks just use what is present
     values: list[float] = []
     if table is not None:
-        for a in table.actions:
-            if (a, name) in table.performances:
-                values.append(table.performances[(a, name)])
+        values.extend(row[j] for row in table.rows.values())
     if refs is not None:
         for ref in refs.sets:
             values.extend(vec[j] for vec in ref.profiles if j < len(vec))
@@ -222,14 +226,8 @@ def validate_model(
         names = [c.name for c in table.criteria]
         if len(set(names)) != len(names):
             errors.append("criterion names are not unique")
-        if len(set(table.actions)) != len(table.actions):
-            errors.append("action identifiers are not unique")
         if not any(c.weight > 0 for c in table.criteria):
             errors.append("no criterion has positive weight")
-        for action in table.actions:
-            for crit in table.criteria:
-                if (action, crit.name) not in table.performances:
-                    errors.append(f"missing performance for ({action}, {crit.name})")
 
     if refs is not None:
         scores = refs.scores
@@ -256,10 +254,10 @@ def validate_model(
 
     if table is not None:
         for j, crit in enumerate(table.criteria):
-            observed = _observed_values(table, refs, j, crit.name)
+            observed = _observed_values(table, refs, j)
             for g in observed:
-                q = _evaluate_spec(crit.indifference, g)
-                p = _evaluate_spec(crit.preference, g)
+                q = crit.indifference.at(g)
+                p = crit.preference.at(g)
                 if q < 0:
                     errors.append(
                         f"criterion {crit.name}: indifference threshold {q} < 0 at g={g}"
@@ -269,7 +267,7 @@ def validate_model(
                         f"criterion {crit.name}: q({g})={q} exceeds p({g})={p}"
                     )
                 if crit.veto is not None:
-                    v = _evaluate_spec(crit.veto, g)
+                    v = crit.veto.at(g)
                     if not p < v:
                         errors.append(
                             f"criterion {crit.name}: veto v({g})={v} must exceed p({g})={p}"

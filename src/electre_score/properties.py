@@ -30,7 +30,6 @@ from .model import (
     check_cutting_level,
 )
 from .refsets import (
-    ActionSetRelation,
     ProfileTable,
     SetClassification,
     classify_relations,
@@ -84,7 +83,7 @@ class Instance:
                  None if c.veto is None else (c.veto.intercept, c.veto.slope, c.veto.mode.value))
                 for c in self.criteria
             ],
-            "actions": {a: self.table.vector(a) for a in self.table.actions},
+            "actions": dict(self.table.rows),
             "refs": [(s.score, s.profiles) for s in self.refs.sets],
         }
         blob = json.dumps(payload, sort_keys=True, default=str).encode()
@@ -355,9 +354,13 @@ def check_conformity(
     )
 
 
+# the classifications under which the action outranks the set (a S B)
+_OUTRANKS_SET = (SetClassification.ACTION_PREFERRED, SetClassification.INDIFFERENT)
+
+
 def _flag_checks_for_action(
     name: str,
-    relations: Sequence[ActionSetRelation],
+    relations: Sequence[SetClassification],
     primal: bool,
     dual: bool,
 ) -> list[str]:
@@ -365,22 +368,22 @@ def _flag_checks_for_action(
     bad: list[str] = []
     n = len(relations)
     for k in range(n):
-        if primal and relations[k].a_outranks_set:
+        if primal and relations[k] in _OUTRANKS_SET:
             for h in range(k):
-                if relations[h].set_preferred:
+                if relations[h] is SetClassification.SET_PREFERRED:
                     bad.append(f"{name}: outranks level {k+1} but level {h+1} preferred to it")
-        if primal and relations[k].set_preferred:
+        if primal and relations[k] is SetClassification.SET_PREFERRED:
             for h in range(k + 1, n):
-                if relations[h].a_outranks_set:
+                if relations[h] in _OUTRANKS_SET:
                     bad.append(f"{name}: level {k+1} preferred yet outranks level {h+1}")
         if primal and dual:
-            if relations[k].a_outranks_set:
+            if relations[k] in _OUTRANKS_SET:
                 for h in range(k):
-                    if not relations[h].a_outranks_set:
+                    if relations[h] not in _OUTRANKS_SET:
                         bad.append(f"{name}: outranks level {k+1} but not level {h+1}")
-            if relations[k].set_preferred:
+            if relations[k] is SetClassification.SET_PREFERRED:
                 for h in range(k + 1, n):
-                    if not relations[h].set_preferred:
+                    if relations[h] is not SetClassification.SET_PREFERRED:
                         bad.append(f"{name}: level {k+1} preferred but level {h+1} not")
     return bad
 
@@ -436,19 +439,18 @@ def check_propositions(
         if (fast_lo, fast_hi) != (lo, hi):
             fail(f"{name}: fast path diverges", f"{(lo, hi)}", f"{(fast_lo, fast_hi)}")
         for k, r in enumerate(relations):
-            if k <= lo_idx and not r.a_preferred:
+            if k <= lo_idx and r is not SetClassification.ACTION_PREFERRED:
                 fail(f"{name}: level {k+1} at/below lower bound", "action preferred",
-                     r.classification.value)
-            if k >= hi_idx and not r.set_preferred:
+                     r.value)
+            if k >= hi_idx and r is not SetClassification.SET_PREFERRED:
                 fail(f"{name}: level {k+1} at/above upper bound", "set preferred",
-                     r.classification.value)
+                     r.value)
             inside = lo_idx < k < hi_idx
-            if inside and r.classification in (
-                SetClassification.ACTION_PREFERRED, SetClassification.SET_PREFERRED
-            ):
+            strict = r in (SetClassification.ACTION_PREFERRED, SetClassification.SET_PREFERRED)
+            if inside and strict:
                 fail(f"{name}: level {k+1} inside range", "no strict preference",
-                     r.classification.value)
-            if (r.indifferent or r.incomparable) and not inside:
+                     r.value)
+            if not inside and not strict:
                 fail(f"{name}: level {k+1} indifferent/incomparable", "inside range",
                      f"outside (bounds {lo_idx+1}..{hi_idx+1})")
 
@@ -459,14 +461,14 @@ def check_propositions(
             relations = table.profile_levels(k, p, lam)
             if dual:
                 for h in range(k + 1):
-                    if not relations[h].a_outranks_set:
+                    if relations[h] not in _OUTRANKS_SET:
                         fail(f"profile L{k}P{p}: must outrank level {h+1}",
-                             "outranks", relations[h].classification.value)
+                             "outranks", relations[h].value)
             if primal:
                 for h in range(k + 1, len(scores)):
-                    if not relations[h].set_preferred:
+                    if relations[h] is not SetClassification.SET_PREFERRED:
                         fail(f"profile L{k}P{p}: level {h+1} must be preferred to it",
-                             "set preferred", relations[h].classification.value)
+                             "set preferred", relations[h].value)
 
     hypothesis = primal and dual
     if not hypothesis:
@@ -499,7 +501,7 @@ def _expected_after_edit(
     exp_upper: float | None = x[t]
 
     if isinstance(edit, InsertSet):
-        cls = classify_relations(added).classification
+        cls = classify_relations(added)
         upper_neigh = x[r + 1] if r + 1 < len(x) else float("inf")
         if x[r] < edit.score < upper_neigh and cls is SetClassification.ACTION_PREFERRED:
             exp_lower = edit.score
@@ -731,8 +733,8 @@ def _drop_criterion(instance: Instance, j: int) -> Instance | None:
     if not any(c.weight > 0 for c in criteria):
         return None
     rows = {
-        a: tuple(v for i, v in enumerate(instance.table.vector(a)) if i != j)
-        for a in instance.table.actions
+        a: tuple(v for i, v in enumerate(vec) if i != j)
+        for a, vec in instance.table.rows.items()
     }
     table = PerformanceTable.from_rows(criteria, rows)
     sets = tuple(
@@ -763,9 +765,8 @@ def _drop_profile(instance: Instance, level: int, idx: int) -> Instance | None:
 
 
 def _drop_action(instance: Instance, action: str) -> Instance | None:
-    remaining = [a for a in instance.table.actions if a != action]
-    rows = {a: instance.table.vector(a) for a in remaining}
-    table = PerformanceTable.from_rows(instance.criteria, rows)
+    rows = {a: vec for a, vec in instance.table.rows.items() if a != action}
+    table = PerformanceTable(instance.criteria, rows)
     return Instance(instance.criteria, table, instance.refs)
 
 

@@ -2,10 +2,21 @@
 structural checks on a reference collection: basic assumptions,
 dominance/preference separability, and comparability.
 
-Set-level relations are derived from the multiset of per-profile derived
-relations, so the six relation flags and the single classification can
-never disagree. Quantifiers are evaluated exhaustively; reference sets
-are small by design.
+The relation of an action a to a set B follows from which per-profile
+derived relations occur, and is one of four classifications. The six
+set relations are read from it:
+
+==================  ==========================
+classification      set relations that hold
+==================  ==========================
+ACTION_PREFERRED    a S B, a P B
+SET_PREFERRED       B S a, B P a
+INDIFFERENT         a S B, B S a, a I B
+INCOMPARABLE        a R B
+==================  ==========================
+
+Quantifiers are evaluated exhaustively; reference sets are small by
+design.
 
 Batch code computes each pair once: a :class:`ProfileTable` holds the
 credibility between every two profiles for the basic assumptions,
@@ -18,7 +29,6 @@ criteria themselves.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -42,21 +52,8 @@ class SetClassification(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class ActionSetRelation:
-    """Classification of action-vs-set plus the six underlying relation flags."""
-
-    classification: SetClassification
-    a_outranks_set: bool        # a is at least as good as the set
-    set_outranks_a: bool        # the set is at least as good as a
-    a_preferred: bool           # a strictly preferred to the set
-    set_preferred: bool         # the set strictly preferred to a
-    indifferent: bool
-    incomparable: bool
-
-
-def classify_relations(relations: Iterable[DerivedRelation]) -> ActionSetRelation:
-    """Fold per-profile derived relations into the set-level relation.
+def classify_relations(relations: Iterable[DerivedRelation]) -> SetClassification:
+    """Fold per-profile derived relations into the set-level classification.
 
     The four classifications are exhaustive and mutually exclusive:
     conflicting strict preferences in both directions mean incomparable,
@@ -67,37 +64,17 @@ def classify_relations(relations: Iterable[DerivedRelation]) -> ActionSetRelatio
     rels = set(relations)
     if not rels:
         raise ValueError("reference set produced no per-profile relations")
-    return _fold(
-        DerivedRelation.A_PREFERRED in rels,
-        DerivedRelation.B_PREFERRED in rels,
-        DerivedRelation.INDIFFERENT in rels,
-    )
-
-
-@functools.cache
-def _fold(ap: bool, bp: bool, ind: bool) -> ActionSetRelation:
-    # the relation depends only on which kinds occur, so the eight
-    # possible results are shared rather than built per action and level
+    ap = DerivedRelation.A_PREFERRED in rels
+    bp = DerivedRelation.B_PREFERRED in rels
     if ap and bp:
-        classification = SetClassification.INCOMPARABLE
-    elif ap:
-        classification = SetClassification.ACTION_PREFERRED
-    elif bp:
-        classification = SetClassification.SET_PREFERRED
-    elif ind:
-        classification = SetClassification.INDIFFERENT
-    else:
-        classification = SetClassification.INCOMPARABLE
-
-    return ActionSetRelation(
-        classification=classification,
-        a_outranks_set=(not bp and (ap or ind)),
-        set_outranks_a=(not ap and (bp or ind)),
-        a_preferred=(not bp and ap),
-        set_preferred=(not ap and bp),
-        indifferent=(not ap and not bp and ind),
-        incomparable=((ap and bp) or not (ap or bp or ind)),
-    )
+        return SetClassification.INCOMPARABLE
+    if ap:
+        return SetClassification.ACTION_PREFERRED
+    if bp:
+        return SetClassification.SET_PREFERRED
+    if DerivedRelation.INDIFFERENT in rels:
+        return SetClassification.INDIFFERENT
+    return SetClassification.INCOMPARABLE
 
 
 def profile_relations(
@@ -121,7 +98,7 @@ def level_relations(
     action: Sequence[float],
     refs: ReferenceStructure,
     lam: float,
-) -> tuple[ActionSetRelation, ...]:
+) -> tuple[SetClassification, ...]:
     """Relation of one action to every reference level, bottom to top.
 
     One kernel call per profile; ``lam`` must already be validated.
@@ -137,17 +114,17 @@ def classify_action_vs_levels(
     refs: ReferenceStructure,
     criteria: Sequence[Criterion],
     lam: float,
-) -> list[ActionSetRelation]:
+) -> list[SetClassification]:
     """Relation of one action to every reference level, bottom to top."""
     check_cutting_level(lam)
     return list(level_relations(compile_criteria(criteria), action, refs, lam))
 
 
-def is_comparable(relations: Sequence[ActionSetRelation]) -> bool:
+def is_comparable(relations: Sequence[SetClassification]) -> bool:
     """Strictly above the bottom set and strictly below the top set."""
     return (
-        relations[0].classification is SetClassification.ACTION_PREFERRED
-        and relations[-1].classification is SetClassification.SET_PREFERRED
+        relations[0] is SetClassification.ACTION_PREFERRED
+        and relations[-1] is SetClassification.SET_PREFERRED
     )
 
 
@@ -174,20 +151,12 @@ class SeparabilityReport:
         return all(getattr(f, attr) for f in self.pairs.values())
 
     @property
-    def all_strong_dominance(self) -> bool:
-        return self._all("strong_dominance")
-
-    @property
     def all_soft_dominance_primal(self) -> bool:
         return self._all("soft_dominance_primal")
 
     @property
     def all_soft_dominance_dual(self) -> bool:
         return self._all("soft_dominance_dual")
-
-    @property
-    def all_strong_preference(self) -> bool:
-        return self._all("strong_preference")
 
     @property
     def all_soft_preference_primal(self) -> bool:
@@ -245,7 +214,7 @@ class ProfileTable:
         i, j = self._start[k] + p, self._start[h] + q
         return derived_relation(self._sigma[i][j] >= lam, self._sigma[j][i] >= lam)
 
-    def profile_levels(self, k: int, p: int, lam: float) -> tuple[ActionSetRelation, ...]:
+    def profile_levels(self, k: int, p: int, lam: float) -> tuple[SetClassification, ...]:
         """Relation of profile p of level k to every level, bottom to top.
 
         The profile scored as an action; its own cell reads as indifferent,
@@ -363,8 +332,7 @@ def check_comparability(
     ends = (refs.sets[0].profiles, refs.sets[-1].profiles)
     return {
         action: is_comparable([
-            classify_relations(profile_relations(kernel, table.vector(action), end, lam))
-            for end in ends
+            classify_relations(profile_relations(kernel, vector, end, lam)) for end in ends
         ])
-        for action in table.actions
+        for action, vector in table.rows.items()
     }

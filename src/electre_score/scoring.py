@@ -16,12 +16,7 @@ from typing import Sequence
 
 from .credibility import compile_criteria
 from .model import Criterion, PerformanceTable, ReferenceStructure, check_cutting_level
-from .refsets import (
-    ActionSetRelation,
-    ProfileTable,
-    SetClassification,
-    level_relations,
-)
+from .refsets import ProfileTable, SetClassification, level_relations
 
 # the levels a bound's universal clause admits below (lower) or above (upper) it
 _BELOW_LOWER = (SetClassification.ACTION_PREFERRED, SetClassification.INCOMPARABLE)
@@ -103,7 +98,7 @@ class ScoreRange:
 
 
 def scan_bounds(
-    relations: Sequence[ActionSetRelation], scores: Sequence[float], fast: bool = False
+    relations: Sequence[SetClassification], scores: Sequence[float], fast: bool = False
 ) -> tuple[tuple[float, int] | None, tuple[float, int] | None]:
     """Lower and upper bound of one action as ``(score, level index)`` pairs.
 
@@ -117,14 +112,14 @@ def scan_bounds(
     n = len(relations)
     lower = upper = None
     for k in reversed(range(n)):
-        if relations[k].classification is SetClassification.ACTION_PREFERRED and (
-            fast or all(relations[h].classification in _BELOW_LOWER for h in range(k))
+        if relations[k] is SetClassification.ACTION_PREFERRED and (
+            fast or all(relations[h] in _BELOW_LOWER for h in range(k))
         ):
             lower = scores[k], k
             break
     for k in range(n):
-        if relations[k].classification is SetClassification.SET_PREFERRED and (
-            fast or all(relations[h].classification in _ABOVE_UPPER for h in range(k + 1, n))
+        if relations[k] is SetClassification.SET_PREFERRED and (
+            fast or all(relations[h] in _ABOVE_UPPER for h in range(k + 1, n))
         ):
             upper = scores[k], k
             break
@@ -142,14 +137,14 @@ class ScoringResult:
     ranges: tuple[ScoreRange, ...]
     findings: tuple[str, ...]
     used_fast_path: bool
-    relations: tuple[tuple[ActionSetRelation, ...], ...]
+    relations: tuple[tuple[SetClassification, ...], ...]
 
     def by_action(self) -> dict[str, ScoreRange]:
         return {r.action: r for r in self.ranges}
 
 
 def _range_findings(
-    action: str, relations: Sequence[ActionSetRelation], scores: Sequence[float],
+    action: str, relations: Sequence[SetClassification], scores: Sequence[float],
     lo_idx: int, hi_idx: int,
 ) -> list[str]:
     # post-hoc checks of the range conditions; violations are reported,
@@ -161,8 +156,7 @@ def _range_findings(
             f"{action}: bounds not strictly ordered "
             f"({scores[lo_idx]} !< {scores[hi_idx]})"
         )
-    for k, rel in enumerate(relations):
-        c = rel.classification
+    for k, c in enumerate(relations):
         if scores[k] <= scores[lo_idx] and c is SetClassification.SET_PREFERRED:
             findings.append(
                 f"{action}: set at or below the lower bound is preferred "
@@ -208,10 +202,10 @@ def score_ranges(
 
     scores = refs.scores
     ranges: list[ScoreRange] = []
-    all_relations: list[tuple[ActionSetRelation, ...]] = []
+    all_relations: list[tuple[SetClassification, ...]] = []
     findings: list[str] = [f"basic-assumption violation: {v}" for v in violations]
-    for action in table.actions:
-        relations = level_relations(kernel, table.vector(action), refs, lam)
+    for action, vector in table.rows.items():
+        relations = level_relations(kernel, vector, refs, lam)
         all_relations.append(relations)
         lower, upper = scan_bounds(relations, scores, fast)
         lo, lo_idx = lower or (None, None)

@@ -82,7 +82,7 @@ def run_dominance_implication_suite(trials: int, seed: int) -> PropertyReport:
         )
         crit = inst.criteria
         total += 1
-        pool = [inst.table.vector(a) for a in inst.table.actions]
+        pool = list(inst.table.rows.values())
 
         def record(case: str, expected: str, observed: str) -> None:
             failures.append(
@@ -147,7 +147,7 @@ def _sigma_invariant_trials(
         )
         crit = inst.criteria
         total += 1
-        entities = {a: inst.table.vector(a) for a in inst.table.actions}
+        entities = dict(inst.table.rows)
         for pname, _, _, vec in inst.refs.flat_profiles():
             entities[pname] = vec
         keys = list(entities)
@@ -221,7 +221,7 @@ def run_variable_threshold_suite(trials: int, seed: int) -> PropertyReport:
                          n_actions=max(3, rng.randint(3, 6))),
         )
         crit = inst.criteria
-        pool = [inst.table.vector(a) for a in inst.table.actions]
+        pool = list(inst.table.rows.values())
         for _ in range(2):
             a, b = rng.choice(pool), rng.choice(pool)
             b_minus = _dominated_variant(rng, crit, b)
@@ -287,8 +287,7 @@ def _run_checked_suite(
 
 def run_propositions_suite(trials: int, seed: int) -> PropertyReport:
     def runner(inst: Instance, lam: float, trial_seed: int) -> PropertyReport:
-        actions = {a: inst.table.vector(a) for a in inst.table.actions}
-        return check_propositions(inst.refs, inst.criteria, lam, actions,
+        return check_propositions(inst.refs, inst.criteria, lam, inst.table.rows,
                                   seed=trial_seed, digest=inst.digest())
 
     return _run_checked_suite("propositions", trials, seed, runner)
@@ -306,8 +305,7 @@ def run_stability_suite(trials: int, seed: int) -> PropertyReport:
     def runner(inst: Instance, lam: float, trial_seed: int) -> PropertyReport:
         rng = random.Random(trial_seed ^ 0x5EED)
         edits = make_edits(inst, rng, count=4)
-        actions = {a: inst.table.vector(a) for a in inst.table.actions}
-        return check_stability(inst.refs, inst.criteria, lam, edits, actions,
+        return check_stability(inst.refs, inst.criteria, lam, edits, inst.table.rows,
                                seed=trial_seed, digest=inst.digest())
 
     return _run_checked_suite("stability", trials, seed, runner)

@@ -57,38 +57,42 @@ def sweep_lambda(
     ``target`` maps (profile name, action id) to ``"a"`` (action strictly
     preferred), ``"b"`` (profile strictly preferred) or ``""``. A blank
     demands indifference-or-incomparability unless ``dont_care_blanks``
-    relaxes it to no constraint; any other mark raises KeyError.
+    relaxes it to no constraint, and then its credibilities cut no band;
+    any other mark raises KeyError.
     """
     profiles = {name: vec for name, _, _, vec in refs.flat_profiles()}
     unknown = [
         key for key in target
-        if key[0] not in profiles or key[1] not in table.actions
+        if key[0] not in profiles or key[1] not in table.rows
     ]
     if unknown:
         raise KeyError(f"target refers to unknown pairs: {unknown[:5]}")
 
+    # a blank under dont_care_blanks constrains nothing, so its
+    # credibilities cut no band either
+    constrained = {
+        key: mark for key, mark in target.items() if mark or not dont_care_blanks
+    }
     kernel = compile_criteria(criteria)
-    vectors = {action: table.vector(action) for action in {a for _, a in target}}
     # (profile, action) -> (sigma(action, profile), sigma(profile, action))
     sigma = {
-        (pname, action): sigma_pair(kernel, vectors[action], profiles[pname])
-        for (pname, action) in target
+        (pname, action): sigma_pair(kernel, table.rows[action], profiles[pname])
+        for (pname, action) in constrained
     }
     ends = band_ends(v for pair in sigma.values() for v in pair)
     lowers = [0.5, *ends[:-1]]
     n = len(ends)
     # constrained pair -> the runs of bands on which its mark fails
     misses: dict[tuple[str, str], tuple[range, range]] = {}
-    for key, mark in target.items():
-        if mark or not dont_care_blanks:
-            sap, spa = sigma[key]
-            a = preferred_bands(ends, sap, spa)
-            b = preferred_bands(ends, spa, sap)
-            misses[key] = {
-                "a": (range(a.start), range(a.stop, n)),
-                "b": (range(b.start), range(b.stop, n)),
-                "": (a, b),
-            }[mark]
+    for key, mark in constrained.items():
+        sap, spa = sigma[key]
+        a = preferred_bands(ends, sap, spa)
+        b = preferred_bands(ends, spa, sap)
+        misses[key] = {
+            "a": (range(a.start), range(a.stop, n)),
+            "b": (range(b.start), range(b.stop, n)),
+            "": (a, b),
+        }[mark]
     diff = [0] * (n + 1)
     for runs in misses.values():
         for run in runs:

@@ -25,6 +25,8 @@ def mark(sab: float, sba: float, lam: float) -> str:
 def sweep(table, refs, criteria, target, dont_care_blanks=False) -> dict:
     """Bands, exact-match intervals and the closest band, band by band."""
     profiles = {name: vec for name, _, _, vec in refs.flat_profiles()}
+    # a blank under dont_care_blanks is no constraint and cuts no band
+    target = {key: cell for key, cell in target.items() if cell or not dont_care_blanks}
     sigma = {}
     for pname, action in target:
         avec, pvec = table.vector(action), profiles[pname]
@@ -35,10 +37,7 @@ def sweep(table, refs, criteria, target, dont_care_blanks=False) -> dict:
     bands = []
     lower = 0.5
     for upper in values:
-        mismatches = [
-            key for key, cell in target.items()
-            if (cell or not dont_care_blanks) and mark(*sigma[key], upper) != cell
-        ]
+        mismatches = [key for key, cell in target.items() if mark(*sigma[key], upper) != cell]
         bands.append((lower, upper, mismatches))
         lower = upper
     intervals = []

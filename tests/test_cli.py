@@ -379,6 +379,38 @@ class TestModelFileParsing:
                      "--lambda", "0.65"]) == EXIT_PARSE
 
 
+    @pytest.mark.parametrize("old, new, key", [
+        # a second row for a1: json alone would score only the last one
+        ('\n}', ', "performances": {"a1": [13000, 3000, 4, 4, 4], '
+                '"a1": [9000, 1500, 7, 7, 7]}}', "'a1'"),
+        ('"weight": 5.0', '"weight": 9.0, "weight": 5.0', "'weight'"),
+    ], ids=["performances", "criterion-field"])
+    def test_repeated_key_rejected(self, hotel_files, tmp_path, capsys, old, new, key):
+        model, perf, _ = hotel_files
+        text = model.read_text().rstrip()
+        assert text.count(old) == 1
+        model.write_text(text.replace(old, new))
+        code = main(["evaluate", str(model), "--performances", str(perf),
+                     "--lambda", "0.65", "--output", str(tmp_path / "r.json")])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert str(model) in err and f"repeated key {key}" in err
+
+    def test_blank_card_counts_must_be_integers(self, hotel_files, tmp_path, capsys):
+        # int() would read these as the hotel deck's own 1, 2, 0, 1, 0, 2
+        model, perf, _ = hotel_files
+        raw = json.loads(model.read_text())
+        for i, bad in ((0, 1.5), (3, True), (5, "2")):
+            raw["deck_of_cards"]["blank_cards"] = [1, 2, 0, 1, 0, 2]
+            raw["deck_of_cards"]["blank_cards"][i] = bad
+            model.write_text(json.dumps(raw))
+            code = main(["evaluate", str(model), "--performances", str(perf),
+                         "--lambda", "0.65", "--output", str(tmp_path / "r.json")])
+            assert code == EXIT_PARSE, bad
+            err = capsys.readouterr().err
+            assert f"deck_of_cards.blank_cards[{i}]" in err and repr(bad) in err
+
+
 class TestSyntheticModelValidation:
     def test_strong_dominance_model_is_all_green(self, tmp_path):
         from electre_score.properties import GeneratorConfig, generate_instance

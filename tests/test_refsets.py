@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from electre_score.credibility import DerivedRelation, compile_criteria
+from electre_score.credibility import (
+    DerivedRelation,
+    compile_criteria,
+    credibility,
+    derived_relation,
+)
 from electre_score.properties import GeneratorConfig, generate_instance
 from electre_score.refsets import (
     ProfileTable,
@@ -23,6 +28,34 @@ IND = DerivedRelation.INDIFFERENT
 INC = DerivedRelation.INCOMPARABLE
 
 
+def set_relations(relations) -> set[str]:
+    """The six set relations that hold, from their definitions.
+
+    a S B: some profile b has a S b (a preferred or indifferent) and no
+    profile is preferred to a; B S a symmetrically; P is S one way only,
+    I is S both ways, and R is S neither way.
+    """
+    rels = set(relations)
+    a_s = bool(rels & {AP, IND}) and BP not in rels
+    b_s = bool(rels & {BP, IND}) and AP not in rels
+    return {
+        name for name, holds in (
+            ("a S B", a_s), ("B S a", b_s),
+            ("a P B", a_s and not b_s), ("B P a", b_s and not a_s),
+            ("a I B", a_s and b_s), ("a R B", not (a_s or b_s)),
+        ) if holds
+    }
+
+
+# the four-row mapping the refsets module docstring states
+SIX = {
+    SetClassification.ACTION_PREFERRED: {"a S B", "a P B"},
+    SetClassification.SET_PREFERRED: {"B S a", "B P a"},
+    SetClassification.INDIFFERENT: {"a S B", "B S a", "a I B"},
+    SetClassification.INCOMPARABLE: {"a R B"},
+}
+
+
 class TestClassifyRelations:
     def test_case_analysis_over_all_multisets(self):
         # exhaustive over multisets of size <= 3
@@ -33,31 +66,17 @@ class TestClassifyRelations:
                 n_bp = combo.count(BP)
                 n_i = combo.count(IND)
                 if n_ap and n_bp:
-                    assert rel.classification is SetClassification.INCOMPARABLE
+                    assert rel is SetClassification.INCOMPARABLE
                 elif n_ap:
-                    assert rel.classification is SetClassification.ACTION_PREFERRED
+                    assert rel is SetClassification.ACTION_PREFERRED
                 elif n_bp:
-                    assert rel.classification is SetClassification.SET_PREFERRED
+                    assert rel is SetClassification.SET_PREFERRED
                 elif n_i:
-                    assert rel.classification is SetClassification.INDIFFERENT
+                    assert rel is SetClassification.INDIFFERENT
                 else:
-                    assert rel.classification is SetClassification.INCOMPARABLE
-                # exactly one of the four strict flags matches the class
-                flags = [rel.a_preferred, rel.set_preferred, rel.indifferent,
-                         rel.incomparable]
-                assert sum(flags) == 1
-
-    def test_flag_implications(self):
-        for size in (1, 2, 3):
-            for combo in itertools.product((AP, BP, IND, INC), repeat=size):
-                rel = classify_relations(combo)
-                if rel.a_preferred:
-                    assert rel.a_outranks_set
-                    assert not rel.set_outranks_a
-                    assert not rel.set_preferred
-                if rel.set_preferred:
-                    assert rel.set_outranks_a
-                    assert not rel.a_outranks_set
+                    assert rel is SetClassification.INCOMPARABLE
+                # the classification gives exactly the set relations that hold
+                assert SIX[rel] == set_relations(combo), combo
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -70,11 +89,11 @@ class TestClassifyActionVsSet:
         refs = hotel["refs"]
         a1 = hotel_vectors["a1"]
         at_065 = classify_action_vs_levels(a1, refs, crit, 0.65)
-        assert at_065[2].classification is SetClassification.ACTION_PREFERRED
-        assert at_065[5].classification is SetClassification.SET_PREFERRED
+        assert at_065[2] is SetClassification.ACTION_PREFERRED
+        assert at_065[5] is SetClassification.SET_PREFERRED
         # both level-4 profiles outrank a1 back at 0.70 (13/18 and 103/108)
         level4 = classify_action_vs_levels(a1, refs, crit, 0.70)[3]
-        assert level4.classification is SetClassification.INDIFFERENT
+        assert level4 is SetClassification.INDIFFERENT
 
     def test_matches_oracle_on_hotel(self, hotel, hotel_vectors):
         crit = hotel["criteria"]
@@ -86,7 +105,7 @@ class TestClassifyActionVsSet:
                     want = classify_oracle(
                         HOTEL_ORACLE_CRITERIA, hotel_vectors[action], ref.profiles, lam
                     )
-                    assert got.classification.value == want, (action, k, lam)
+                    assert got.value == want, (action, k, lam)
 
 
 class TestProfileLevels:
@@ -236,6 +255,9 @@ class TestComparability:
 class TestSetRelationImplications:
     @pytest.mark.parametrize("seed", range(8))
     def test_flags_on_random_collections(self, seed):
+        # the six set relations ("flags") that hold, from per-profile
+        # relations of the scalar credibility, are those the action's
+        # classification maps to
         rng = random.Random(seed)
         inst = generate_instance(seed, GeneratorConfig(
             n_criteria=rng.randint(1, 5),
@@ -245,15 +267,16 @@ class TestSetRelationImplications:
             strong_dominance=False,
         ))
         lam = rng.choice((0.55, 0.7, 0.9))
-        for action in inst.table.actions:
-            vec = inst.table.vector(action)
-            for rel in classify_action_vs_levels(vec, inst.refs, inst.criteria, lam):
-                if rel.a_preferred:
-                    assert rel.a_outranks_set
-                    assert not rel.set_outranks_a
-                if rel.set_preferred:
-                    assert rel.set_outranks_a
-                    assert not rel.a_outranks_set
+        crit = inst.criteria
+        for vec in inst.table.rows.values():
+            levels = classify_action_vs_levels(vec, inst.refs, crit, lam)
+            for ref, rel in zip(inst.refs.sets, levels):
+                relations = [
+                    derived_relation(credibility(crit, vec, prof) >= lam,
+                                     credibility(crit, prof, vec) >= lam)
+                    for prof in ref.profiles
+                ]
+                assert SIX[rel] == set_relations(relations)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dominating_perturbation_keeps_strict_preference(self, seed):
@@ -273,5 +296,5 @@ class TestSetRelationImplications:
             levels = classify_action_vs_levels(vec, inst.refs, inst.criteria, lam)
             better_levels = classify_action_vs_levels(better, inst.refs, inst.criteria, lam)
             for rel, rel2 in zip(levels, better_levels):
-                if rel.a_preferred:
-                    assert rel2.a_preferred
+                if rel is SetClassification.ACTION_PREFERRED:
+                    assert rel2 is SetClassification.ACTION_PREFERRED

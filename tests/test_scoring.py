@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from electre_score.hotel import HOTEL_DECK, HOTEL_SCORES
-from electre_score.model import Direction, PerformanceTable
+from electre_score.model import Direction, PerformanceTable, ReferenceSet, ReferenceStructure
 from electre_score.properties import GeneratorConfig, generate_instance
 from electre_score.refsets import classify_action_vs_levels
 from electre_score.scoring import (
@@ -15,6 +15,7 @@ from electre_score.scoring import (
     scan_bounds,
     score_ranges,
 )
+from electre_score.suites import LAMBDA_GRID
 
 from oracle import HOTEL_ORACLE_CRITERIA, bounds_oracle
 
@@ -145,7 +146,7 @@ class TestScoreRanges:
         assert any("basic-assumption" in f for f in result.findings)
 
     def test_empty_table(self, hotel):
-        table = PerformanceTable((), hotel["criteria"], {})
+        table = PerformanceTable(hotel["criteria"], {})
         result = score_ranges(table, hotel["refs"], hotel["criteria"], 0.65)
         assert result.ranges == ()
 
@@ -222,6 +223,58 @@ class TestStructuralRequirements:
             for action, got in ranges(variant).items():
                 if action in full:
                     assert got == full[action], (seed, action)
+
+    @staticmethod
+    def _assert_permutation_invariant(table, refs, criteria, perm, lams):
+        """Permute the criteria, every action row and every profile alike;
+        a row is in criteria order, so the scoring must not change."""
+        p_criteria = tuple(criteria[j] for j in perm)
+        p_table = PerformanceTable(p_criteria, {
+            a: tuple(vec[j] for j in perm) for a, vec in table.rows.items()
+        })
+        p_refs = ReferenceStructure(tuple(
+            ReferenceSet(ref.score, tuple(tuple(p[j] for j in perm) for p in ref.profiles),
+                         ref.names)
+            for ref in refs.sets
+        ))
+        fast = set()
+        for lam in lams:
+            want = score_ranges(table, refs, criteria, lam, force=True)
+            got = score_ranges(p_table, p_refs, p_criteria, lam, force=True)
+            case = (perm, lam)
+            assert got.ranges == want.ranges, case
+            assert got.relations == want.relations, case
+            assert got.findings == want.findings, case
+            assert got.used_fast_path == want.used_fast_path, case
+            fast.add(want.used_fast_path)
+        return fast
+
+    @pytest.mark.parametrize("mode", ["constant", "variable"])
+    @pytest.mark.parametrize("veto", [False, True])
+    @pytest.mark.parametrize("strong", [False, True])
+    def test_criterion_permutation(self, mode, veto, strong):
+        fast = set()
+        for seed in range(8):
+            rng = random.Random(seed)
+            inst = generate_instance(seed, GeneratorConfig(
+                n_criteria=rng.randint(2, 6), n_levels=rng.randint(2, 6),
+                max_profiles_per_level=rng.randint(1, 3), n_actions=6,
+                threshold_mode=mode, veto=veto, strong_dominance=strong,
+            ))
+            perm = list(range(len(inst.criteria)))
+            while perm == sorted(perm):
+                rng.shuffle(perm)
+            fast |= self._assert_permutation_invariant(
+                inst.table, inst.refs, inst.criteria, perm, LAMBDA_GRID)
+        # the pinned draws reach both scans unless strong dominance forces the fast one
+        assert fast == ({True} if strong else {True, False})
+
+    def test_criterion_permutation_hotel(self, hotel):
+        # variable thresholds, no fast path, and basic-assumption findings from 0.8 up
+        n = len(hotel["criteria"])
+        for perm in (list(reversed(range(n))), [2, 0, 4, 1, 3]):
+            self._assert_permutation_invariant(
+                hotel["table"], hotel["refs"], hotel["criteria"], perm, (*LAMBDA_GRID, 0.8))
 
     def test_homogeneity_duplicate_action(self, hotel):
         rows = {a: hotel["table"].vector(a) for a in hotel["table"].actions}

@@ -1,5 +1,6 @@
 import pytest
 
+from electre_score.credibility import credibility
 from electre_score.properties import GeneratorConfig, generate_instance
 from electre_score.sweep import LambdaInterval, sweep_lambda
 
@@ -87,6 +88,23 @@ class TestHotelTarget:
         assert set(result.mismatches_best) <= {
             ("b41", "a4"), ("b41", "a5"), ("b51", "a4"), ("b51", "a5"),
         }
+
+    def test_dont_care_blanks_cut_only_at_marked_pairs(self, hotel, hotel_vectors):
+        # a blank constrains nothing under the flag, so its credibilities
+        # cut no band; 0.777778 and 0.953704 come only from blank cells
+        crit, target = hotel["criteria"], hotel["target"]
+        sigmas = {
+            credibility(crit, hotel_vectors[x], hotel_vectors[y])
+            for (pname, action), mark in target.items() if mark
+            for x, y in ((action, pname), (pname, action))
+        }
+        args = (hotel["table"], hotel["refs"], crit, target)
+        relaxed = sweep_lambda(*args, dont_care_blanks=True).breakpoints
+        assert list(relaxed) == sorted({s for s in sigmas if 0.5 < s <= 1.0} | {1.0})
+        full = sweep_lambda(*args).breakpoints
+        for blank_only in (0.777778, 0.953704):
+            assert any(abs(b - blank_only) < 1e-6 for b in full)
+            assert not any(abs(b - blank_only) < 1e-6 for b in relaxed)
 
     def test_target_without_a4_rows_is_feasible(self, hotel):
         # dropping the action with contradictory marks yields a real band
