@@ -27,6 +27,7 @@ from .files import (
     load_model,
     load_performances_csv,
     load_target_csv,
+    reject_repeated_keys,
     write_report,
 )
 from .model import (
@@ -344,10 +345,11 @@ def cmd_verify(args) -> int:
     config = {}
     if args.config:
         try:
-            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            config = json.loads(Path(args.config).read_text(encoding="utf-8"),
+                                object_pairs_hook=reject_repeated_keys)
         except (OSError, ValueError, RecursionError) as exc:
-            # ValueError covers invalid JSON and bytes that are not UTF-8;
-            # RecursionError, JSON nested too deeply
+            # ValueError covers invalid JSON, a repeated key and bytes that
+            # are not UTF-8; RecursionError, JSON nested too deeply
             raise _Exit(EXIT_PARSE, f"cannot read config {args.config}: {exc}")
         if not isinstance(config, dict):
             raise _Exit(EXIT_PARSE, f"config {args.config} must be a JSON object")

@@ -33,7 +33,18 @@ class ParseError(ValueError):
 
 
 def _number(raw: Any, where: str) -> float:
-    """A finite float from a JSON value or CSV cell, or a ParseError naming it."""
+    """A finite float from a JSON number, or a ParseError naming it.
+
+    ``float`` would also read a JSON ``true`` or ``"4"``; neither is a
+    number, and bool is an int subclass.
+    """
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ParseError(f"{where}: not a number: {raw!r}")
+    return _cell_number(raw, where)
+
+
+def _cell_number(raw: Any, where: str) -> float:
+    """A finite float from a number or the text of a CSV cell."""
     try:
         value = float(raw)
     except (TypeError, ValueError) as exc:
@@ -122,7 +133,8 @@ def load_model(path: str | Path) -> LoadedModel:
     warning when both are present and disagree.
     """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_object)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"),
+                         object_pairs_hook=reject_repeated_keys)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     except OSError as exc:
@@ -138,8 +150,12 @@ def load_model(path: str | Path) -> LoadedModel:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _object(pairs: list[tuple[str, Any]]) -> dict:
-    # json keeps the last of repeated keys, silently dropping the others
+def reject_repeated_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """``object_pairs_hook`` for ``json.loads``: a repeated key is a ParseError.
+
+    Plain ``json`` keeps the last of repeated keys, silently dropping
+    the others.
+    """
     obj = {}
     for key, value in pairs:
         if key in obj:
@@ -290,7 +306,7 @@ def load_performances_csv(path: str | Path, criteria) -> PerformanceTable:
             )
         action = row[0].strip()
         values = tuple(
-            _number(cell, f"{path}:{line_no}: column {name!r}")
+            _cell_number(cell, f"{path}:{line_no}: column {name!r}")
             for name, cell in zip(names, row[1:])
         )
         if action in table_rows:

@@ -4,10 +4,12 @@ edit operations, and checkers for the method's consistency guarantees
 
 Each checker verifies its own hypothesis (the separability flags its
 guarantee is stated under) before asserting the conclusion; when the
-hypothesis fails the report is marked gated rather than failed. On a
-genuine failure the offending instance is shrunk by dropping criteria,
-then profiles, then actions, and the smallest failing instance's digest
-is recorded.
+hypothesis fails the report is marked gated rather than failed. Soft
+dominance is read from dominance alone (:func:`refsets.soft_dominance`);
+only conformity, which also needs soft preference, reads a separability
+table. On a genuine failure the offending instance is shrunk by
+dropping criteria, then profiles, then actions, and the smallest
+failing instance's digest is recorded.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .refsets import (
     classify_relations,
     level_relations,
     profile_relations,
+    soft_dominance,
 )
 from .scoring import scan_bounds
 
@@ -409,9 +412,7 @@ def check_propositions(
     check_cutting_level(lam)
     kernel = compile_criteria(criteria)
     table = ProfileTable(kernel, refs)
-    sep = table.separability(lam)
-    primal = sep.all_soft_dominance_primal
-    dual = sep.all_soft_dominance_dual
+    primal, dual = soft_dominance(criteria, refs)
     scores = refs.scores
 
     failures: list[PropertyFailure] = []
@@ -583,11 +584,13 @@ def check_stability(
     Checks the coarse one-level window against the original neighbours
     and the exact case analysis predicting the new bound. Edits that
     break the soft-dominance hypothesis (before or after) are skipped
-    and counted, not failed.
+    and counted, not failed. The hypothesis is read from dominance
+    alone, so the only credibilities computed, and the only threshold
+    errors raised, are those of the action-profile pairs checked.
     """
     check_cutting_level(lam)
     kernel = compile_criteria(criteria)
-    if not ProfileTable(kernel, refs).separability(lam).soft_dominance:
+    if not all(soft_dominance(criteria, refs)):
         return PropertyReport(
             "stability", 0, (), len(edits), False,
             ("hypothesis not met before edits: soft dominance separability",),
@@ -595,7 +598,7 @@ def check_stability(
     kept = []
     for edit in edits:
         new_refs = apply_edit(refs, edit)
-        if ProfileTable(kernel, new_refs).separability(lam).soft_dominance:
+        if all(soft_dominance(criteria, new_refs)):
             kept.append((edit, new_refs.scores))
     if not kept:  # nothing to check, so no action-profile pair is computed
         return PropertyReport("stability", 0, (), len(edits), True)

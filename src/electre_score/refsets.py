@@ -22,8 +22,10 @@ Batch code computes each pair once: a :class:`ProfileTable` holds the
 credibility between every two profiles for the basic assumptions,
 separability, the lambda bands and each profile's relation to every
 level, and :func:`level_relations` relates one action to every level.
-The public functions validate the cutting level once and compile the
-criteria themselves.
+Soft dominance alone, the hypothesis the checkers and the scoring fast
+path gate on, comes from :func:`soft_dominance`, which computes no
+credibility. The public functions validate the cutting level once and
+compile the criteria themselves.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ class SetClassification(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
+_A_PREFERRED = DerivedRelation.A_PREFERRED
+_B_PREFERRED = DerivedRelation.B_PREFERRED
+_INDIFFERENT = DerivedRelation.INDIFFERENT
+
+
 def classify_relations(relations: Iterable[DerivedRelation]) -> SetClassification:
     """Fold per-profile derived relations into the set-level classification.
 
@@ -60,19 +67,30 @@ def classify_relations(relations: Iterable[DerivedRelation]) -> SetClassificatio
     a one-sided strict preference wins outright, indifference needs at
     least one indifferent profile and no strict preference, and a set
     whose every profile is incomparable is incomparable.
+
+    Every relation is consumed, so each kernel call behind a lazy input
+    still happens. The flags are set by identity: ``set(relations)``
+    would hash each member through the Python-level ``Enum.__hash__``.
     """
-    rels = set(relations)
-    if not rels:
+    empty = True
+    ap = bp = ind = False
+    for rel in relations:
+        empty = False
+        if rel is _A_PREFERRED:
+            ap = True
+        elif rel is _B_PREFERRED:
+            bp = True
+        elif rel is _INDIFFERENT:
+            ind = True
+    if empty:
         raise ValueError("reference set produced no per-profile relations")
-    ap = DerivedRelation.A_PREFERRED in rels
-    bp = DerivedRelation.B_PREFERRED in rels
     if ap and bp:
         return SetClassification.INCOMPARABLE
     if ap:
         return SetClassification.ACTION_PREFERRED
     if bp:
         return SetClassification.SET_PREFERRED
-    if DerivedRelation.INDIFFERENT in rels:
+    if ind:
         return SetClassification.INDIFFERENT
     return SetClassification.INCOMPARABLE
 
@@ -174,6 +192,33 @@ class SeparabilityReport:
     @property
     def soft_preference(self) -> bool:
         return self.all_soft_preference_primal and self.all_soft_preference_dual
+
+
+def soft_dominance(
+    criteria: Sequence[Criterion], refs: ReferenceStructure
+) -> tuple[bool, bool]:
+    """(primal, dual) soft dominance over every pair of levels.
+
+    Primal: each profile of a lower level is dominated by some profile of
+    every higher level. Dual: each profile of a higher level dominates
+    some profile of every lower level. These equal
+    ``all_soft_dominance_primal`` and ``all_soft_dominance_dual`` of
+    :meth:`ProfileTable.separability`, but need no credibility, so no
+    threshold is evaluated.
+
+    Only adjacent levels are compared. Dominance is componentwise ``>=``
+    with one strict ``>``, and on finite values the sign of each
+    difference is exact, so dominance is transitive. A chain of adjacent
+    witnesses then gives a witness at any higher (primal) or lower (dual)
+    level, and both flags over adjacent pairs equal the flags over all
+    pairs.
+    """
+    primal = dual = True
+    for low, high in zip(refs.sets, refs.sets[1:]):
+        dom = [[dominates(criteria, up, down) for up in high.profiles] for down in low.profiles]
+        primal = primal and all(map(any, dom))
+        dual = dual and all(map(any, zip(*dom)))
+    return primal, dual
 
 
 class ProfileTable:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .credibility import compile_criteria
 from .model import Criterion, PerformanceTable, ReferenceStructure, check_cutting_level
-from .refsets import ProfileTable, SetClassification, level_relations
+from .refsets import ProfileTable, SetClassification, level_relations, soft_dominance
 
 # the levels a bound's universal clause admits below (lower) or above (upper) it
 _BELOW_LOWER = (SetClassification.ACTION_PREFERRED, SetClassification.INCOMPARABLE)
@@ -198,7 +198,7 @@ def score_ranges(
     [violations] = profiles.basic_assumption_violations([lam])
     if violations and not force:
         raise BasicAssumptionsViolatedError(violations)
-    fast = profiles.separability(lam).soft_dominance
+    fast = all(soft_dominance(criteria, refs))
 
     scores = refs.scores
     ranges: list[ScoreRange] = []

@@ -10,6 +10,7 @@ being recorded.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Callable, Sequence
 
 from .credibility import concordance, credibility, derived_relation, discordance, dominates
@@ -259,44 +260,40 @@ def _run_checked_suite(
         inst = generate_instance(seed + i, cfg)
         lam = rng.choice(LAMBDA_GRID)
         report = runner(inst, lam, seed + i)
-        if report.failures:
+        failures = report.failures
+        if failures:
             def still_fails(candidate: Instance) -> bool:
                 return bool(runner(candidate, lam, seed + i).failures)
 
             small = shrink_instance(inst, still_fails)
-            report = PropertyReport(
-                report.name,
-                report.trials,
-                tuple(
-                    PropertyFailure(
-                        f.seed, small.digest(), f"{f.case} [shrunk to {small.dims()}]",
-                        f.expected, f.observed,
-                    )
-                    for f in runner(small, lam, seed + i).failures
-                ) or report.failures,
-                report.skipped,
-                report.hypothesis_met,
-                report.notes,
-            )
-        merged = merged.merged(
-            PropertyReport(name, 1, report.failures, report.skipped,
-                           report.hypothesis_met, report.notes)
-        )
+            shrunk = runner(small, lam, seed + i).failures
+            # the runners record no digest: it is computed here, for
+            # failing trials only
+            if shrunk:
+                digest, dims = small.digest(), small.dims()
+                failures = tuple(
+                    PropertyFailure(f.seed, digest, f"{f.case} [shrunk to {dims}]",
+                                    f.expected, f.observed)
+                    for f in shrunk
+                )
+            else:
+                digest = inst.digest()
+                failures = tuple(replace(f, digest=digest) for f in failures)
+        merged = merged.merged(replace(report, name=name, trials=1, failures=failures))
     return merged
 
 
 def run_propositions_suite(trials: int, seed: int) -> PropertyReport:
     def runner(inst: Instance, lam: float, trial_seed: int) -> PropertyReport:
         return check_propositions(inst.refs, inst.criteria, lam, inst.table.rows,
-                                  seed=trial_seed, digest=inst.digest())
+                                  seed=trial_seed)
 
     return _run_checked_suite("propositions", trials, seed, runner)
 
 
 def run_conformity_suite(trials: int, seed: int) -> PropertyReport:
     def runner(inst: Instance, lam: float, trial_seed: int) -> PropertyReport:
-        return check_conformity(inst.refs, inst.criteria, lam,
-                                seed=trial_seed, digest=inst.digest())
+        return check_conformity(inst.refs, inst.criteria, lam, seed=trial_seed)
 
     return _run_checked_suite("conformity", trials, seed, runner)
 
@@ -306,7 +303,7 @@ def run_stability_suite(trials: int, seed: int) -> PropertyReport:
         rng = random.Random(trial_seed ^ 0x5EED)
         edits = make_edits(inst, rng, count=4)
         return check_stability(inst.refs, inst.criteria, lam, edits, inst.table.rows,
-                               seed=trial_seed, digest=inst.digest())
+                               seed=trial_seed)
 
     return _run_checked_suite("stability", trials, seed, runner)
 

@@ -410,6 +410,29 @@ class TestModelFileParsing:
             err = capsys.readouterr().err
             assert f"deck_of_cards.blank_cards[{i}]" in err and repr(bad) in err
 
+    @pytest.mark.parametrize("path, bad", [
+        ((0, "weight"), True),
+        ((1, "weight"), "4"),
+        ((0, "indifference"), True),
+        ((1, "preference", "intercept"), "100"),
+    ], ids=["weight-true", "weight-str", "threshold-true", "intercept-str"])
+    def test_json_number_must_be_a_json_number(self, hotel_files, tmp_path, capsys,
+                                               path, bad):
+        # float() would read true as 1.0 and "4" as 4.0
+        model, perf, _ = hotel_files
+        raw = json.loads(model.read_text())
+        node = raw["criteria"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        model.write_text(json.dumps(raw))
+        code = main(["evaluate", str(model), "--performances", str(perf),
+                     "--lambda", "0.65", "--output", str(tmp_path / "r.json")])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        field = f"criteria[{path[0]}]." + ".".join(path[1:])
+        assert f"{field}: not a number: {bad!r}" in err
+
 
 class TestSyntheticModelValidation:
     def test_strong_dominance_model_is_all_green(self, tmp_path):
@@ -671,6 +694,15 @@ class TestVerifyConfigValues:
         captured = capsys.readouterr()
         assert captured.out == ""  # rejected before any suite runs
         assert "error:" in captured.err
+
+    def test_repeated_key_is_parse_error(self, tmp_path, capsys):
+        # json alone keeps the last value and would run one trial
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"trials": 3, "trials": 1, "suites": ["conformity"]}')
+        assert main(["verify", "--config", str(cfg)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(cfg) in captured.err and "repeated key 'trials'" in captured.err
 
     def test_deeply_nested_config_is_parse_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"

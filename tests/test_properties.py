@@ -3,6 +3,7 @@ import random
 import pytest
 
 from electre_score import properties as props
+from electre_score import refsets
 from electre_score.model import ReferenceSet, ReferenceStructure
 from electre_score.properties import (
     DeleteProfile,
@@ -11,6 +12,8 @@ from electre_score.properties import (
     InsertProfile,
     InsertSet,
     InvalidEditError,
+    PropertyFailure,
+    PropertyReport,
     apply_edit,
     check_conformity,
     check_propositions,
@@ -284,6 +287,72 @@ class TestStabilityChecker:
         assert not report.hypothesis_met
         assert report.trials == 0
 
+    @pytest.mark.parametrize("seed", [1, 4])  # neither flag; dual only
+    def test_gated_structure_computes_no_credibility(self, seed, monkeypatch):
+        calls = []
+        kernel = refsets.sigma_pair
+
+        def counting(compiled, pa, pb):
+            calls.append((pa, pb))
+            return kernel(compiled, pa, pb)
+
+        monkeypatch.setattr(refsets, "sigma_pair", counting)
+        inst = generate_instance(seed, GeneratorConfig(n_levels=4, strong_dominance=False))
+        edits = make_edits(inst, random.Random(seed), count=4)
+        report = check_stability(inst.refs, inst.criteria, 0.75, edits, inst.table.rows)
+        assert not report.hypothesis_met and report.skipped == len(edits)
+        assert calls == []
+
+
+def _negative_threshold_chain(levels):
+    # q = 1 - 0.1 w and p = 2 - 0.1 w at the worse value w of a pair: a
+    # pair whose worse value exceeds 10 raises NegativeThresholdError, so
+    # every pair between the profiles at 20 and 30 does, and an action at
+    # 5 against any profile does not
+    from electre_score.model import Criterion, Direction, ThresholdMode, ThresholdSpec
+
+    crit = (Criterion("g", Direction.MAX, 1.0,
+                      ThresholdSpec(1.0, -0.1, ThresholdMode.DIRECT),
+                      ThresholdSpec(2.0, -0.1, ThresholdMode.DIRECT)),)
+    refs = ReferenceStructure(tuple(
+        ReferenceSet(10.0 * (k + 1), ((g,),)) for k, g in enumerate(levels)
+    ))
+    return crit, refs
+
+
+class TestStabilityThresholdErrors:
+    # the gate reads dominance only: a threshold error can come only from
+    # the action-profile pairs the checker computes
+
+    def test_profile_pairs_raise(self):
+        from electre_score.credibility import NegativeThresholdError, compile_criteria
+        from electre_score.refsets import ProfileTable
+
+        crit, refs = _negative_threshold_chain((0.0, 20.0, 30.0))
+        with pytest.raises(NegativeThresholdError):
+            ProfileTable(compile_criteria(crit), refs)
+
+    def test_gated_structure_evaluates_no_threshold(self):
+        crit, refs = _negative_threshold_chain((0.0, 30.0, 20.0))
+        report = check_stability(refs, crit, 0.75, [DeleteSet(1)], {"a": (5.0,)})
+        assert not report.hypothesis_met
+        assert (report.trials, report.skipped) == (0, 1)
+
+    def test_action_pairs_only(self):
+        crit, refs = _negative_threshold_chain((0.0, 20.0, 30.0))
+        # a beats the profile at 0 beyond p and loses to the others
+        report = check_stability(refs, crit, 0.75, [InsertProfile(1, (21.0,))],
+                                 {"a": (5.0,)})
+        assert report.hypothesis_met and report.failures == ()
+        assert report.trials == 1
+
+    def test_action_pair_error_still_raised(self):
+        from electre_score.credibility import NegativeThresholdError
+
+        crit, refs = _negative_threshold_chain((0.0, 20.0, 30.0))
+        with pytest.raises(NegativeThresholdError):
+            check_stability(refs, crit, 0.75, [DeleteSet(1)], {"a": (15.0,)})
+
 
 class TestShrinker:
     def test_shrinks_to_minimal_failing_instance(self):
@@ -319,6 +388,43 @@ class TestSuiteReproducibility:
         a = generate_instance(100)
         b = generate_instance(101)
         assert a.digest() != b.digest()
+
+
+class TestFailingTrialDigest:
+    # a failing trial's digest is computed when it is recorded, from the
+    # instance its failures are reported on
+
+    @staticmethod
+    def _failure(trial_seed):
+        return PropertyReport("x", 1, (PropertyFailure(trial_seed, "", "case", "e", "o"),))
+
+    def test_shrunk_failure_carries_the_shrunk_digest(self):
+        from electre_score.suites import _run_checked_suite
+
+        seen = []
+
+        def runner(inst, lam, trial_seed):
+            seen.append(inst)
+            return self._failure(trial_seed)
+
+        [failure] = _run_checked_suite("x", 1, 5, runner).failures
+        small = seen[-1]
+        assert small.dims() == "1crit/2lvl/2prof/0act"
+        assert failure.digest == small.digest()
+        assert failure.case == f"case [shrunk to {small.dims()}]"
+
+    def test_unreproduced_failure_carries_the_trial_digest(self):
+        from electre_score.suites import _run_checked_suite
+
+        seen = []
+
+        def runner(inst, lam, trial_seed):
+            seen.append(inst)
+            return self._failure(trial_seed) if len(seen) == 1 else PropertyReport("x", 1)
+
+        [failure] = _run_checked_suite("x", 1, 5, runner).failures
+        assert failure.digest == seen[0].digest()
+        assert failure.case == "case"
 
 
 class TestEditFlagPreservation:

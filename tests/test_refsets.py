@@ -9,7 +9,7 @@ from electre_score.credibility import (
     credibility,
     derived_relation,
 )
-from electre_score.properties import GeneratorConfig, generate_instance
+from electre_score.properties import GeneratorConfig, apply_edit, generate_instance, make_edits
 from electre_score.refsets import (
     ProfileTable,
     SetClassification,
@@ -17,6 +17,7 @@ from electre_score.refsets import (
     check_separability,
     classify_action_vs_levels,
     classify_relations,
+    soft_dominance,
     validate_basic_assumptions,
 )
 
@@ -224,6 +225,45 @@ class TestSeparability:
                     assert flags.soft_dominance_primal and flags.soft_dominance_dual
                 if flags.strong_preference:
                     assert flags.soft_preference_primal and flags.soft_preference_dual
+
+
+class TestSoftDominance:
+    # soft_dominance compares adjacent levels only; the separability
+    # table compares every level pair, so agreement pins the
+    # transitivity argument on structures where the flags vary
+
+    @staticmethod
+    def _free_instances():
+        for seed in range(60):
+            rng = random.Random(seed)
+            inst = generate_instance(seed, GeneratorConfig(
+                n_criteria=rng.randint(1, 4), n_levels=rng.randint(2, 5),
+                max_profiles_per_level=rng.randint(1, 3), n_actions=0,
+                strong_dominance=False))
+            edited = [apply_edit(inst.refs, e)
+                      for e in make_edits(inst, random.Random(seed), count=8)]
+            yield inst.criteria, inst.refs, edited
+
+    def test_equals_separability_flags(self):
+        seen = set()
+        for criteria, refs, _ in self._free_instances():
+            sep = ProfileTable(compile_criteria(criteria), refs).separability(0.75)
+            flags = soft_dominance(criteria, refs)
+            assert flags == (sep.all_soft_dominance_primal, sep.all_soft_dominance_dual)
+            seen.update(enumerate(flags))
+        # each flag occurs both true and false
+        assert seen == {(0, True), (0, False), (1, True), (1, False)}
+
+    def test_equals_separability_flags_after_every_edit(self):
+        for criteria, _, edited in self._free_instances():
+            for refs in edited:
+                sep = ProfileTable(compile_criteria(criteria), refs).separability(0.75)
+                assert soft_dominance(criteria, refs) == (
+                    sep.all_soft_dominance_primal, sep.all_soft_dominance_dual)
+
+    def test_hotel_fails_both_ways(self, hotel):
+        # the level-3 profile has IMAGE 1, below both level-2 profiles
+        assert soft_dominance(hotel["criteria"], hotel["refs"]) == (False, False)
 
 
 class TestComparability:
