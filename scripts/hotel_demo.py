@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import argparse
+from pathlib import Path
 
 from electre_score.credibility import compile_criteria, sigma_pair
-from electre_score.hotel import hotel_criteria, hotel_reference_structure, hotel_table
+from electre_score.files import load_model, load_performances_csv
 from electre_score.refsets import check_comparability, check_separability
 from electre_score.scoring import score_ranges
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def main() -> None:
@@ -15,9 +18,9 @@ def main() -> None:
     parser.add_argument("--lambda", dest="lam", type=float, default=0.65)
     args = parser.parse_args()
 
-    criteria = hotel_criteria()
-    table = hotel_table()
-    refs = hotel_reference_structure()
+    model = load_model(DATA / "hotel_model.json")
+    criteria, refs = model.criteria, model.refs
+    table = load_performances_csv(DATA / "hotel_performances.csv", criteria)
 
     kernel = compile_criteria(criteria)
     profiles = [(name, vec) for name, _, _, vec in refs.flat_profiles()]

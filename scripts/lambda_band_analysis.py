@@ -10,24 +10,22 @@ mismatch columns).
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from electre_score.credibility import compile_criteria, credibility
-from electre_score.hotel import (
-    HOTEL_SCORES,
-    hotel_criteria,
-    hotel_reference_structure,
-    hotel_table,
-    hotel_target_relations,
-)
+from electre_score.files import load_model, load_performances_csv, load_target_csv
 from electre_score.refsets import ProfileTable
 from electre_score.scoring import score_ranges
 from electre_score.sweep import sweep_lambda
 
+DATA = Path(__file__).resolve().parent.parent / "data"
+
 
 def main() -> None:
-    criteria = hotel_criteria()
-    table = hotel_table()
-    refs = hotel_reference_structure()
-    target = hotel_target_relations()
+    model = load_model(DATA / "hotel_model.json")
+    criteria, refs = model.criteria, model.refs
+    table = load_performances_csv(DATA / "hotel_performances.csv", criteria)
+    target = load_target_csv(DATA / "hotel_target_relations.csv")
 
     result = sweep_lambda(table, refs, criteria, target)
     print(f"breakpoints ({len(result.breakpoints)}):")
@@ -38,12 +36,13 @@ def main() -> None:
         f"{result.best_band.upper:.9f}] misses: {list(result.mismatches_best)}"
     )
 
+    scores = refs.scores
     shipped = {
-        "a1": (HOTEL_SCORES[2], HOTEL_SCORES[5]),
-        "a2": (HOTEL_SCORES[3], HOTEL_SCORES[5]),
-        "a3": (HOTEL_SCORES[3], HOTEL_SCORES[5]),
-        "a4": (HOTEL_SCORES[2], HOTEL_SCORES[4]),
-        "a5": (HOTEL_SCORES[2], HOTEL_SCORES[4]),
+        "a1": (scores[2], scores[5]),
+        "a2": (scores[3], scores[5]),
+        "a3": (scores[3], scores[5]),
+        "a4": (scores[2], scores[4]),
+        "a5": (scores[2], scores[4]),
     }
 
     print("\nper-band details (right endpoint used as representative):")

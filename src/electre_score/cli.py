@@ -37,9 +37,9 @@ from .model import (
     validate_model,
 )
 from .refsets import ProfileTable, check_comparability, is_comparable
-from .scoring import BasicAssumptionsViolatedError, deck_of_cards_scores, score_ranges
+from .scoring import BasicAssumptionsViolatedError, score_ranges
 
-# sweep, hotel and the verify suites (properties, hashlib, random) are
+# sweep and the verify suites (properties, hashlib, random) are
 # imported inside the commands that run them: every command is its own
 # short process, and the others should not pay to load them
 
@@ -223,14 +223,7 @@ def _separability_json(separability) -> dict:
     pairs = []
     for (lo, hi), flags in sorted(separability.pairs.items()):
         pairs.append({
-            "lower_level": lo + 1,
-            "higher_level": hi + 1,
-            "strong_dominance": flags.strong_dominance,
-            "soft_dominance_primal": flags.soft_dominance_primal,
-            "soft_dominance_dual": flags.soft_dominance_dual,
-            "strong_preference": flags.strong_preference,
-            "soft_preference_primal": flags.soft_preference_primal,
-            "soft_preference_dual": flags.soft_preference_dual,
+            "lower_level": lo + 1, "higher_level": hi + 1, **dataclasses.asdict(flags),
         })
     return {
         "pairs": pairs,
@@ -315,22 +308,6 @@ def cmd_sweep_lambda(args) -> int:
     return EXIT_OK
 
 
-def _deck_example_report():
-    from .hotel import HOTEL_DECK, HOTEL_SCORES
-    from .properties import PropertyReport
-
-    computed = deck_of_cards_scores(HOTEL_DECK)
-    matches = all(abs(c - s) < 1e-6 for c, s in zip(computed, HOTEL_SCORES))
-    return PropertyReport("deck-example", 1, notes=(
-        "documented discrepancy: the bundled hotel deck's blank-card "
-        "counts do not reproduce its elicited score list under the "
-        "cumulative unit formula; the elicited list stays authoritative",
-        f"computed: {[round(x, 4) for x in computed]}",
-        f"elicited: {[round(x, 4) for x in HOTEL_SCORES]}",
-        f"formula-consistent: {matches}",
-    ))
-
-
 def _config_int(config: dict, key: str, default: int) -> int:
     value = config.get(key, default)
     # bool is an int subclass; a JSON true is not a count
@@ -362,7 +339,7 @@ def cmd_verify(args) -> int:
         isinstance(name, str) for name in suite_names
     ):
         raise _Exit(EXIT_PARSE, f"config 'suites' must be a list of names, got {suite_names!r}")
-    unknown = [name for name in suite_names if name != "deck-example" and name not in SUITES]
+    unknown = [name for name in suite_names if name not in SUITES]
     if unknown:
         raise _Exit(EXIT_PARSE, f"unknown suite {unknown[0]!r}")
 
@@ -372,10 +349,7 @@ def cmd_verify(args) -> int:
 
     any_failure = False
     for name in suite_names:
-        if name == "deck-example":
-            report = _deck_example_report()
-        else:
-            report = SUITES[name](trials, seed)
+        report = SUITES[name](trials, seed)
         any_failure = any_failure or not report.passed
         print(
             f"{report.name}: {'PASS' if report.passed else 'FAIL'} "

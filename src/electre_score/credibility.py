@@ -37,10 +37,6 @@ class InvalidVetoError(ValueError):
     """Veto threshold does not exceed the preference threshold."""
 
 
-class DegenerateIntervalError(ValueError):
-    """A pair fell in the weak-preference zone while p = q makes it empty."""
-
-
 class PerCriterionRelation(enum.Enum):
     STRICT_PREF_A = "strict_pref_a"
     WEAK_PREF_A = "weak_pref_a"
@@ -133,12 +129,9 @@ def concordance(
         ):
             numerator += crit.weight
         elif rel is PerCriterionRelation.WEAK_PREF_B:
+            # -p <= delta < -q here, so p > q
             q = threshold_at(crit.indifference, crit, pa[j], pb[j])
             p = threshold_at(crit.preference, crit, pa[j], pb[j])
-            if p == q:
-                raise DegenerateIntervalError(
-                    f"criterion {crit.name}: weak zone hit while p = q = {p}"
-                )
             phi = (advantage(crit, pa[j], pb[j]) + p) / (p - q)
             numerator += phi * crit.weight
     return numerator / total_weight

@@ -44,7 +44,13 @@ def _number(raw: Any, where: str) -> float:
 
 
 def _cell_number(raw: Any, where: str) -> float:
-    """A finite float from a number or the text of a CSV cell."""
+    """A finite float from a number or the text of a CSV cell.
+
+    ``float`` also reads digit-group underscores, so a typo such as
+    ``1_3000`` would load as 13000; cell text with ``_`` is refused.
+    """
+    if isinstance(raw, str) and "_" in raw:
+        raise ParseError(f"{where}: not a number: {raw!r}")
     try:
         value = float(raw)
     except (TypeError, ValueError) as exc:
@@ -98,10 +104,13 @@ def _criterion_from_json(raw: Any, index: int) -> Criterion:
         raise ParseError(f"{where}: {exc}") from exc
     veto = raw.get("veto")
     veto_spec = None if veto is None else _threshold_from_json(veto, f"{where}.veto")
+    # bool() would make any non-empty string, "false" included, ordinal
+    ordinal = raw.get("ordinal", False)
+    if not isinstance(ordinal, bool):
+        raise ParseError(f"{where}.ordinal: not a boolean: {ordinal!r}")
     try:
         return Criterion(
-            name, direction, weight, indifference, preference, veto_spec,
-            ordinal=bool(raw.get("ordinal", False)),
+            name, direction, weight, indifference, preference, veto_spec, ordinal=ordinal,
         )
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from exc

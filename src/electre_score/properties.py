@@ -278,6 +278,7 @@ def apply_edit(refs: ReferenceStructure, edit: EditOperation) -> ReferenceStruct
 
 @dataclass(frozen=True)
 class PropertyFailure:
+    # the checkers leave seed None and digest empty; the suites stamp both
     seed: int | None
     digest: str
     case: str
@@ -317,8 +318,6 @@ def check_conformity(
     refs: ReferenceStructure,
     criteria: Sequence[Criterion],
     lam: float,
-    seed: int | None = None,
-    digest: str = "",
 ) -> PropertyReport:
     """Interior profiles, scored as actions, must get their neighbours' scores.
 
@@ -343,7 +342,7 @@ def check_conformity(
             observed = (None if lo is None else lo[0], None if hi is None else hi[0])
             if observed != expected:
                 entry = PropertyFailure(
-                    seed, digest, f"profile L{k}P{p} at level {k + 1}",
+                    None, "", f"profile L{k}P{p} at level {k + 1}",
                     f"bounds {expected}", f"bounds {observed}",
                 )
                 if hypothesis:
@@ -396,8 +395,6 @@ def check_propositions(
     criteria: Sequence[Criterion],
     lam: float,
     actions: Mapping[str, Sequence[float]],
-    seed: int | None = None,
-    digest: str = "",
 ) -> PropertyReport:
     """Set-relation implications plus the bound characterizations.
 
@@ -421,7 +418,7 @@ def check_propositions(
     trials = 0
 
     def fail(case: str, expected: str, observed: str) -> None:
-        failures.append(PropertyFailure(seed, digest, case, expected, observed))
+        failures.append(PropertyFailure(None, "", case, expected, observed))
 
     for name, vec in actions.items():
         trials += 1
@@ -576,8 +573,6 @@ def check_stability(
     lam: float,
     edits: Sequence[EditOperation],
     actions: Mapping[str, Sequence[float]],
-    seed: int | None = None,
-    digest: str = "",
 ) -> PropertyReport:
     """Every single insert/delete moves each bound by at most one level.
 
@@ -636,20 +631,20 @@ def check_stability(
             lo_ceil = scores[r + 1] if r + 1 < len(scores) else float("inf")
             if got_lower is not None and not lo_floor <= got_lower <= lo_ceil:
                 failures.append(PropertyFailure(
-                    seed, digest, f"{name} lower window after {edit!r}",
+                    None, "", f"{name} lower window after {edit!r}",
                     f"[{lo_floor}, {lo_ceil}]", f"{got_lower}",
                 ))
             hi_floor = scores[t - 1] if t >= 1 else float("-inf")
             hi_ceil = scores[t + 1] if t + 1 < len(scores) else float("inf")
             if got_upper is not None and not hi_floor <= got_upper <= hi_ceil:
                 failures.append(PropertyFailure(
-                    seed, digest, f"{name} upper window after {edit!r}",
+                    None, "", f"{name} upper window after {edit!r}",
                     f"[{hi_floor}, {hi_ceil}]", f"{got_upper}",
                 ))
 
             if (got_lower, got_upper) != (exp_lower, exp_upper):
                 failures.append(PropertyFailure(
-                    seed, digest, f"{name} exact case analysis after {edit!r}",
+                    None, "", f"{name} exact case analysis after {edit!r}",
                     f"bounds ({exp_lower}, {exp_upper})",
                     f"bounds ({got_lower}, {got_upper})",
                 ))

@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -5,23 +6,29 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from electre_score.hotel import (
-    hotel_criteria,
-    hotel_reference_structure,
-    hotel_table,
-    hotel_target_relations,
-)
+from electre_score.files import load_model, load_performances_csv, load_target_csv
+from electre_score.scoring import DeckOfCards
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 @pytest.fixture(scope="session")
 def hotel():
-    criteria = hotel_criteria()
+    """The bundled hotel example, read from its files in data/."""
+    model = load_model(DATA / "hotel_model.json")
     return {
-        "criteria": criteria,
-        "table": hotel_table(),
-        "refs": hotel_reference_structure(),
-        "target": hotel_target_relations(),
+        "criteria": model.criteria,
+        "table": load_performances_csv(DATA / "hotel_performances.csv", model.criteria),
+        "refs": model.refs,
+        "target": load_target_csv(DATA / "hotel_target_relations.csv"),
     }
+
+
+@pytest.fixture(scope="session")
+def hotel_deck():
+    """The deck-of-cards block of data/hotel_model.json."""
+    block = json.loads((DATA / "hotel_model.json").read_text())["deck_of_cards"]
+    return DeckOfCards(tuple(block["blank_cards"]), tuple(block["anchors"]))
 
 
 @pytest.fixture(scope="session")
@@ -34,4 +41,4 @@ def hotel_vectors(hotel):
 
 @pytest.fixture(scope="session")
 def data_dir():
-    return Path(__file__).resolve().parent.parent / "data"
+    return DATA

@@ -20,7 +20,6 @@ import pytest
 
 from electre_score.cli import main
 from electre_score.credibility import concordance, credibility
-from electre_score.hotel import HOTEL_DECK, HOTEL_SCORES
 from electre_score.refsets import check_separability, validate_basic_assumptions
 from electre_score.scoring import deck_of_cards_scores
 from electre_score.suites import (
@@ -118,14 +117,14 @@ def test_criterion_2_score_ranges(hotel_sweep, hotel, data_dir, tmp_path):
 
 
 @_criterion("3 deck-of-cards unit and scores")
-def test_criterion_3_deck_of_cards():
-    assert HOTEL_DECK.unit() == pytest.approx(100.0 / 12.0, abs=1e-6)
-    computed = deck_of_cards_scores(HOTEL_DECK)
+def test_criterion_3_deck_of_cards(hotel, hotel_deck):
+    assert hotel_deck.unit() == pytest.approx(100.0 / 12.0, abs=1e-6)
+    computed = deck_of_cards_scores(hotel_deck)
     formula = [0.0, 16.6667, 41.6667, 50.0, 66.6667, 75.0, 100.0]
     assert computed == pytest.approx(formula, abs=1e-4)
     # the bundled elicited list is not formula-consistent with its own
     # blank-card counts: the discrepancy is documented, not resolved
-    assert any(abs(c - s) > 1e-4 for c, s in zip(computed, HOTEL_SCORES))
+    assert any(abs(c - s) > 1e-4 for c, s in zip(computed, hotel["refs"].scores))
 
 
 @_criterion("4 credibility spot checks")

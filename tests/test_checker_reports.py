@@ -14,7 +14,7 @@ Regenerate (only when a report is meant to change) with::
 
 import json
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from electre_score.properties import (
@@ -52,13 +52,16 @@ def reports(seed, config, lam, rename=lambda name: name) -> dict:
     actions = {rename(a): inst.table.vector(a) for a in inst.table.actions}
     edits = make_edits(inst, random.Random(seed ^ 0x5EED), count=4)
     digest = inst.digest()
+
+    def stamped(report) -> dict:
+        # the checkers leave seed and digest to their caller, as the suites do
+        failures = tuple(replace(f, seed=seed, digest=digest) for f in report.failures)
+        return asdict(replace(report, failures=failures))
+
     return {
-        "conformity": asdict(check_conformity(
-            inst.refs, inst.criteria, lam, seed=seed, digest=digest)),
-        "propositions": asdict(check_propositions(
-            inst.refs, inst.criteria, lam, actions, seed=seed, digest=digest)),
-        "stability": asdict(check_stability(
-            inst.refs, inst.criteria, lam, edits, actions, seed=seed, digest=digest)),
+        "conformity": stamped(check_conformity(inst.refs, inst.criteria, lam)),
+        "propositions": stamped(check_propositions(inst.refs, inst.criteria, lam, actions)),
+        "stability": stamped(check_stability(inst.refs, inst.criteria, lam, edits, actions)),
     }
 
 

@@ -66,6 +66,22 @@ class TestEvaluate:
                      "--lambda", "0.65", "--output", str(tmp_path / "r.json")])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("cell", ["1_3000", "13_000", "3_000.5"])
+    def test_digit_group_underscore_is_parse_error(self, hotel_files, tmp_path,
+                                                    capsys, cell):
+        # float() reads "1_3000" as 13000.0
+        model, perf, _ = hotel_files
+        with open(perf, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][1] = cell  # a1, ICOST
+        with open(perf, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        code = main(["evaluate", str(model), "--performances", str(perf),
+                     "--lambda", "0.65", "--output", str(tmp_path / "r.json")])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"{perf}:2: column 'ICOST': not a number: {cell!r}" in err
+
     def test_lambda_required(self, hotel_files, tmp_path):
         model, perf, _ = hotel_files
         code = main(["evaluate", str(model), "--performances", str(perf),
@@ -328,6 +344,23 @@ class TestVerify:
         assert any("discrepancy" in n for n in payload["notes"])
         assert any("formula-consistent: False" in n for n in payload["notes"])
 
+    def test_config_only_suites(self, tmp_path, capsys):
+        # the two suites the default run leaves out, named in a config
+        names = ("sigma-invariants-veto", "variable-thresholds")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 4, "seed": 2, "suites": list(names)}))
+        out = tmp_path / "reports"
+        code = main(["verify", "--config", str(cfg), "--output", str(out)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            f"{name}: PASS (4 trials, 0 failures, 0 skipped)" for name in names
+        ]
+        assert sorted(p.name for p in out.iterdir()) == [f"{name}.json" for name in names]
+        for name in names:
+            payload = json.loads((out / f"{name}.json").read_text())
+            assert payload["name"] == name
+            assert payload["trials"] == 4 and payload["passed"] is True
+
     def test_unknown_suite_is_parse_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"suites": ["nope"]}))
@@ -432,6 +465,20 @@ class TestModelFileParsing:
         err = capsys.readouterr().err
         field = f"criteria[{path[0]}]." + ".".join(path[1:])
         assert f"{field}: not a number: {bad!r}" in err
+
+    @pytest.mark.parametrize("bad", ["false", "true", 0, 1, None, []],
+                             ids=["str-false", "str-true", "0", "1", "null", "array"])
+    def test_ordinal_must_be_a_json_boolean(self, hotel_files, tmp_path, capsys, bad):
+        # bool() would make "false", 1 and [] ordinal or not by truthiness
+        model, perf, _ = hotel_files
+        raw = json.loads(model.read_text())
+        raw["criteria"][0]["ordinal"] = bad
+        model.write_text(json.dumps(raw))
+        code = main(["evaluate", str(model), "--performances", str(perf),
+                     "--lambda", "0.65", "--output", str(tmp_path / "r.json")])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert str(model) in err and f"criteria[0].ordinal: not a boolean: {bad!r}" in err
 
 
 class TestSyntheticModelValidation:
@@ -745,7 +792,7 @@ class TestNonUtf8Input:
 
 class TestLazyImports:
     """Importing the CLI loads only what evaluate, validate and sigma run;
-    the sweep, the verify suites and the hotel data load with their command."""
+    the sweep and the verify suites load with their command."""
 
     ROOT = Path(__file__).resolve().parent.parent
 
@@ -762,7 +809,7 @@ class TestLazyImports:
         assert proc.returncode == 0, proc.stderr
         loaded = proc.stdout.strip()
         assert "electre_score.cli" in loaded
-        for module in ("suites", "properties", "hotel", "sweep"):
+        for module in ("suites", "properties", "sweep"):
             assert f"'electre_score.{module}'" not in loaded
 
 

@@ -1,5 +1,6 @@
 """The file boundary: any file content loads or fails with a ParseError,
-and reports are written with the bytes of the json module."""
+reports are written with the bytes of the json module, and the bundled
+hotel example in data/ agrees with its independent copies."""
 
 import json
 from pathlib import Path
@@ -16,10 +17,18 @@ from electre_score.files import (
     load_target_csv,
     write_report,
 )
-from electre_score.hotel import hotel_criteria
+from electre_score.suites import HOTEL_DECK, HOTEL_SCORES
+
+from oracle import (
+    HOTEL_ORACLE_ACTIONS,
+    HOTEL_ORACLE_CRITERIA,
+    HOTEL_ORACLE_LEVELS,
+    engine_criterion_to_dict,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 HOTEL_MODEL = json.loads((DATA / "hotel_model.json").read_text())
+HOTEL_CRITERIA = load_model(DATA / "hotel_model.json").criteria
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +49,7 @@ def test_arbitrary_bytes(scratch, data):
     scratch.write_bytes(data)
     model = _loads_or_parse_error(load_model, scratch)
     assert model is None or isinstance(model, LoadedModel)
-    _loads_or_parse_error(lambda p: load_performances_csv(p, hotel_criteria()), scratch)
+    _loads_or_parse_error(lambda p: load_performances_csv(p, HOTEL_CRITERIA), scratch)
     target = _loads_or_parse_error(load_target_csv, scratch)
     assert target is None or isinstance(target, dict)
 
@@ -49,9 +58,9 @@ def test_arbitrary_bytes(scratch, data):
 @given(st.binary(max_size=200))
 def test_arbitrary_bytes_after_valid_header(scratch, data):
     # past the header the CSV loaders read every row and cell
-    header = ",".join(["id"] + [c.name for c in hotel_criteria()]).encode() + b"\n"
+    header = ",".join(["id"] + [c.name for c in HOTEL_CRITERIA]).encode() + b"\n"
     scratch.write_bytes(header + data)
-    _loads_or_parse_error(lambda p: load_performances_csv(p, hotel_criteria()), scratch)
+    _loads_or_parse_error(lambda p: load_performances_csv(p, HOTEL_CRITERIA), scratch)
     _loads_or_parse_error(load_target_csv, scratch)
 
 
@@ -91,6 +100,27 @@ def test_hotel_model_with_one_value_replaced(scratch, path, value):
     scratch.write_text(json.dumps(raw))
     model = _loads_or_parse_error(load_model, scratch)
     assert model is None or isinstance(model, LoadedModel)
+
+
+class TestBundledHotelData:
+    """data/ holds the only packaged copy of the hotel example; it must
+    equal the literal re-entered in tests/oracle.py, and the deck-example
+    notice's constants must equal its deck block and scores."""
+
+    def test_criteria(self, hotel):
+        assert [engine_criterion_to_dict(c) for c in hotel["criteria"]] == HOTEL_ORACLE_CRITERIA
+
+    def test_performances_in_row_order(self, hotel):
+        assert list(hotel["table"].rows.items()) == list(HOTEL_ORACLE_ACTIONS.items())
+
+    def test_profiles(self, hotel):
+        assert [list(ref.profiles) for ref in hotel["refs"].sets] == HOTEL_ORACLE_LEVELS
+
+    def test_deck_example_constants(self):
+        deck = HOTEL_MODEL["deck_of_cards"]
+        assert HOTEL_DECK.blank_cards == tuple(deck["blank_cards"])
+        assert HOTEL_DECK.anchors == tuple(deck["anchors"])
+        assert HOTEL_SCORES == tuple(s["score"] for s in HOTEL_MODEL["reference_sets"])
 
 
 def _reference_report(value) -> str:

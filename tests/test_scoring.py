@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from electre_score.hotel import HOTEL_DECK, HOTEL_SCORES
 from electre_score.model import Direction, PerformanceTable, ReferenceSet, ReferenceStructure
 from electre_score.properties import GeneratorConfig, generate_instance
 from electre_score.refsets import classify_action_vs_levels
@@ -28,22 +27,22 @@ def bounds(vec, refs, crit, lam, fast=False):
 
 
 class TestDeckOfCards:
-    def test_unit_value(self):
+    def test_unit_value(self, hotel_deck):
         # 12 units between the anchors: (1+1)+(2+1)+(0+1)+(1+1)+(0+1)+(2+1)
-        assert HOTEL_DECK.unit() == pytest.approx(100.0 / 12.0, abs=1e-6)
+        assert hotel_deck.unit() == pytest.approx(100.0 / 12.0, abs=1e-6)
 
-    def test_cumulative_scores(self):
-        scores = deck_of_cards_scores(HOTEL_DECK)
+    def test_cumulative_scores(self, hotel_deck):
+        scores = deck_of_cards_scores(hotel_deck)
         expected = [0.0, 2 * 100 / 12, 5 * 100 / 12, 50.0, 8 * 100 / 12, 75.0, 100.0]
         assert scores == pytest.approx(expected, abs=1e-4)
 
-    def test_elicited_hotel_scores_are_not_formula_consistent(self):
+    def test_elicited_hotel_scores_are_not_formula_consistent(self, hotel, hotel_deck):
         # the recorded blank cards do not reproduce the elicited list:
         # the formula gives (0, 16.67, 41.67, 50, 66.67, 75, 100) while the
         # elicited list is (0, 25, 33.33, 50, 58.33, 83.33, 100)
-        computed = deck_of_cards_scores(HOTEL_DECK)
+        computed = deck_of_cards_scores(hotel_deck)
         assert any(
-            abs(c - s) > 1e-4 for c, s in zip(computed, HOTEL_SCORES)
+            abs(c - s) > 1e-4 for c, s in zip(computed, hotel["refs"].scores)
         )
 
     def test_two_levels_span_scale(self):
