@@ -190,16 +190,16 @@ def credibility(
 # errors in the same order.
 
 # where a threshold's base value comes from
-_CONSTANT, _LOWER, _HIGHER = 0, 1, 2
+CONSTANT, LOWER, HIGHER = 0, 1, 2
 
 
 def _compile_spec(spec: ThresholdSpec, is_max: bool) -> tuple[int, float, float]:
     if spec.mode is ThresholdMode.CONSTANT:
-        return _CONSTANT, spec.intercept, 0.0
+        return CONSTANT, spec.intercept, 0.0
     # direct thresholds read the worse value, inverse ones the better
     worse_is_lower = is_max
     reads_lower = worse_is_lower == (spec.mode is ThresholdMode.DIRECT)
-    return (_LOWER if reads_lower else _HIGHER), spec.intercept, spec.slope
+    return (LOWER if reads_lower else HIGHER), spec.intercept, spec.slope
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,8 @@ class CompiledCriteria:
     """Criteria flattened to plain tuples for :func:`sigma_pair`.
 
     Each row is ``(name, is_max, weight, q, p, v)`` where q, p and v are
-    ``(base, intercept, slope)`` and v is None without a veto.
+    ``(base, intercept, slope)`` and v is None without a veto. The base,
+    CONSTANT, LOWER or HIGHER, says which value of a pair a threshold reads.
     """
 
     criteria: tuple[Criterion, ...]
@@ -253,12 +254,12 @@ def sigma_pair(
         # a constant threshold (base 0) is its intercept, with no addition
         base, q, slope = qs
         if base:
-            q = q + slope * (lower if base == _LOWER else higher)
+            q = q + slope * (lower if base == LOWER else higher)
         if q < 0:
             raise _negative(name, q, x, y)
         base, p, slope = ps
         if base:
-            p = p + slope * (lower if base == _LOWER else higher)
+            p = p + slope * (lower if base == LOWER else higher)
         if p < 0:
             raise _negative(name, p, x, y)
         if q > p:
@@ -280,7 +281,7 @@ def sigma_pair(
         if vs is not None:
             base, v, slope = vs
             if base:
-                v = v + slope * (lower if base == _LOWER else higher)
+                v = v + slope * (lower if base == LOWER else higher)
             if v <= p or d < -p or d > p:
                 vetoes.append((name, x, y, d, p, v))
     c_ab = num_ab / kernel.total_weight

@@ -63,6 +63,14 @@ def _cell_number(raw: Any, where: str) -> float:
     return value
 
 
+def _string(raw: Any, where: str) -> str:
+    """A JSON string, or a ParseError naming it; ``str`` would name a
+    criterion ``None`` after a JSON ``null``."""
+    if not isinstance(raw, str):
+        raise ParseError(f"{where}: not a string: {raw!r}")
+    return raw
+
+
 def _threshold_from_json(raw: Any, where: str) -> ThresholdSpec:
     if isinstance(raw, (int, float)):
         return ThresholdSpec(_number(raw, where))
@@ -91,7 +99,7 @@ def _criterion_from_json(raw: Any, index: int) -> Criterion:
         raise ParseError(f"criteria[{index}]: expected an object")
     where = f"criteria[{index}]"
     try:
-        name = str(raw["name"])
+        name = _string(raw["name"], f"{where}.name")
         direction = Direction(raw["direction"])
         weight = _number(raw["weight"], f"{where}.weight")
         indifference = _threshold_from_json(raw["indifference"], f"{where}.indifference")
@@ -251,7 +259,10 @@ def _model_from_json(raw: Any) -> LoadedModel:
                 _number(x, f"reference_sets[{i}].profiles[{j}][{c}]")
                 for c, x in enumerate(vec)
             ))
-        names = tuple(str(n) for n in raw_set.get("names", ()))
+        names = tuple(
+            _string(n, f"reference_sets[{i}].names[{j}]")
+            for j, n in enumerate(raw_set.get("names", ()))
+        )
         try:
             sets.append(ReferenceSet(score, tuple(profiles), names))
         except ValueError as exc:

@@ -32,10 +32,10 @@ from .model import (
     check_cutting_level,
 )
 from .refsets import (
+    CertifiedFold,
     ProfileTable,
     SetClassification,
     classify_relations,
-    level_relations,
     profile_relations,
     soft_dominance,
 )
@@ -420,9 +420,10 @@ def check_propositions(
     def fail(case: str, expected: str, observed: str) -> None:
         failures.append(PropertyFailure(None, "", case, expected, observed))
 
+    fold = CertifiedFold(kernel, (ref.profiles for ref in refs.sets), actions.values(), lam)
     for name, vec in actions.items():
         trials += 1
-        relations = level_relations(kernel, vec, refs, lam)
+        relations = fold.relations(vec)
         for msg in _flag_checks_for_action(name, relations, primal, dual):
             fail(msg, "implication holds", "violated")
         if not (primal and dual):

@@ -18,10 +18,12 @@ INCOMPARABLE        a R B
 Quantifiers are evaluated exhaustively; reference sets are small by
 design.
 
-Batch code computes each pair once: a :class:`ProfileTable` holds the
-credibility between every two profiles for the basic assumptions,
-separability, the lambda bands and each profile's relation to every
-level, and :func:`level_relations` relates one action to every level.
+Batch code computes each pair at most once: a :class:`ProfileTable`
+holds the credibility between every two profiles for the basic
+assumptions, separability, the lambda bands and each profile's relation
+to every level, and a :class:`CertifiedFold` relates each action of a
+table to every level, with no kernel call for a level the action clears
+by more than p on every criterion.
 Soft dominance alone, the hypothesis the checkers and the scoring fast
 path gate on, comes from :func:`soft_dominance`, which computes no
 credibility. The public functions validate the cutting level once and
@@ -31,10 +33,13 @@ compile the criteria themselves.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .credibility import (
+    CONSTANT,
+    HIGHER,
     CompiledCriteria,
     DerivedRelation,
     band_ends,
@@ -111,20 +116,131 @@ def profile_relations(
     return (derived_relation(sab >= lam, sba >= lam) for sab, sba in pairs)
 
 
-def level_relations(
-    kernel: CompiledCriteria,
-    action: Sequence[float],
-    refs: ReferenceStructure,
-    lam: float,
-) -> tuple[SetClassification, ...]:
-    """Relation of one action to every reference level, bottom to top.
+def _thresholds_hold(kernel: CompiledCriteria, vectors: Sequence[Sequence[float]]) -> bool:
+    """Whether no pair of ``vectors`` can make :func:`sigma_pair` raise.
 
-    One kernel call per profile; ``lam`` must already be validated.
+    A pair's variable thresholds read its lower or its higher value, one
+    of the column's values. When a criterion's variable thresholds all
+    read one base, ``0 <= q <= p < v`` at every column value rules out
+    every threshold error. Values must be finite and vectors full, since
+    the certificate takes bounds over them.
     """
-    return tuple(
-        classify_relations(profile_relations(kernel, action, ref.profiles, lam))
-        for ref in refs.sets
-    )
+    n = len(kernel.rows)
+    if not math.isfinite(kernel.total_weight) or any(len(x) != n for x in vectors):
+        return False
+    for (_, _, _, *specs), column in zip(kernel.rows, zip(*vectors)):
+        specs = [spec for spec in specs if spec is not None]  # q, p and v if any
+        variable = {base for base, _, _ in specs} - {CONSTANT}
+        if len(variable) > 1:
+            return False
+        for g in column:
+            if not math.isfinite(g):
+                return False
+        # a constant threshold is its intercept at every value
+        for g in set(column) if variable else column[:1]:
+            # each threshold as the kernel evaluates it at g
+            q, p, *v = [t if base == CONSTANT else t + slope * g for base, t, slope in specs]
+            # written so that a NaN fails every test
+            if not 0 <= q <= p or (v and not p < v[0]):
+                return False
+    return True
+
+
+def _clearing_tests(kernel: CompiledCriteria, level: Sequence[Sequence[float]]) -> tuple:
+    """Per criterion ``(higher, bound, p)`` for an action beating every
+    profile of ``level``, and for one losing to every profile; see
+    :class:`CertifiedFold`."""
+    wins, losses = [], []
+    for (_, is_max, _, _, (base, t, slope), _), column in zip(kernel.rows, zip(*level)):
+        lo, hi = min(column), max(column)
+        # p at a profile's value is monotone in it, rounding included, so
+        # the largest over the profiles is p at one end of the column
+        p = t if base == CONSTANT else t + slope * (hi if slope >= 0 else lo)
+        for tests, higher in ((wins, is_max), (losses, not is_max)):
+            # higher: the action holds the higher value of each pair;
+            # None where p reads the action's own value
+            reads_action = base != CONSTANT and (base == HIGHER) == higher
+            tests.append((higher, hi if higher else lo, None if reads_action else p))
+    return tuple(wins), tuple(losses)
+
+
+def _reachable(tests: tuple, reach: Sequence[tuple[float, float]]) -> bool:
+    """Whether the lowest and highest action values, ``reach``, pass every
+    test that reads no action's p; if not, no action passes them all."""
+    for (higher, bound, p), (lo, hi) in zip(tests, reach):
+        if p is not None and not (hi - bound if higher else bound - lo) > p:
+            return False
+    return True
+
+
+def _clears(tests: tuple, action: Sequence[float], p_action: Sequence[float]) -> bool:
+    for (higher, bound, p), x, p_x in zip(tests, action, p_action):
+        if not (x - bound if higher else bound - x) > (p_x if p is None else p):
+            return False
+    return True
+
+
+class CertifiedFold:
+    """Each action's relation to every level, bottom to top, with no
+    kernel call where a certificate decides a level.
+
+    If a beats every profile b of a level by more than p on every
+    criterion, each pair has concordance exactly 1.0 (the weights add in
+    the order of ``total_weight``) against 0.0, and vetoes discount only
+    the side at 0: the level is ACTION_PREFERRED at every cutting level,
+    and the mirror case is SET_PREFERRED. On a MAX criterion a wins when
+    ``fl(a - max b) > P``, where P is the largest p over the profiles as
+    the kernel evaluates it, or p at a's value where p reads that. Rounding
+    is monotone, so ``fl(a - b) >= fl(a - max b) > P >= p`` for every b.
+    A MIN criterion takes ``min b``, and losing is winning with the
+    direction flipped, since ``a - b`` and ``b - a`` round to exact
+    negatives. Every other level goes through :func:`profile_relations`,
+    one kernel call per profile.
+
+    A test no action of the table can pass, since its lowest or highest
+    value on some criterion fails it, is dropped, so a level no action
+    clears costs nothing per action. The kept tests are used only when
+    :func:`_thresholds_hold` shows that no pair of the actions and
+    profiles can raise, so no skipped pair would have; otherwise no level
+    is certified and the kernel raises where it always did. ``relations``
+    takes one of ``actions``, and ``lam`` must already be validated.
+    """
+
+    def __init__(
+        self,
+        kernel: CompiledCriteria,
+        levels: Iterable[Sequence[Sequence[float]]],
+        actions: Iterable[Sequence[float]],
+        lam: float,
+    ):
+        self.kernel, self.lam = kernel, lam
+        self.levels = [tuple(level) for level in levels]
+        actions = list(actions)
+        reach = [(min(column), max(column)) for column in zip(*actions)]
+        tests = [
+            tuple(side if _reachable(side, reach) else None
+                  for side in _clearing_tests(kernel, level))
+            for level in self.levels
+        ]
+        # per level the tests for winning and for losing, each None where
+        # nothing is certified, and p's (intercept, slope) per criterion
+        self._tests = [(None, None)] * len(self.levels)
+        self._p = ()
+        profiles = (b for level in self.levels for b in level)
+        if any(any(sides) for sides in tests) and _thresholds_hold(kernel, [*actions, *profiles]):
+            self._tests = tests
+            self._p = [p[1:] for _, _, _, _, p, _ in kernel.rows]
+
+    def relations(self, action: Sequence[float]) -> tuple[SetClassification, ...]:
+        """Relation of one action to every level, bottom to top."""
+        kernel, lam = self.kernel, self.lam
+        p_action = [t + slope * x for (t, slope), x in zip(self._p, action)]
+        return tuple(
+            SetClassification.ACTION_PREFERRED if better and _clears(better, action, p_action)
+            else SetClassification.SET_PREFERRED if worse and _clears(worse, action, p_action)
+            else classify_relations(profile_relations(kernel, action, level, lam))
+            for level, (better, worse) in zip(self.levels, self._tests)
+        )
 
 
 def classify_action_vs_levels(
@@ -135,7 +251,8 @@ def classify_action_vs_levels(
 ) -> list[SetClassification]:
     """Relation of one action to every reference level, bottom to top."""
     check_cutting_level(lam)
-    return list(level_relations(compile_criteria(criteria), action, refs, lam))
+    levels = (ref.profiles for ref in refs.sets)
+    return list(CertifiedFold(compile_criteria(criteria), levels, [action], lam).relations(action))
 
 
 def is_comparable(relations: Sequence[SetClassification]) -> bool:
@@ -373,11 +490,6 @@ def check_comparability(
 ) -> dict[str, bool]:
     """Per action: strictly above the bottom set and strictly below the top set."""
     check_cutting_level(lam)
-    kernel = compile_criteria(criteria)
     ends = (refs.sets[0].profiles, refs.sets[-1].profiles)
-    return {
-        action: is_comparable([
-            classify_relations(profile_relations(kernel, vector, end, lam)) for end in ends
-        ])
-        for action, vector in table.rows.items()
-    }
+    fold = CertifiedFold(compile_criteria(criteria), ends, table.rows.values(), lam)
+    return {action: is_comparable(fold.relations(vector)) for action, vector in table.rows.items()}

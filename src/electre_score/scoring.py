@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .credibility import compile_criteria
 from .model import Criterion, PerformanceTable, ReferenceStructure, check_cutting_level
-from .refsets import ProfileTable, SetClassification, level_relations, soft_dominance
+from .refsets import CertifiedFold, ProfileTable, SetClassification, soft_dominance
 
 # the levels a bound's universal clause admits below (lower) or above (upper) it
 _BELOW_LOWER = (SetClassification.ACTION_PREFERRED, SetClassification.INCOMPARABLE)
@@ -189,8 +189,12 @@ def score_ranges(
 
     Refuses to run on a collection violating the basic assumptions
     unless ``force`` is set; the separability fast path engages only
-    when both soft-dominance flags hold. Every profile pair and every
-    action-profile pair is computed once.
+    when both soft-dominance flags hold. Every profile pair is computed
+    once, and every action-profile pair at most once: a
+    :class:`~.refsets.CertifiedFold` decides a level without the kernel
+    when the action beats, or loses to, every profile of it by more than
+    p on every criterion, once a guard has shown that no pair of the
+    input can raise a threshold error.
     """
     check_cutting_level(lam)
     kernel = compile_criteria(criteria)
@@ -199,13 +203,14 @@ def score_ranges(
     if violations and not force:
         raise BasicAssumptionsViolatedError(violations)
     fast = all(soft_dominance(criteria, refs))
+    fold = CertifiedFold(kernel, (ref.profiles for ref in refs.sets), table.rows.values(), lam)
 
     scores = refs.scores
     ranges: list[ScoreRange] = []
     all_relations: list[tuple[SetClassification, ...]] = []
     findings: list[str] = [f"basic-assumption violation: {v}" for v in violations]
     for action, vector in table.rows.items():
-        relations = level_relations(kernel, vector, refs, lam)
+        relations = fold.relations(vector)
         all_relations.append(relations)
         lower, upper = scan_bounds(relations, scores, fast)
         lo, lo_idx = lower or (None, None)

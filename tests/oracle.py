@@ -65,6 +65,20 @@ def sigma_oracle(criteria: list[dict], pa, pb) -> float:
     return sigma
 
 
+def strict_side(criteria: list[dict], pa, pb) -> str | None:
+    """"a" when a is strictly preferred to b on every criterion (d > p),
+    "b" when b is on every one (d < -p), None otherwise."""
+    margins = [
+        (_diff(c["direction"], a, b), _threshold(c["p"], c["direction"], a, b))
+        for c, a, b in zip(criteria, pa, pb)
+    ]
+    if all(d > p for d, p in margins):
+        return "a"
+    if all(d < -p for d, p in margins):
+        return "b"
+    return None
+
+
 def relation_oracle(criteria: list[dict], pa, pb, lam: float) -> str:
     sab = sigma_oracle(criteria, pa, pb) >= lam
     sba = sigma_oracle(criteria, pb, pa) >= lam

@@ -19,6 +19,8 @@ from electre_score.cli import (
     main,
 )
 
+from oracle import engine_criterion_to_dict, strict_side
+
 THIRD = 100.0 / 3.0
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -480,6 +482,24 @@ class TestModelFileParsing:
         err = capsys.readouterr().err
         assert str(model) in err and f"criteria[0].ordinal: not a boolean: {bad!r}" in err
 
+    @pytest.mark.parametrize("bad", [None, 5, 1.5, True, ["ICOST"], {}],
+                             ids=["null", "int", "float", "true", "array", "object"])
+    @pytest.mark.parametrize("edit, field", [
+        (lambda raw, bad: raw["criteria"][1].__setitem__("name", bad), "criteria[1].name"),
+        (lambda raw, bad: raw["reference_sets"][1]["names"].__setitem__(1, bad),
+         "reference_sets[1].names[1]"),
+    ], ids=["criterion", "profile"])
+    def test_names_must_be_json_strings(self, hotel_files, tmp_path, capsys, edit, field, bad):
+        # str() would name a criterion or a profile "None" or "5"
+        model, _, _ = hotel_files
+        raw = json.loads(model.read_text())
+        edit(raw, bad)
+        model.write_text(json.dumps(raw))
+        code = main(["validate", str(model), "--output", str(tmp_path / "r.json")])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert str(model) in err and f"{field}: not a string: {bad!r}" in err
+
 
 class TestSyntheticModelValidation:
     def test_strong_dominance_model_is_all_green(self, tmp_path):
@@ -577,36 +597,65 @@ class TestScriptsUnchanged:
         assert proc.stdout == (GOLDEN / f"{script}.txt").read_bytes()
 
 
+def _pair(pa, pb):
+    return tuple(sorted((tuple(pa), tuple(pb))))
+
+
+def _expected_pairs(criteria, table, refs):
+    """Every profile pair once, and every action-profile pair once unless
+    the action is strictly better than every profile of the level on every
+    criterion, or strictly worse (the oracle's ``strict_side``): such a
+    level is certified and needs no kernel call. Also the certified count."""
+    crits = [engine_criterion_to_dict(c) for c in criteria]
+    profiles = [vec for _, _, _, vec in refs.flat_profiles()]
+    expected = Counter(_pair(a, b) for i, a in enumerate(profiles) for b in profiles[i + 1:])
+    certified = 0
+    for action in table.rows.values():
+        for ref in refs.sets:
+            if {strict_side(crits, action, b) for b in ref.profiles} in ({"a"}, {"b"}):
+                certified += 1
+            else:
+                expected.update(_pair(action, b) for b in ref.profiles)
+    return expected, certified
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    calls = Counter()
+    kernel = refsets.sigma_pair
+
+    def counting(compiled, pa, pb):
+        calls[_pair(pa, pb)] += 1
+        return kernel(compiled, pa, pb)
+
+    monkeypatch.setattr(refsets, "sigma_pair", counting)
+    return calls
+
+
 class TestPairsComputedOnce:
-    def test_evaluate_calls_kernel_once_per_pair(self, hotel, hotel_files,
-                                                  tmp_path, monkeypatch):
-        calls = Counter()
-        kernel = refsets.sigma_pair
+    """Each distinct pair is computed at most once: certified levels never."""
 
-        def counting(compiled, pa, pb):
-            calls[tuple(sorted((tuple(pa), tuple(pb))))] += 1
-            return kernel(compiled, pa, pb)
-
-        monkeypatch.setattr(refsets, "sigma_pair", counting)
+    def test_evaluate_calls_kernel_once_per_uncertified_pair(
+        self, hotel, hotel_files, tmp_path, kernel_calls
+    ):
         model, perf, _ = hotel_files
         assert main(["evaluate", str(model), "--performances", str(perf),
                      "--lambda", "0.65", "--output", str(tmp_path / "r.json")]) == EXIT_OK
+        expected, certified = _expected_pairs(hotel["criteria"], hotel["table"], hotel["refs"])
+        assert certified > 0
+        assert kernel_calls == expected
 
-        table, refs = hotel["table"], hotel["refs"]
-        profiles = [vec for _, _, _, vec in refs.flat_profiles()]
-        expected = Counter(
-            tuple(sorted((a, b)))
-            for i, a in enumerate(profiles) for b in profiles[i + 1:]
-        )
-        expected.update(
-            tuple(sorted((table.vector(a), p)))
-            for a in table.actions for p in profiles
-        )
-        assert calls == expected
-        assert sum(calls.values()) == (
-            len(profiles) * (len(profiles) - 1) // 2
-            + len(table.actions) * len(profiles)
-        )
+    def test_strong_dominance_instance_is_mostly_certified(self, kernel_calls):
+        from electre_score.properties import GeneratorConfig, generate_instance
+        from electre_score.scoring import score_ranges
+
+        inst = generate_instance(1, GeneratorConfig(
+            n_criteria=3, n_levels=8, max_profiles_per_level=3, n_actions=20,
+            threshold_mode="variable", veto=True))
+        score_ranges(inst.table, inst.refs, inst.criteria, 0.65)
+        expected, certified = _expected_pairs(inst.criteria, inst.table, inst.refs)
+        assert certified > len(inst.table.rows) * len(inst.refs.sets) / 2
+        assert kernel_calls == expected
 
 
 def _set_weight(raw, value):
