@@ -16,18 +16,11 @@ from .model import (
 from .credibility import (
     CompiledCriteria,
     DerivedRelation,
-    PerCriterionRelation,
-    advantage,
     compile_criteria,
-    concordance,
     credibility,
-    crisp_outranks,
     derived_relation,
-    discordance,
     dominates,
-    per_criterion_relation,
     sigma_pair,
-    threshold_at,
 )
 from .refsets import (
     ProfileTable,

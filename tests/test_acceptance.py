@@ -19,7 +19,7 @@ import time
 import pytest
 
 from electre_score.cli import main
-from electre_score.credibility import concordance, credibility
+from electre_score.credibility import credibility
 from electre_score.refsets import check_separability, validate_basic_assumptions
 from electre_score.scoring import deck_of_cards_scores
 from electre_score.suites import (
@@ -31,6 +31,7 @@ from electre_score.suites import (
 )
 from electre_score.sweep import sweep_lambda
 
+from criterion_reference import concordance
 from oracle import HOTEL_ORACLE_CRITERIA, sigma_oracle
 
 THIRD = 100.0 / 3.0

@@ -10,7 +10,6 @@ from electre_score.credibility import (
     DerivedRelation,
     band_ends,
     compile_criteria,
-    credibility,
     derived_relation,
     preferred_bands,
 )
@@ -20,6 +19,7 @@ from electre_score.refsets import ProfileTable
 from electre_score.sweep import sweep_lambda
 
 import band_reference
+from criterion_reference import credibility
 
 # 0.5 and 1.0 are the domain bounds; few values make sab == sba and
 # repeated credibilities frequent

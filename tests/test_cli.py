@@ -548,8 +548,9 @@ class TestReportsUnchanged:
     """Hotel reports byte for byte as the scalar pairwise engine wrote them.
 
     The files under tests/golden were written by the implementation that
-    called the scalar credibility() for every pair, before the pair
-    kernel; the kernel must not change a byte of any report.
+    called the scalar credibility() (now tests/criterion_reference.py)
+    for every pair, before the pair kernel; the kernel must not change a
+    byte of any report.
     """
 
     def test_evaluate(self, hotel_files, tmp_path):
@@ -578,6 +579,31 @@ class TestReportsUnchanged:
         assert main(["sigma", str(model), "--performances", str(perf),
                      "--output", str(out)]) == EXIT_OK
         assert out.read_bytes() == (GOLDEN / "hotel_sigma.csv").read_bytes()
+
+
+class TestVerifyUnchanged:
+    """verify with all eight suites, byte for byte as it ran when the four
+    credibility suites still called the per-criterion engine, one
+    direction per call."""
+
+    SUITES = ["dominance-implications", "sigma-invariants", "sigma-invariants-veto",
+              "variable-thresholds", "propositions", "conformity", "stability",
+              "deck-example"]
+
+    def test_all_suites(self, tmp_path, capsys):
+        golden = GOLDEN / "verify_all_suites"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suites": self.SUITES, "trials": 20, "seed": 1}))
+        out = tmp_path / "reports"
+        assert main(["verify", "--config", str(cfg), "--output", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out.encode() == (golden / "stdout.txt").read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            f"{name}.json" for name in self.SUITES
+        )
+        for name in self.SUITES:
+            assert (out / f"{name}.json").read_bytes() == (
+                golden / f"{name}.json"
+            ).read_bytes(), name
 
 
 class TestScriptsUnchanged:
@@ -731,6 +757,12 @@ def _veto_at_p(raw):
     raw["criteria"][2]["veto"] = 2.0  # p = 2
 
 
+def _overflowing_weights(raw):
+    # each weight is finite, their sum is not
+    raw["criteria"][0]["weight"] = 1e308
+    raw["criteria"][1]["weight"] = 1e308
+
+
 class TestValidateInvalidModel:
     """An invalid model gives a report listing its errors and exit 3."""
 
@@ -768,6 +800,76 @@ class TestValidateInvalidModel:
     def test_veto_not_above_p(self, hotel_files, tmp_path, lam, with_perf):
         errors = self._validate(hotel_files, tmp_path, _veto_at_p, lam, with_perf)
         assert any("RECRU" in e and "must exceed" in e for e in errors)
+
+    @OPTIONS
+    @TABLE
+    def test_weight_sum_overflows(self, hotel_files, tmp_path, lam, with_perf):
+        errors = self._validate(hotel_files, tmp_path, _overflowing_weights, lam, with_perf)
+        assert "criterion weights sum to inf, beyond the float range" in errors
+
+    def test_evaluate_rejects_overflowing_weights(self, hotel_files, tmp_path, capsys):
+        # an infinite total made every credibility NaN, which read as
+        # spurious within-set preferences (b41 > b42, b61 > b62)
+        model, perf, _ = hotel_files
+        raw = json.loads(model.read_text())
+        _overflowing_weights(raw)
+        model.write_text(json.dumps(raw))
+        code = main(["evaluate", str(model), "--performances", str(perf),
+                     "--lambda", "0.65", "--output", str(tmp_path / "r.json")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "criterion weights sum to inf" in err and "within-set" not in err
+
+
+class TestThresholdFailsAtPair:
+    """A threshold that passes validate_model's single-value checks but
+    fails at a pair of values ends with exit 3 and the kernel's message."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        def spec(intercept, slope, mode):
+            return {"intercept": intercept, "slope": slope, "mode": mode}
+
+        criteria = [
+            {"name": "g1", "direction": "max", "weight": 1.0,
+             "indifference": spec(1.0, 0.0, "constant"),
+             "preference": spec(2.0, 0.0, "constant")},
+            # q reads the better value of a pair, p the worse one: at
+            # (0, 7), q = 3.5 exceeds p = 3.0, though q <= p at each value
+            {"name": "g2", "direction": "max", "weight": 1.0,
+             "indifference": spec(0.0, 0.5, "inverse"),
+             "preference": spec(3.0, 0.1, "direct")},
+        ]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"criteria": criteria, "reference_sets": [
+            {"score": 0.0, "profiles": [[-9, 5]]},
+            {"score": 100.0, "profiles": [[-7, 7]]},
+        ]}))
+        perf = tmp_path / "perf.csv"
+        perf.write_text("action,g1,g2\nx,-20,0\n")
+        target = tmp_path / "target.csv"
+        target.write_text("profile,x\nb11,\nb21,\n")
+        return model, perf, target
+
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--lambda", "0.65"],
+        ["validate", "--lambda", "0.65"],
+        ["sigma"],
+        ["sweep-lambda", "TARGET"],
+    ], ids=lambda c: c[0])
+    def test_exit_3_without_traceback(self, files, tmp_path, command):
+        model, perf, target = files
+        argv = [command[0], str(model), "--performances", str(perf),
+                "--output", str(tmp_path / "out")]
+        argv += [str(target) if a == "TARGET" else a for a in command[1:]]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "electre_score.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_VALIDATION, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: criterion g2: q=3.5 > p=3.0 for pair (0.0, 7.0)\n"
 
 
 class TestVerifyConfigValues:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,18 +10,13 @@ from electre_score.credibility import (
     InvalidVetoError,
     InvertedThresholdsError,
     NegativeThresholdError,
-    PerCriterionRelation,
-    advantage,
+    ThresholdError,
     compile_criteria,
-    concordance,
     credibility,
-    crisp_outranks,
     derived_relation,
-    discordance,
     dominates,
-    per_criterion_relation,
+    preferred_bands,
     sigma_pair,
-    threshold_at,
 )
 from electre_score.model import (
     AllZeroWeightsError,
@@ -31,11 +27,21 @@ from electre_score.model import (
     ReferenceStructure,
     ThresholdMode,
     ThresholdSpec,
+    check_cutting_level,
 )
 from electre_score.properties import GeneratorConfig, generate_instance
 from electre_score.refsets import validate_basic_assumptions
 from electre_score.scoring import score_ranges
 
+from criterion_reference import (
+    PerCriterionRelation,
+    advantage,
+    concordance,
+    discordance,
+    per_criterion_relation,
+    threshold_at,
+)
+from criterion_reference import credibility as reference_credibility
 from oracle import engine_criterion_to_dict, sigma_oracle
 
 
@@ -193,13 +199,16 @@ class TestCredibility:
 
 class TestCrispAndDerived:
     def test_boundary_inclusive(self):
-        assert crisp_outranks(1.0, 1.0)
-        assert crisp_outranks(0.75, 0.75)
-        assert not crisp_outranks(7 / 18, 0.7)
+        # the crisp cut is sigma >= lam: judged at the single level lam,
+        # a credibility equal to lam outranks
+        assert preferred_bands([1.0], 1.0, 0.5) == range(0, 1)
+        assert preferred_bands([0.75], 0.75, 0.5) == range(0, 1)
+        assert preferred_bands([0.7], 1.0, 7 / 18) == range(0, 1)
+        assert not preferred_bands([0.7], 7 / 18, 0.0)
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
-            crisp_outranks(0.9, 0.5)
+            check_cutting_level(0.5)
 
     def test_four_cases(self):
         assert derived_relation(True, False) is DerivedRelation.A_PREFERRED
@@ -215,7 +224,7 @@ class TestCrispAndDerived:
 
         def relation(a, b, lam):
             sab, sba = sigma(a, b)
-            return derived_relation(crisp_outranks(sab, lam), crisp_outranks(sba, lam))
+            return derived_relation(sab >= lam, sba >= lam)
 
         assert relation("a1", "b31", 0.7) is DerivedRelation.A_PREFERRED
         assert relation("a1", "a1", 0.7) is DerivedRelation.INDIFFERENT
@@ -274,26 +283,71 @@ class TestOracleAgreement:
             )
 
 
+def _suite_instance(seed, n_criteria, veto, threshold_mode):
+    """A generated instance drawn as the verify credibility suites draw theirs."""
+    rng = random.Random(seed)
+    inst = generate_instance(seed, GeneratorConfig(
+        n_criteria=n_criteria,
+        n_levels=rng.randint(2, 8),
+        max_profiles_per_level=rng.randint(1, 4),
+        n_actions=rng.randint(2, 8),
+        threshold_mode=threshold_mode,
+        veto=veto,
+        strong_dominance=False,
+    ))
+    vectors = [inst.table.vector(a) for a in inst.table.actions]
+    vectors += [vec for _, _, _, vec in inst.refs.flat_profiles()]
+    return inst.criteria, vectors
+
+
 class TestRangeInvariants:
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000), st.booleans())
-    def test_sigma_bounded_by_concordance(self, seed, veto):
-        inst = generate_instance(
-            seed, GeneratorConfig(n_criteria=3, n_levels=3, n_actions=3,
-                                  veto=veto, strong_dominance=False)
-        )
+    """The per-criterion checks of the verify credibility suites: they
+    read values inside the reference (each criterion's discordance, and
+    concordance apart from credibility), which the pair kernel never
+    returns on their own."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=1, max_value=8),
+        st.booleans(),
+        st.sampled_from(["constant", "variable"]),
+    )
+    def test_sigma_bounded_by_concordance(self, seed, n_criteria, veto, threshold_mode):
+        criteria, vectors = _suite_instance(seed, n_criteria, veto, threshold_mode)
         rng = random.Random(seed)
-        vectors = [inst.table.vector(a) for a in inst.table.actions]
-        vectors += [vec for _, _, _, vec in inst.refs.flat_profiles()]
-        pa, pb = rng.choice(vectors), rng.choice(vectors)
-        c = concordance(inst.criteria, pa, pb)
-        sigma = credibility(inst.criteria, pa, pb)
-        assert 0.0 <= c <= 1.0
-        assert 0.0 <= sigma <= c + 1e-15
-        for j, crit in enumerate(inst.criteria):
-            assert 0.0 <= discordance(crit, pa[j], pb[j]) <= 1.0
-        if not veto:
-            assert sigma == c
+        for _ in range(6):
+            pa, pb = rng.choice(vectors), rng.choice(vectors)
+            c = concordance(criteria, pa, pb)
+            sigma = reference_credibility(criteria, pa, pb)
+            assert 0.0 <= c <= 1.0
+            assert 0.0 <= sigma <= c + 1e-15
+            for j, crit in enumerate(criteria):
+                assert 0.0 <= discordance(crit, pa[j], pb[j]) <= 1.0
+            if not veto:
+                # no veto, no discordance: credibility is concordance
+                assert sigma == c
+
+    def test_veto_stripped_kernel_is_reference_concordance(self):
+        # the suites read concordance as sigma_pair on the criteria with
+        # every veto removed; this holds bit for bit, while the vetoes
+        # do discount some of the same pairs
+        discounted = 0
+        for seed in range(40):
+            criteria, vectors = _suite_instance(
+                seed, 1 + seed % 8, True, ("constant", "variable")[seed % 2]
+            )
+            assert any(c.veto is not None for c in criteria)
+            stripped = compile_criteria([replace(c, veto=None) for c in criteria])
+            for va in vectors:
+                for vb in vectors:
+                    assert sigma_pair(stripped, va, vb) == (
+                        concordance(criteria, va, vb), concordance(criteria, vb, va)
+                    )
+                    discounted += reference_credibility(criteria, va, vb) < concordance(
+                        criteria, va, vb
+                    )
+        assert discounted > 0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -308,8 +362,6 @@ class TestRangeInvariants:
 
 class TestThresholdEdgeCases:
     def test_negative_evaluated_threshold_raises(self):
-        from electre_score.credibility import NegativeThresholdError
-
         spec = ThresholdSpec(-10.0, 0.0, ThresholdMode.CONSTANT)
         crit = Criterion("g", Direction.MAX, 1.0, spec, ThresholdSpec(1.0))
         with pytest.raises(NegativeThresholdError):
@@ -326,9 +378,9 @@ class TestThresholdEdgeCases:
 
 
 def _both_directions(criteria, pa, pb):
-    """The scalar reference for sigma_pair: a value pair or the error type."""
+    """The per-criterion reference for sigma_pair: a value pair or the error type."""
     try:
-        return credibility(criteria, pa, pb), credibility(criteria, pb, pa)
+        return reference_credibility(criteria, pa, pb), reference_credibility(criteria, pb, pa)
     except ValueError as exc:
         return type(exc)
 
@@ -341,14 +393,15 @@ def _kernel_outcome(criteria, pa, pb):
 
 
 class TestPairKernel:
-    """sigma_pair must give the scalar credibility's exact bits, both ways."""
+    """sigma_pair must give the per-criterion reference's exact bits, both ways."""
 
     def test_every_ordered_hotel_pair(self, hotel, hotel_vectors):
         crit = hotel["criteria"]
         kernel = compile_criteria(crit)
         for a, va in hotel_vectors.items():
             for b, vb in hotel_vectors.items():
-                expected = (credibility(crit, va, vb), credibility(crit, vb, va))
+                expected = (reference_credibility(crit, va, vb),
+                            reference_credibility(crit, vb, va))
                 assert sigma_pair(kernel, va, vb) == expected, (a, b)
 
     @pytest.mark.parametrize("seed", range(50))
@@ -370,15 +423,15 @@ class TestPairKernel:
         vectors += [vec for _, _, _, vec in inst.refs.flat_profiles()]
         for va in vectors:
             for vb in vectors:
-                expected = (credibility(inst.criteria, va, vb),
-                            credibility(inst.criteria, vb, va))
+                expected = (reference_credibility(inst.criteria, va, vb),
+                            reference_credibility(inst.criteria, vb, va))
                 assert sigma_pair(kernel, va, vb) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_random_criteria_and_vectors(self, data):
         # thresholds may be negative, inverted or below the preference
-        # threshold for the veto: the kernel must then raise the scalar's
+        # threshold for the veto: the kernel must then raise the reference's
         # error type
         number = st.floats(min_value=-1e6, max_value=1e6,
                            allow_nan=False, allow_infinity=False)
@@ -408,7 +461,8 @@ class TestPairKernel:
         crit = [_crit(q=1.0, p=1.0, v=3.0)]
         for gb in (0.0, 0.5, 1.0, 1.5, 3.0, 4.0):
             assert sigma_pair(compile_criteria(crit), (0.0,), (gb,)) == (
-                credibility(crit, (0.0,), (gb,)), credibility(crit, (gb,), (0.0,))
+                reference_credibility(crit, (0.0,), (gb,)),
+                reference_credibility(crit, (gb,), (0.0,)),
             )
 
     def test_zero_weight_veto_at_full_concordance(self):
@@ -416,12 +470,12 @@ class TestPairKernel:
         # there is no discount (and no 0/0 from 1 - c)
         crits = [_crit(name="g1"), _crit(weight=0.0, p=2.0, v=4.0, name="g2")]
         pa, pb = (5.0, 0.0), (0.0, 10.0)
-        assert credibility(crits, pa, pb) == 1.0
+        assert reference_credibility(crits, pa, pb) == 1.0
         assert sigma_pair(compile_criteria(crits), pa, pb) == (
-            1.0, credibility(crits, pb, pa)
+            1.0, reference_credibility(crits, pb, pa)
         )
         assert sigma_pair(compile_criteria(crits), pb, pa) == (
-            credibility(crits, pb, pa), 1.0
+            reference_credibility(crits, pb, pa), 1.0
         )
 
     def test_inverted_thresholds_checked_before_any_veto(self):
@@ -430,7 +484,7 @@ class TestPairKernel:
             _crit(q=3.0, p=1.0, name="g2"),            # inverted thresholds
         ]
         with pytest.raises(InvertedThresholdsError):
-            credibility(crits, (0.0, 0.0), (10.0, 0.0))
+            reference_credibility(crits, (0.0, 0.0), (10.0, 0.0))
         with pytest.raises(InvertedThresholdsError):
             sigma_pair(compile_criteria(crits), (0.0, 0.0), (10.0, 0.0))
 
@@ -457,6 +511,11 @@ _BROKEN = {
 
 
 class TestKernelErrorContracts:
+    def test_threshold_errors_share_one_base(self):
+        for error in (NegativeThresholdError, InvertedThresholdsError, InvalidVetoError):
+            assert issubclass(error, ThresholdError)
+        assert not issubclass(AllZeroWeightsError, ThresholdError)
+
     @pytest.mark.parametrize("error", list(_BROKEN), ids=lambda e: e.__name__)
     def test_raised_through_score_ranges(self, error):
         table, refs = _two_level_model(_BROKEN[error])

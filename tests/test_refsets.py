@@ -6,7 +6,6 @@ import pytest
 from electre_score.credibility import (
     DerivedRelation,
     compile_criteria,
-    credibility,
     derived_relation,
 )
 from electre_score.properties import GeneratorConfig, apply_edit, generate_instance, make_edits
@@ -21,6 +20,7 @@ from electre_score.refsets import (
     validate_basic_assumptions,
 )
 
+from criterion_reference import credibility
 from oracle import HOTEL_ORACLE_CRITERIA, classify_oracle
 
 AP = DerivedRelation.A_PREFERRED
@@ -296,7 +296,7 @@ class TestSetRelationImplications:
     @pytest.mark.parametrize("seed", range(8))
     def test_flags_on_random_collections(self, seed):
         # the six set relations ("flags") that hold, from per-profile
-        # relations of the scalar credibility, are those the action's
+        # relations of the per-criterion reference, are those the action's
         # classification maps to
         rng = random.Random(seed)
         inst = generate_instance(seed, GeneratorConfig(

@@ -1,0 +1,47 @@
+"""The credibility suites of ``verify`` must notice a wrong kernel.
+
+Each suite reads ``suites.sigma_pair``. Replacing it with a corrupted
+kernel must turn the suite's report into failures of the check that
+the corruption breaks; a suite that stopped checking would still pass.
+"""
+
+import pytest
+
+from electre_score import suites
+
+KERNEL = suites.sigma_pair
+
+
+def _swapped(kernel, pa, pb):
+    sab, sba = KERNEL(kernel, pa, pb)
+    return sba, sab
+
+
+def _reverse_scaled(kernel, pa, pb):
+    sab, sba = KERNEL(kernel, pa, pb)
+    return sab, 0.9 * sba
+
+
+def _vetoes_raised(kernel, pa, pb):
+    # credibility up by 0.1 (at most 1) wherever a criterion has a veto;
+    # the veto-stripped concordance kernel is left alone
+    sab, sba = KERNEL(kernel, pa, pb)
+    if all(row[5] is None for row in kernel.rows):
+        return sab, sba
+    return min(1.0, sab + 0.1), min(1.0, sba + 0.1)
+
+
+@pytest.mark.parametrize("suite, corrupted, case", [
+    ("dominance-implications", _swapped, "dominance gives credibility 1"),
+    ("dominance-implications", _swapped, "outrank then dominated target"),
+    ("sigma-invariants", _reverse_scaled, "reflexivity at"),
+    ("sigma-invariants-veto", _reverse_scaled, "reflexivity at"),
+    ("variable-thresholds", _reverse_scaled, "reflexivity at"),
+    ("sigma-invariants-veto", _vetoes_raised, "credibility cap"),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_corrupted_kernel_fails_the_suite(monkeypatch, suite, corrupted, case):
+    assert suites.SUITES[suite](20, 1).passed
+    monkeypatch.setattr(suites, "sigma_pair", corrupted)
+    report = suites.SUITES[suite](20, 1)
+    assert not report.passed
+    assert any(f.case.startswith(case) for f in report.failures)

@@ -1,9 +1,9 @@
 import pytest
 
-from electre_score.credibility import credibility
 from electre_score.properties import GeneratorConfig, generate_instance
 from electre_score.sweep import LambdaInterval, sweep_lambda
 
+from criterion_reference import credibility
 from oracle import relation_oracle
 
 
