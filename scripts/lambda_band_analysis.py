@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from electre_score.credibility import compile_criteria, credibility
+from electre_score.credibility import compile_criteria, sigma_pair
 from electre_score.files import load_model, load_performances_csv, load_target_csv
 from electre_score.refsets import ProfileTable
 from electre_score.scoring import score_ranges
@@ -48,7 +48,8 @@ def main() -> None:
     print("\nper-band details (right endpoint used as representative):")
     # one table of profile credibilities serves the basic assumptions of every band
     ends = result.breakpoints
-    profiles = ProfileTable(compile_criteria(criteria), refs)
+    kernel = compile_criteria(criteria)
+    profiles = ProfileTable(kernel, refs)
     band_violations = profiles.basic_assumption_violations(ends)
     for lower, upper, violations in zip((0.5, *ends), ends, band_violations):
         ranges = score_ranges(table, refs, criteria, upper, force=True)
@@ -79,21 +80,19 @@ def main() -> None:
     vecs = {a: table.vector(a) for a in table.actions}
     for name, _, _, v in refs.flat_profiles():
         vecs[name] = v
+    # one kernel call per pair gives both directions
+    sigma = {}
+    for a, b in (("a4", "b41"), ("a5", "b41"), ("a5", "b31"), ("a4", "b51"), ("a2", "b51")):
+        sigma[a, b], sigma[b, a] = sigma_pair(kernel, vecs[a], vecs[b])
     print("\nconflicting constraints inside the relation target:")
     print(
-        "  a4>b41 needs lam <= "
-        f"{credibility(criteria, vecs['a4'], vecs['b41']):.9f}; "
-        "a5>b41 needs lam > "
-        f"{credibility(criteria, vecs['b41'], vecs['a5']):.9f}"
+        f"  a4>b41 needs lam <= {sigma['a4', 'b41']:.9f}; "
+        f"a5>b41 needs lam > {sigma['b41', 'a5']:.9f}"
     )
     print(
-        "  a5>b31 needs lam > "
-        f"{credibility(criteria, vecs['b31'], vecs['a5']):.9f}; "
-        "b51>a4 needs lam <= "
-        f"{credibility(criteria, vecs['b51'], vecs['a4']):.9f}; "
-        "blank (b51,a2) needs lam outside "
-        f"]{credibility(criteria, vecs['a2'], vecs['b51']):.9f}, "
-        f"{credibility(criteria, vecs['b51'], vecs['a2']):.9f}]"
+        f"  a5>b31 needs lam > {sigma['b31', 'a5']:.9f}; "
+        f"b51>a4 needs lam <= {sigma['b51', 'a4']:.9f}; "
+        f"blank (b51,a2) needs lam outside ]{sigma['a2', 'b51']:.9f}, {sigma['b51', 'a2']:.9f}]"
     )
 
 

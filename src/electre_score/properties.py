@@ -401,8 +401,9 @@ def check_propositions(
     Per action with both bounds: strictly preferred to every level at or
     below its lower bound, every level at or above its upper bound
     strictly preferred to it, no strict preference strictly inside the
-    range, indifference/incomparability only inside, and the general
-    bound scan agreeing with the fast path. Profiles are checked against
+    range, indifference/incomparability only inside, and the bounds
+    being the highest action-preferred and the lowest set-preferred
+    levels. Profiles are checked against
     the ladder implications as well. Gating is per-implication: primal
     and dual soft dominance enable exactly the items stated under them.
     """
@@ -434,9 +435,12 @@ def check_propositions(
             skipped += 1  # comparability failure; propositions assume both bounds
             continue
         lo_idx, hi_idx = lo[1], hi[1]
-        fast_lo, fast_hi = scan_bounds(relations, scores, fast=True)
-        if (fast_lo, fast_hi) != (lo, hi):
-            fail(f"{name}: fast path diverges", f"{(lo, hi)}", f"{(fast_lo, fast_hi)}")
+        # under both flags the bounds are the highest AP and the lowest SP level
+        ap = [k for k, r in enumerate(relations) if r is SetClassification.ACTION_PREFERRED]
+        sp = [k for k, r in enumerate(relations) if r is SetClassification.SET_PREFERRED]
+        if (ap[-1], sp[0]) != (lo_idx, hi_idx):
+            fail(f"{name}: fast path diverges", f"{(lo, hi)}",
+                 f"{((scores[ap[-1]], ap[-1]), (scores[sp[0]], sp[0]))}")
         for k, r in enumerate(relations):
             if k <= lo_idx and r is not SetClassification.ACTION_PREFERRED:
                 fail(f"{name}: level {k+1} at/below lower bound", "action preferred",

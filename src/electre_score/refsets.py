@@ -24,10 +24,10 @@ assumptions, separability, the lambda bands and each profile's relation
 to every level, and a :class:`CertifiedFold` relates each action of a
 table to every level, with no kernel call for a level the action clears
 by more than p on every criterion.
-Soft dominance alone, the hypothesis the checkers and the scoring fast
-path gate on, comes from :func:`soft_dominance`, which computes no
-credibility. The public functions validate the cutting level once and
-compile the criteria themselves.
+Soft dominance alone, the hypothesis the checkers gate on and the
+scoring's fast-path flag reports, comes from :func:`soft_dominance`,
+which computes no credibility. The public functions validate the
+cutting level once and compile the criteria themselves.
 """
 
 from __future__ import annotations
@@ -311,6 +311,12 @@ class SeparabilityReport:
         return self.all_soft_preference_primal and self.all_soft_preference_dual
 
 
+def _flags(matrix: Sequence[Sequence[bool]]) -> tuple[bool, bool, bool]:
+    """(strong, primal, dual) of a lower-by-higher level matrix: every
+    cell, some cell in every row, some cell in every column."""
+    return (all(map(all, matrix)), all(map(any, matrix)), all(map(any, zip(*matrix))))
+
+
 def soft_dominance(
     criteria: Sequence[Criterion], refs: ReferenceStructure
 ) -> tuple[bool, bool]:
@@ -333,8 +339,8 @@ def soft_dominance(
     primal = dual = True
     for low, high in zip(refs.sets, refs.sets[1:]):
         dom = [[dominates(criteria, up, down) for up in high.profiles] for down in low.profiles]
-        primal = primal and all(map(any, dom))
-        dual = dual and all(map(any, zip(*dom)))
+        _, p, d = _flags(dom)
+        primal, dual = primal and p, dual and d
     return primal, dual
 
 
@@ -426,35 +432,13 @@ class ProfileTable:
         pairs: dict[tuple[int, int], LevelPairFlags] = {}
         for lo in range(len(sets)):
             for hi in range(lo + 1, len(sets)):
-                low_profiles = sets[lo].profiles
-                high_profiles = sets[hi].profiles
-                dom = {
-                    (i, j): dominates(self.criteria, high, low)
-                    for i, low in enumerate(low_profiles)
-                    for j, high in enumerate(high_profiles)
-                }
-                pref = {
-                    (i, j): self.relation(hi, j, lo, i, lam) is DerivedRelation.A_PREFERRED
-                    for i in range(len(low_profiles))
-                    for j in range(len(high_profiles))
-                }
-                n_low, n_high = len(low_profiles), len(high_profiles)
-                pairs[(lo, hi)] = LevelPairFlags(
-                    strong_dominance=all(dom.values()),
-                    soft_dominance_primal=all(
-                        any(dom[(i, j)] for j in range(n_high)) for i in range(n_low)
-                    ),
-                    soft_dominance_dual=all(
-                        any(dom[(i, j)] for i in range(n_low)) for j in range(n_high)
-                    ),
-                    strong_preference=all(pref.values()),
-                    soft_preference_primal=all(
-                        any(pref[(i, j)] for j in range(n_high)) for i in range(n_low)
-                    ),
-                    soft_preference_dual=all(
-                        any(pref[(i, j)] for i in range(n_low)) for j in range(n_high)
-                    ),
-                )
+                # rows: the lower level's profiles; columns: the higher level's
+                dom = [[dominates(self.criteria, high, low) for high in sets[hi].profiles]
+                       for low in sets[lo].profiles]
+                pref = [[self.relation(hi, j, lo, i, lam) is DerivedRelation.A_PREFERRED
+                         for j in range(len(sets[hi].profiles))]
+                        for i in range(len(sets[lo].profiles))]
+                pairs[(lo, hi)] = LevelPairFlags(*_flags(dom), *_flags(pref))
         return SeparabilityReport(pairs)
 
 

@@ -1,11 +1,12 @@
 """Score-range assignment and deck-of-cards reference scales.
 
-The bound scan implements the general definitions: the lower bound is
-the largest reference score whose set the action is strictly preferred
-to, with every lower level either also action-preferred or incomparable;
-the upper bound is symmetric. When both soft-dominance separability
-flags hold the universal clause is automatic and the scan collapses to
-the simple highest/lowest rule, which is used as a fast path.
+One bound scan implements the general definitions: the lower bound is
+the highest level the action is strictly preferred to with every lower
+level also action-preferred or incomparable, and the upper bound is the
+mirror case. It is one pass per bound over the action's relations.
+``ScoringResult.used_fast_path`` records whether both soft-dominance
+separability flags hold, under which the bounds are simply the highest
+action-preferred and the lowest set-preferred levels.
 """
 
 from __future__ import annotations
@@ -17,11 +18,6 @@ from typing import Sequence
 from .credibility import compile_criteria
 from .model import Criterion, PerformanceTable, ReferenceStructure, check_cutting_level
 from .refsets import CertifiedFold, ProfileTable, SetClassification, soft_dominance
-
-# the levels a bound's universal clause admits below (lower) or above (upper) it
-_BELOW_LOWER = (SetClassification.ACTION_PREFERRED, SetClassification.INCOMPARABLE)
-_ABOVE_UPPER = (SetClassification.SET_PREFERRED, SetClassification.INCOMPARABLE)
-
 
 class BasicAssumptionsViolatedError(ValueError):
     """The reference collection violates the basic structural assumptions."""
@@ -98,30 +94,29 @@ class ScoreRange:
 
 
 def scan_bounds(
-    relations: Sequence[SetClassification], scores: Sequence[float], fast: bool = False
+    relations: Sequence[SetClassification], scores: Sequence[float]
 ) -> tuple[tuple[float, int] | None, tuple[float, int] | None]:
     """Lower and upper bound of one action as ``(score, level index)`` pairs.
 
     ``relations`` is the action's relation to every level, bottom to top.
-    The lower bound is the highest level the action is strictly preferred
-    to with every level below action-preferred or incomparable; the upper
-    bound is symmetric. ``fast`` skips that universal clause; callers
-    enable it only once both soft-dominance separability flags are
-    confirmed. A missing bound is ``None``.
+    The lower bound is the last action-preferred level of the bottom run
+    of action-preferred or incomparable levels: the highest level the
+    action is strictly preferred to with every level below it
+    action-preferred or incomparable. The upper bound is the first
+    set-preferred level of the top run of set-preferred or incomparable
+    levels. A missing bound is ``None``.
     """
-    n = len(relations)
     lower = upper = None
-    for k in reversed(range(n)):
-        if relations[k] is SetClassification.ACTION_PREFERRED and (
-            fast or all(relations[h] in _BELOW_LOWER for h in range(k))
-        ):
+    for k, r in enumerate(relations):
+        if r is SetClassification.ACTION_PREFERRED:
             lower = scores[k], k
+        elif r is not SetClassification.INCOMPARABLE:
             break
-    for k in range(n):
-        if relations[k] is SetClassification.SET_PREFERRED and (
-            fast or all(relations[h] in _ABOVE_UPPER for h in range(k + 1, n))
-        ):
+    for k in reversed(range(len(relations))):
+        r = relations[k]
+        if r is SetClassification.SET_PREFERRED:
             upper = scores[k], k
+        elif r is not SetClassification.INCOMPARABLE:
             break
     return lower, upper
 
@@ -132,6 +127,8 @@ class ScoringResult:
 
     ``relations`` holds, per range, the action's relation to every level
     bottom to top: the input of the bound scan and of comparability.
+    ``used_fast_path``: both soft-dominance flags hold, so the bounds are
+    the highest action-preferred and the lowest set-preferred levels.
     """
 
     ranges: tuple[ScoreRange, ...]
@@ -147,9 +144,9 @@ def _range_findings(
     action: str, relations: Sequence[SetClassification], scores: Sequence[float],
     lo_idx: int, hi_idx: int,
 ) -> list[str]:
-    # post-hoc checks of the range conditions; violations are reported,
-    # never repaired, because they flag a collection the guarantees do
-    # not cover rather than a computation error
+    # post-hoc checks of the range conditions the scan does not guarantee
+    # (scores of a structure built in code are not checked to increase);
+    # violations are reported, never repaired
     findings = []
     if not scores[lo_idx] < scores[hi_idx]:
         findings.append(
@@ -157,16 +154,6 @@ def _range_findings(
             f"({scores[lo_idx]} !< {scores[hi_idx]})"
         )
     for k, c in enumerate(relations):
-        if scores[k] <= scores[lo_idx] and c is SetClassification.SET_PREFERRED:
-            findings.append(
-                f"{action}: set at or below the lower bound is preferred "
-                f"to the action (level {k + 1})"
-            )
-        if scores[k] >= scores[hi_idx] and c is SetClassification.ACTION_PREFERRED:
-            findings.append(
-                f"{action}: action preferred to a set at or above the upper "
-                f"bound (level {k + 1})"
-            )
         if scores[lo_idx] < scores[k] < scores[hi_idx] and c in (
             SetClassification.ACTION_PREFERRED,
             SetClassification.SET_PREFERRED,
@@ -188,9 +175,8 @@ def score_ranges(
     """Assign an open score range to every action of the table.
 
     Refuses to run on a collection violating the basic assumptions
-    unless ``force`` is set; the separability fast path engages only
-    when both soft-dominance flags hold. Every profile pair is computed
-    once, and every action-profile pair at most once: a
+    unless ``force`` is set. Every profile pair is computed once, and
+    every action-profile pair at most once: a
     :class:`~.refsets.CertifiedFold` decides a level without the kernel
     when the action beats, or loses to, every profile of it by more than
     p on every criterion, once a guard has shown that no pair of the
@@ -202,7 +188,6 @@ def score_ranges(
     [violations] = profiles.basic_assumption_violations([lam])
     if violations and not force:
         raise BasicAssumptionsViolatedError(violations)
-    fast = all(soft_dominance(criteria, refs))
     fold = CertifiedFold(kernel, (ref.profiles for ref in refs.sets), table.rows.values(), lam)
 
     scores = refs.scores
@@ -212,7 +197,7 @@ def score_ranges(
     for action, vector in table.rows.items():
         relations = fold.relations(vector)
         all_relations.append(relations)
-        lower, upper = scan_bounds(relations, scores, fast)
+        lower, upper = scan_bounds(relations, scores)
         lo, lo_idx = lower or (None, None)
         hi, hi_idx = upper or (None, None)
         reason = "; ".join(
@@ -222,4 +207,5 @@ def score_ranges(
         if lower and upper:
             findings.extend(_range_findings(action, relations, scores, lo_idx, hi_idx))
         ranges.append(ScoreRange(action, lo, hi, lo_idx, hi_idx, reason or None))
+    fast = all(soft_dominance(criteria, refs))  # reported only; the scan needs no gate
     return ScoringResult(tuple(ranges), tuple(findings), fast, tuple(all_relations))

@@ -13,7 +13,7 @@ import random
 from dataclasses import replace
 from typing import Callable, Sequence
 
-from .credibility import compile_criteria, derived_relation, dominates, sigma_pair
+from .credibility import compile_criteria, dominates, sigma_pair
 from .model import Criterion, Direction
 from .properties import (
     GeneratorConfig,
@@ -172,23 +172,18 @@ def _sigma_invariant_trials(
                 record(f"concordance range ({a},{b})", "[0,1]", f"{c}")
             if not -1e-12 <= sigma <= c + 1e-12:
                 record(f"credibility cap ({a},{b})", f"[0, c={c}]", f"{sigma}")
-            lam = rng.choice(LAMBDA_GRID)
-            rel = derived_relation(sigma >= lam, back >= lam)
-            mirror = derived_relation(back >= lam, sigma >= lam)
-            swapped = {
-                "a_preferred": "b_preferred",
-                "b_preferred": "a_preferred",
-                "indifferent": "indifferent",
-                "incomparable": "incomparable",
-            }
-            if mirror.value != swapped[rel.value]:
-                record(f"relation mirror symmetry ({a},{b})",
-                       swapped[rel.value], mirror.value)
+            # the pair read the other way round gives the same two values
+            mirror = sigma_pair(kernel, entities[b], entities[a])
+            if mirror != (back, sigma):
+                record(f"relation mirror symmetry ({a},{b})", f"{(back, sigma)}", f"{mirror}")
+            if sigma != 1.0 and dominates(crit, entities[a], entities[b]):
+                record(f"dominance gives credibility 1 ({a},{b})", "1.0", f"{sigma}")
     return PropertyReport(name, total, tuple(failures))
 
 
 def run_sigma_invariants_suite(trials: int, seed: int) -> PropertyReport:
-    """Range, reflexivity, credibility cap, mirror symmetry."""
+    """Range, reflexivity, credibility cap, mirror symmetry, and
+    credibility 1 under dominance."""
     return _sigma_invariant_trials(trials, seed, "sigma-invariants",
                                    veto=False, threshold_mode="constant")
 

@@ -107,6 +107,12 @@ def classify_oracle(criteria, action, profiles, lam: float) -> str:
 def bounds_oracle(criteria, action, level_profiles, scores, lam: float):
     """(lower, upper) scores by literal definition scan; None where absent."""
     classes = [classify_oracle(criteria, action, profs, lam) for profs in level_profiles]
+    return scan_oracle(classes, scores)
+
+
+def scan_oracle(classes, scores):
+    """(lower, upper) scores of per-level classifications by literal
+    definition scan; None where absent."""
     lower = None
     for k in range(len(classes) - 1, -1, -1):
         if classes[k] == "action_preferred" and all(

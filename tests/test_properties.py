@@ -145,8 +145,8 @@ class TestConformityChecker:
             n_criteria=3, n_levels=4, max_profiles_per_level=1, n_actions=0))
         real = props.scan_bounds
 
-        def corrupted(relations, scores, fast=False):
-            lower, upper = real(relations, scores, fast)
+        def corrupted(relations, scores):
+            lower, upper = real(relations, scores)
             return (scores[0], 0) if lower is not None else None, upper
 
         monkeypatch.setattr(props, "scan_bounds", corrupted)
@@ -167,6 +167,25 @@ class TestPropositionChecker:
         actions = {a: hotel["table"].vector(a) for a in hotel["table"].actions}
         report = check_propositions(hotel["refs"], hotel["criteria"], 0.65, actions)
         assert not report.hypothesis_met
+
+    def test_detects_lower_bound_one_level_down(self, monkeypatch):
+        # falsification: a scan whose lower bound is one level too low
+        # must break the highest-action-preferred characterization
+        inst = generate_instance(6, GeneratorConfig(
+            n_criteria=4, n_levels=4, max_profiles_per_level=2, n_actions=8))
+        actions = {a: inst.table.vector(a) for a in inst.table.actions}
+        real = props.scan_bounds
+
+        def corrupted(relations, scores):
+            lower, upper = real(relations, scores)
+            if lower is not None and lower[1] > 0:
+                lower = scores[lower[1] - 1], lower[1] - 1
+            return lower, upper
+
+        monkeypatch.setattr(props, "scan_bounds", corrupted)
+        report = check_propositions(inst.refs, inst.criteria, 0.75, actions)
+        assert report.hypothesis_met
+        assert any(f.case.endswith("fast path diverges") for f in report.failures)
 
     def test_incomparable_action_skipped(self):
         inst = generate_instance(7, GeneratorConfig(
@@ -269,8 +288,8 @@ class TestStabilityChecker:
         actions = {a: inst.table.vector(a) for a in inst.table.actions}
         real = props.scan_bounds
 
-        def corrupted(relations, scores, fast=False):
-            lower, upper = real(relations, scores, fast)
+        def corrupted(relations, scores):
+            lower, upper = real(relations, scores)
             if upper is not None and upper[1] + 1 < len(scores):
                 upper = scores[upper[1] + 1], upper[1] + 1
             return lower, upper

@@ -6,24 +6,25 @@ from hypothesis import strategies as st
 
 from electre_score.model import Direction, PerformanceTable, ReferenceSet, ReferenceStructure
 from electre_score.properties import GeneratorConfig, generate_instance
-from electre_score.refsets import classify_action_vs_levels
+from electre_score.refsets import SetClassification, classify_action_vs_levels
 from electre_score.scoring import (
     BasicAssumptionsViolatedError,
     DeckOfCards,
+    _range_findings,
     deck_of_cards_scores,
     scan_bounds,
     score_ranges,
 )
 from electre_score.suites import LAMBDA_GRID
 
-from oracle import HOTEL_ORACLE_CRITERIA, bounds_oracle
+from oracle import HOTEL_ORACLE_CRITERIA, bounds_oracle, scan_oracle
 
 THIRD = 100.0 / 3.0
 
 
-def bounds(vec, refs, crit, lam, fast=False):
+def bounds(vec, refs, crit, lam):
     """(lower, upper) as (score, level) pairs, None where a bound is missing."""
-    return scan_bounds(classify_action_vs_levels(vec, refs, crit, lam), refs.scores, fast)
+    return scan_bounds(classify_action_vs_levels(vec, refs, crit, lam), refs.scores)
 
 
 class TestDeckOfCards:
@@ -284,42 +285,91 @@ class TestStructuralRequirements:
             ranges["a1"].lower, ranges["a1"].upper,
         )
 
+    # (threshold mode, vetoes, strong dominance) of each monotonicity draw
+    MONOTONICITY_FLAVOURS = [
+        ("constant", False, True), ("constant", True, True), ("variable", False, True),
+        ("variable", True, True), ("constant", False, False), ("variable", True, False),
+    ]
+
     @pytest.mark.parametrize("seed", range(6))
     def test_monotonicity_under_dominating_perturbation(self, seed):
+        # improving an action on every criterion, or on one, lowers neither
+        # bound: a lower bound that goes missing fails, an upper bound that
+        # goes missing does not (the action can rise above the top level);
+        # free dominance needs ``force``
         rng = random.Random(seed)
-        inst = generate_instance(seed, GeneratorConfig(
-            n_criteria=3, n_levels=4, max_profiles_per_level=2, n_actions=5))
-        lam = rng.choice((0.6, 0.75))
-        for action in inst.table.actions:
-            vec = inst.table.vector(action)
-            better = tuple(
-                v + rng.uniform(0.0, 2.0) * (1 if c.direction is Direction.MAX else -1)
-                for v, c in zip(vec, inst.criteria)
-            )
-            rows = {"base": vec, "better": better}
-            table = PerformanceTable.from_rows(inst.criteria, rows)
-            ranges = score_ranges(table, inst.refs, inst.criteria, lam).by_action()
-            base, improved = ranges["base"], ranges["better"]
-            if base.defined and improved.defined:
-                assert improved.lower >= base.lower
-                assert improved.upper >= base.upper
+        for mode, veto, strong in self.MONOTONICITY_FLAVOURS:
+            inst = generate_instance(seed, GeneratorConfig(
+                n_criteria=3, n_levels=4, max_profiles_per_level=2, n_actions=5,
+                threshold_mode=mode, veto=veto, strong_dominance=strong))
+            lam = rng.choice((0.6, 0.75))
+            rows = {}
+            for action in inst.table.actions:
+                vec = inst.table.vector(action)
+                shifts = [rng.uniform(0.1, 2.0) * (1 if c.direction is Direction.MAX else -1)
+                          for c in inst.criteria]
+                rows[action, None] = vec
+                rows[action, "all"] = tuple(v + d for v, d in zip(vec, shifts))
+                for j, d in enumerate(shifts):
+                    rows[action, j] = tuple(v + d * (i == j) for i, v in enumerate(vec))
+            table = PerformanceTable.from_rows(
+                inst.criteria, {f"{a}/{how}": vec for (a, how), vec in rows.items()})
+            ranges = score_ranges(table, inst.refs, inst.criteria, lam, force=not strong)
+            got = ranges.by_action()
+            for action, how in rows:
+                base, improved = got[f"{action}/None"], got[f"{action}/{how}"]
+                case = (mode, veto, strong, lam, action, how)
+                if base.lower is not None:
+                    assert improved.lower is not None and improved.lower >= base.lower, case
+                if base.upper is not None and improved.upper is not None:
+                    assert improved.upper >= base.upper, case
+
+
+class TestBoundScan:
+    @given(st.lists(st.sampled_from(list(SetClassification)), min_size=1, max_size=10))
+    def test_scan_is_the_literal_definition(self, relations):
+        scores = [float(k) for k in range(len(relations))]
+        lower, upper = scan_bounds(relations, scores)
+        want = scan_oracle([r.value for r in relations], scores)
+        assert tuple(b and b[0] for b in (lower, upper)) == want
+        for bound in (lower, upper):
+            assert bound is None or scores[bound[1]] == bound[0]
+        # the conditions the scan guarantees, so no finding re-checks them
+        if lower and upper:
+            assert lower[1] < upper[1]
+        if lower:
+            assert SetClassification.SET_PREFERRED not in relations[: lower[1] + 1]
+        if upper:
+            assert SetClassification.ACTION_PREFERRED not in relations[upper[1]:]
+
+    def test_strict_preference_inside_the_range_is_a_finding(self):
+        ap, ind, sp = (SetClassification.ACTION_PREFERRED, SetClassification.INDIFFERENT,
+                       SetClassification.SET_PREFERRED)
+        assert scan_bounds([ap, ind, ap, sp], [0.0, 1.0, 2.0, 3.0]) == ((0.0, 0), (3.0, 3))
+        assert _range_findings("x", [ap, ind, ap, sp], [0.0, 1.0, 2.0, 3.0], 0, 3) == [
+            "x: strict preference strictly inside the range (level 3, action_preferred)"
+        ]
 
 
 class TestFastPathAgreement:
     @pytest.mark.parametrize("seed", range(6))
     def test_fast_and_general_agree_under_soft_dominance(self, seed):
+        # under both soft-dominance flags the scan's bounds are the
+        # highest action-preferred and the lowest set-preferred levels
         inst = generate_instance(seed, GeneratorConfig(
             n_criteria=3, n_levels=4, max_profiles_per_level=2, n_actions=6))
         result = score_ranges(inst.table, inst.refs, inst.criteria, 0.75)
         assert result.used_fast_path
-        for action in inst.table.actions:
-            vec = inst.table.vector(action)
+        for action, relations in zip(inst.table.actions, result.relations):
             rng = result.by_action()[action]
             if not rng.defined:
                 continue
-            general = bounds(vec, inst.refs, inst.criteria, 0.75, fast=False)
-            assert general == bounds(vec, inst.refs, inst.criteria, 0.75, fast=True)
-            assert (general[0][0], general[1][0]) == (rng.lower, rng.upper)
+            vec = inst.table.vector(action)
+            lower, upper = bounds(vec, inst.refs, inst.criteria, 0.75)
+            ap = [k for k, r in enumerate(relations) if r is SetClassification.ACTION_PREFERRED]
+            sp = [k for k, r in enumerate(relations) if r is SetClassification.SET_PREFERRED]
+            assert (lower[1], upper[1]) == (ap[-1], sp[0])
+            assert (lower[0], upper[0]) == (rng.lower, rng.upper)
 
 
 class TestProfileCloneRange:

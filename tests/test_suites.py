@@ -3,6 +3,8 @@
 Each suite reads ``suites.sigma_pair``. Replacing it with a corrupted
 kernel must turn the suite's report into failures of the check that
 the corruption breaks; a suite that stopped checking would still pass.
+Each suite's kernel calls are pinned too, so one that drew fewer pairs
+fails here.
 """
 
 import pytest
@@ -15,6 +17,12 @@ KERNEL = suites.sigma_pair
 def _swapped(kernel, pa, pb):
     sab, sba = KERNEL(kernel, pa, pb)
     return sba, sab
+
+
+def _order_dependent(kernel, pa, pb):
+    # right for one argument order, swapped for the other
+    sab, sba = KERNEL(kernel, pa, pb)
+    return (sba, sab) if tuple(pa) > tuple(pb) else (sab, sba)
 
 
 def _reverse_scaled(kernel, pa, pb):
@@ -38,6 +46,12 @@ def _vetoes_raised(kernel, pa, pb):
     ("sigma-invariants-veto", _reverse_scaled, "reflexivity at"),
     ("variable-thresholds", _reverse_scaled, "reflexivity at"),
     ("sigma-invariants-veto", _vetoes_raised, "credibility cap"),
+    ("sigma-invariants", _swapped, "dominance gives credibility 1"),
+    ("sigma-invariants-veto", _swapped, "dominance gives credibility 1"),
+    ("variable-thresholds", _swapped, "dominance gives credibility 1"),
+    ("sigma-invariants", _order_dependent, "relation mirror symmetry"),
+    ("sigma-invariants-veto", _order_dependent, "relation mirror symmetry"),
+    ("variable-thresholds", _order_dependent, "relation mirror symmetry"),
 ], ids=lambda x: getattr(x, "__name__", x))
 def test_corrupted_kernel_fails_the_suite(monkeypatch, suite, corrupted, case):
     assert suites.SUITES[suite](20, 1).passed
@@ -45,3 +59,23 @@ def test_corrupted_kernel_fails_the_suite(monkeypatch, suite, corrupted, case):
     report = suites.SUITES[suite](20, 1)
     assert not report.passed
     assert any(f.case.startswith(case) for f in report.failures)
+
+
+@pytest.mark.parametrize("suite, calls", [
+    ("dominance-implications", 300),  # 3 draws of 5 pairs per trial
+    ("sigma-invariants", 300),  # 3 reflexive pairs, 6 drawn pairs read both ways
+    ("sigma-invariants-veto", 420),  # as above, plus concordance per drawn pair
+    ("variable-thresholds", 380),  # as sigma-invariants, plus 2 draws of 2 pairs
+])
+def test_kernel_calls_are_pinned(monkeypatch, suite, calls):
+    # verify prints only counts for a passing suite, so a suite that drew
+    # fewer pairs would still match its golden; its kernel calls would not
+    seen = []
+
+    def counting(kernel, pa, pb):
+        seen.append((pa, pb))
+        return KERNEL(kernel, pa, pb)
+
+    monkeypatch.setattr(suites, "sigma_pair", counting)
+    assert suites.SUITES[suite](20, 1).passed
+    assert len(seen) == calls
