@@ -15,10 +15,8 @@ from .model import (
 )
 from .credibility import (
     CompiledCriteria,
-    DerivedRelation,
     compile_criteria,
     credibility,
-    derived_relation,
     dominates,
     sigma_pair,
 )
@@ -28,6 +26,7 @@ from .refsets import (
     SetClassification,
     check_comparability,
     check_separability,
+    derived_relation,
     validate_basic_assumptions,
 )
 from .scoring import (

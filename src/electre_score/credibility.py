@@ -1,16 +1,15 @@
-"""Pairwise engine: the pair kernel, derived relations, the lambda-band
-rule and dominance.
+"""Pairwise numbers: the pair kernel, the lambda-band rule and dominance.
 
 :func:`sigma_pair` is the one credibility implementation: per-criterion
 pseudo-criterion thresholds, a weighted concordance index, optional veto
 discordance, and the classical discount of concordance by criteria whose
 discordance exceeds it. The discordance band is ``d = 1`` strictly below
-the veto margin. Minimized criteria need no data preprocessing.
+the veto margin. Minimized criteria need no data preprocessing. The
+relations read from these numbers live in :mod:`.refsets`.
 """
 
 from __future__ import annotations
 
-import enum
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -38,13 +37,6 @@ class InvertedThresholdsError(ThresholdError):
 
 class InvalidVetoError(ThresholdError):
     """Veto threshold does not exceed the preference threshold."""
-
-
-class DerivedRelation(enum.Enum):
-    A_PREFERRED = "a_preferred"
-    B_PREFERRED = "b_preferred"
-    INDIFFERENT = "indifferent"
-    INCOMPARABLE = "incomparable"
 
 
 # ---------------------------------------------------------------------------
@@ -188,21 +180,10 @@ def credibility(
     return sigma_pair(compile_criteria(criteria), pa, pb)[0]
 
 
-def derived_relation(sab: bool, sba: bool) -> DerivedRelation:
-    """Combine the two crisp outranking directions into one of four relations."""
-    if sab and not sba:
-        return DerivedRelation.A_PREFERRED
-    if sba and not sab:
-        return DerivedRelation.B_PREFERRED
-    if sab and sba:
-        return DerivedRelation.INDIFFERENT
-    return DerivedRelation.INCOMPARABLE
-
-
 def band_ends(sigmas: Iterable[float]) -> list[float]:
     """Right endpoints of the cutting-level bands that ``sigmas`` cut ]0.5, 1] into.
 
-    A pair's derived relation changes only where the cutting level crosses
+    A pair's relation changes only where the cutting level crosses
     one of its two credibilities, so it is constant on each band.
     """
     return sorted({s for s in sigmas if 0.5 < s <= 1.0} | {1.0})
@@ -214,10 +195,10 @@ def preferred_bands(ends: Sequence[float], sab: float, sba: float) -> range:
     Band i of the sorted cutting levels ``ends`` is judged at its right
     endpoint, and ``sigma >= ends[i]`` holds exactly for i below
     ``bisect_right(ends, sigma)``. So the run is where
-    ``derived_relation(sab >= u, sba >= u)`` is A_PREFERRED, found by
-    comparisons alone; ``ends=[lam]`` judges the single level lam. An empty
-    run starts at its stop, so ``range(start)`` and ``range(stop, len(ends))``
-    are its complement.
+    ``refsets.derived_relation(sab >= u, sba >= u)`` is ACTION_PREFERRED,
+    found by comparisons alone; ``ends=[lam]`` judges the single level
+    lam. An empty run starts at its stop, so ``range(start)`` and
+    ``range(stop, len(ends))`` are its complement.
     """
     stop = bisect_right(ends, sab)
     return range(min(bisect_right(ends, sba), stop), stop)

@@ -4,12 +4,13 @@ edit operations, and checkers for the method's consistency guarantees
 
 Each checker verifies its own hypothesis (the separability flags its
 guarantee is stated under) before asserting the conclusion; when the
-hypothesis fails the report is marked gated rather than failed. Soft
-dominance is read from dominance alone (:func:`refsets.soft_dominance`);
-only conformity, which also needs soft preference, reads a separability
-table. On a genuine failure the offending instance is shrunk by
-dropping criteria, then profiles, then actions, and the smallest
-failing instance's digest is recorded.
+hypothesis fails the report is marked gated rather than failed.
+Stability reads soft dominance from dominance alone
+(:func:`refsets.soft_dominance`); conformity and propositions, which
+also need soft preference, read the separability of the profile table
+they build anyway. On a genuine failure the offending instance is
+shrunk by dropping criteria, then profiles, then actions, and the
+smallest failing instance's digest is recorded.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .credibility import DerivedRelation, compile_criteria
+from .credibility import compile_criteria
 from .model import (
     Criterion,
     Direction,
@@ -405,12 +406,16 @@ def check_propositions(
     being the highest action-preferred and the lowest set-preferred
     levels. Profiles are checked against
     the ladder implications as well. Gating is per-implication: primal
-    and dual soft dominance enable exactly the items stated under them.
+    and dual soft dominance enable exactly the items stated under them,
+    and a higher level is strictly preferred to a lower profile under
+    primal soft preference (with basic assumption (ii)), since dominance
+    alone gives only outranking.
     """
     check_cutting_level(lam)
     kernel = compile_criteria(criteria)
     table = ProfileTable(kernel, refs)
-    primal, dual = soft_dominance(criteria, refs)
+    sep = table.separability(lam)
+    primal, dual = sep.all_soft_dominance_primal, sep.all_soft_dominance_dual
     scores = refs.scores
 
     failures: list[PropertyFailure] = []
@@ -467,7 +472,7 @@ def check_propositions(
                     if relations[h] not in _OUTRANKS_SET:
                         fail(f"profile L{k}P{p}: must outrank level {h+1}",
                              "outranks", relations[h].value)
-            if primal:
+            if sep.all_soft_preference_primal:
                 for h in range(k + 1, len(scores)):
                     if relations[h] is not SetClassification.SET_PREFERRED:
                         fail(f"profile L{k}P{p}: level {h+1} must be preferred to it",
@@ -481,17 +486,13 @@ def check_propositions(
     )
 
 
-_ACTION_PREFERRED = DerivedRelation.A_PREFERRED  # the action over the profile
-_PROFILE_PREFERRED = DerivedRelation.B_PREFERRED  # the profile over the action
-
-
 def _expected_after_edit(
-    rows: Sequence[Sequence[DerivedRelation]],
+    rows: Sequence[Sequence[SetClassification]],
     scores: Sequence[float],
     lo_idx: int,
     hi_idx: int,
     edit: EditOperation,
-    added: Sequence[DerivedRelation],
+    added: Sequence[SetClassification],
 ) -> tuple[float | None, float | None]:
     """Bound values the single-edit case analysis predicts (None = no bound).
 
@@ -500,16 +501,18 @@ def _expected_after_edit(
     """
     x = list(scores)
     r, t = lo_idx, hi_idx
+    # the action over the profile, and the profile over the action
+    ap, sp = SetClassification.ACTION_PREFERRED, SetClassification.SET_PREFERRED
     exp_lower: float | None = x[r]
     exp_upper: float | None = x[t]
 
     if isinstance(edit, InsertSet):
         cls = classify_relations(added)
         upper_neigh = x[r + 1] if r + 1 < len(x) else float("inf")
-        if x[r] < edit.score < upper_neigh and cls is SetClassification.ACTION_PREFERRED:
+        if x[r] < edit.score < upper_neigh and cls is ap:
             exp_lower = edit.score
         lower_neigh = x[t - 1] if t >= 1 else float("-inf")
-        if lower_neigh < edit.score < x[t] and cls is SetClassification.SET_PREFERRED:
+        if lower_neigh < edit.score < x[t] and cls is sp:
             exp_upper = edit.score
     elif isinstance(edit, DeleteSet):
         if edit.level == r:
@@ -519,45 +522,35 @@ def _expected_after_edit(
     elif isinstance(edit, InsertProfile):
         k = edit.level
         new = added[0]
-        if new is _PROFILE_PREFERRED and k == r:
+        if new is sp and k == r:
             exp_lower = x[r - 1] if r >= 1 else None
-        elif new is _ACTION_PREFERRED and k == r + 1 and _PROFILE_PREFERRED not in rows[k]:
+        elif new is ap and k == r + 1 and sp not in rows[k]:
             exp_lower = x[r + 1]
-        if new is _ACTION_PREFERRED and k == t:
+        if new is ap and k == t:
             exp_upper = x[t + 1] if t + 1 < len(x) else None
-        elif new is _PROFILE_PREFERRED and k == t - 1 and _ACTION_PREFERRED not in rows[k]:
+        elif new is sp and k == t - 1 and ap not in rows[k]:
             exp_upper = x[t - 1]
     elif isinstance(edit, DeleteProfile):
         k, i = edit.level, edit.profile_index
         gone = rows[k][i]
         others = rows[k][:i] + rows[k][i + 1 :]
-        if k == r and gone is _ACTION_PREFERRED and _ACTION_PREFERRED not in others:
+        if k == r and gone is ap and ap not in others:
             exp_lower = x[r - 1] if r >= 1 else None
-        elif (
-            k == r + 1
-            and gone is _PROFILE_PREFERRED
-            and _PROFILE_PREFERRED not in others
-            and _ACTION_PREFERRED in others
-        ):
+        elif k == r + 1 and gone is sp and sp not in others and ap in others:
             exp_lower = x[r + 1]
-        if k == t and gone is _PROFILE_PREFERRED and _PROFILE_PREFERRED not in others:
+        if k == t and gone is sp and sp not in others:
             exp_upper = x[t + 1] if t + 1 < len(x) else None
-        elif (
-            k == t - 1
-            and gone is _ACTION_PREFERRED
-            and _ACTION_PREFERRED not in others
-            and _PROFILE_PREFERRED in others
-        ):
+        elif k == t - 1 and gone is ap and ap not in others and sp in others:
             exp_upper = x[t - 1]
     return exp_lower, exp_upper
 
 
 def _edited_rows(
-    rows: Sequence[tuple[DerivedRelation, ...]],
+    rows: Sequence[tuple[SetClassification, ...]],
     refs: ReferenceStructure,
     edit: EditOperation,
-    added: tuple[DerivedRelation, ...],
-) -> list[tuple[DerivedRelation, ...]]:
+    added: tuple[SetClassification, ...],
+) -> list[tuple[SetClassification, ...]]:
     """The action's per-profile relations with the edit applied to them."""
     out = list(rows)
     if isinstance(edit, InsertSet):

@@ -2,9 +2,11 @@
 structural checks on a reference collection: basic assumptions,
 dominance/preference separability, and comparability.
 
-The relation of an action a to a set B follows from which per-profile
-derived relations occur, and is one of four classifications. The six
-set relations are read from it:
+:class:`SetClassification` is the one four-valued relation, a P b,
+b P a, a I b or a R b, whether b is one profile (:func:`derived_relation`)
+or a whole set (:func:`classify_relations`, which folds the relations to
+the set's profiles). The first vector plays the action, or a profile
+scored as one. The six set relations are read from it:
 
 ==================  ==========================
 classification      set relations that hold
@@ -24,8 +26,8 @@ assumptions, separability, the lambda bands and each profile's relation
 to every level, and a :class:`CertifiedFold` relates each action of a
 table to every level, with no kernel call for a level the action clears
 by more than p on every criterion.
-Soft dominance alone, the hypothesis the checkers gate on and the
-scoring's fast-path flag reports, comes from :func:`soft_dominance`,
+Soft dominance alone, the hypothesis the stability checker gates on and
+the scoring's fast-path flag reports, comes from :func:`soft_dominance`,
 which computes no credibility. The public functions validate the
 cutting level once and compile the criteria themselves.
 """
@@ -41,10 +43,8 @@ from .credibility import (
     CONSTANT,
     HIGHER,
     CompiledCriteria,
-    DerivedRelation,
     band_ends,
     compile_criteria,
-    derived_relation,
     dominates,
     preferred_bands,
     sigma_pair,
@@ -59,13 +59,26 @@ class SetClassification(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-_A_PREFERRED = DerivedRelation.A_PREFERRED
-_B_PREFERRED = DerivedRelation.B_PREFERRED
-_INDIFFERENT = DerivedRelation.INDIFFERENT
+# the fold tests by identity; a global is cheaper than an enum attribute
+_ACTION_PREFERRED = SetClassification.ACTION_PREFERRED
+_SET_PREFERRED = SetClassification.SET_PREFERRED
+_INDIFFERENT = SetClassification.INDIFFERENT
+_INCOMPARABLE = SetClassification.INCOMPARABLE
 
 
-def classify_relations(relations: Iterable[DerivedRelation]) -> SetClassification:
-    """Fold per-profile derived relations into the set-level classification.
+def derived_relation(sab: bool, sba: bool) -> SetClassification:
+    """Combine the two crisp outranking directions of a pair into its relation."""
+    if sab and not sba:
+        return _ACTION_PREFERRED
+    if sba and not sab:
+        return _SET_PREFERRED
+    if sab and sba:
+        return _INDIFFERENT
+    return _INCOMPARABLE
+
+
+def classify_relations(relations: Iterable[SetClassification]) -> SetClassification:
+    """Fold the relations to a set's profiles into the relation to the set.
 
     The four classifications are exhaustive and mutually exclusive:
     conflicting strict preferences in both directions mean incomparable,
@@ -81,9 +94,9 @@ def classify_relations(relations: Iterable[DerivedRelation]) -> SetClassificatio
     ap = bp = ind = False
     for rel in relations:
         empty = False
-        if rel is _A_PREFERRED:
+        if rel is _ACTION_PREFERRED:
             ap = True
-        elif rel is _B_PREFERRED:
+        elif rel is _SET_PREFERRED:
             bp = True
         elif rel is _INDIFFERENT:
             ind = True
@@ -105,8 +118,8 @@ def profile_relations(
     action: Sequence[float],
     profiles: Sequence[Sequence[float]],
     lam: float,
-) -> Iterator[DerivedRelation]:
-    """Derived relation of one action to each profile; one kernel call each.
+) -> Iterator[SetClassification]:
+    """Relation of one action to each profile; one kernel call each.
 
     A one-pass iterator: the set fold needs no tuple of the relations,
     and building one per action and level raises the peak memory of a
@@ -377,8 +390,8 @@ class ProfileTable:
         for i, j in self._within + self._across:
             self._sigma[i][j], self._sigma[j][i] = sigma_pair(kernel, vectors[i], vectors[j])
 
-    def relation(self, k: int, p: int, h: int, q: int, lam: float) -> DerivedRelation:
-        """Derived relation of profile p of level k to profile q of level h."""
+    def relation(self, k: int, p: int, h: int, q: int, lam: float) -> SetClassification:
+        """Relation of profile p of level k to profile q of level h."""
         i, j = self._start[k] + p, self._start[h] + q
         return derived_relation(self._sigma[i][j] >= lam, self._sigma[j][i] >= lam)
 
@@ -390,7 +403,7 @@ class ProfileTable:
         """
         return tuple(
             classify_relations(
-                DerivedRelation.INDIFFERENT if (h, q) == (k, p)
+                _INDIFFERENT if (h, q) == (k, p)
                 else self.relation(k, p, h, q, lam)
                 for q in range(len(ref.profiles))
             )
@@ -435,7 +448,7 @@ class ProfileTable:
                 # rows: the lower level's profiles; columns: the higher level's
                 dom = [[dominates(self.criteria, high, low) for high in sets[hi].profiles]
                        for low in sets[lo].profiles]
-                pref = [[self.relation(hi, j, lo, i, lam) is DerivedRelation.A_PREFERRED
+                pref = [[self.relation(hi, j, lo, i, lam) is _ACTION_PREFERRED
                          for j in range(len(sets[hi].profiles))]
                         for i in range(len(sets[lo].profiles))]
                 pairs[(lo, hi)] = LevelPairFlags(*_flags(dom), *_flags(pref))

@@ -243,12 +243,11 @@ def _run_checked_suite(
     trials: int,
     seed: int,
     runner: Callable[[Instance, float, int], PropertyReport],
-    config_overrides: dict | None = None,
 ) -> PropertyReport:
     merged = PropertyReport(name, 0)
     for i in range(trials):
         rng = random.Random(seed + i)
-        cfg = _draw_config(rng, **(config_overrides or {}))
+        cfg = _draw_config(rng)
         inst = generate_instance(seed + i, cfg)
         lam = rng.choice(LAMBDA_GRID)
         report = runner(inst, lam, seed + i)

@@ -6,16 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from electre_score.credibility import (
-    DerivedRelation,
-    band_ends,
-    compile_criteria,
-    derived_relation,
-    preferred_bands,
-)
+from electre_score.credibility import band_ends, compile_criteria, preferred_bands
 from electre_score.model import ReferenceSet, ReferenceStructure
 from electre_score.properties import GeneratorConfig, generate_instance
-from electre_score.refsets import ProfileTable
+from electre_score.refsets import ProfileTable, SetClassification, derived_relation
 from electre_score.sweep import sweep_lambda
 
 import band_reference
@@ -44,8 +38,8 @@ class TestPreferredBands:
         ba = preferred_bands(ends, sba, sab)
         for i, u in enumerate(ends):
             relation = derived_relation(sab >= u, sba >= u)
-            assert (i in ab) == (relation is DerivedRelation.A_PREFERRED)
-            assert (i in ba) == (relation is DerivedRelation.B_PREFERRED)
+            assert (i in ab) == (relation is SetClassification.ACTION_PREFERRED)
+            assert (i in ba) == (relation is SetClassification.SET_PREFERRED)
         for run in (ab, ba):
             # an empty run starts at its stop, so its complement is exact
             assert 0 <= run.start <= run.stop <= len(ends)

@@ -10,6 +10,8 @@ checkers read the shared relation layer; the reports must not change.
 Regenerate (only when a report is meant to change) with::
 
     PYTHONPATH=src python tests/test_checker_reports.py
+
+which prints the key of every report that changed.
 """
 
 import json
@@ -111,4 +113,9 @@ def test_profile_named_action_keeps_propositions_clean():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(_as_json(all_reports()))
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    new = all_reports()
+    for key, report in new.items():
+        if json.loads(json.dumps(report)) != old.get(key):
+            print(f"changed: {key}")
+    GOLDEN.write_text(_as_json(new))

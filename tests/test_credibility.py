@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from electre_score.credibility import (
-    DerivedRelation,
     InvalidVetoError,
     InvertedThresholdsError,
     NegativeThresholdError,
     ThresholdError,
     compile_criteria,
     credibility,
-    derived_relation,
     dominates,
     preferred_bands,
     sigma_pair,
@@ -30,7 +28,7 @@ from electre_score.model import (
     check_cutting_level,
 )
 from electre_score.properties import GeneratorConfig, generate_instance
-from electre_score.refsets import validate_basic_assumptions
+from electre_score.refsets import SetClassification, derived_relation, validate_basic_assumptions
 from electre_score.scoring import score_ranges
 
 from criterion_reference import (
@@ -211,10 +209,10 @@ class TestCrispAndDerived:
             check_cutting_level(0.5)
 
     def test_four_cases(self):
-        assert derived_relation(True, False) is DerivedRelation.A_PREFERRED
-        assert derived_relation(False, True) is DerivedRelation.B_PREFERRED
-        assert derived_relation(True, True) is DerivedRelation.INDIFFERENT
-        assert derived_relation(False, False) is DerivedRelation.INCOMPARABLE
+        assert derived_relation(True, False) is SetClassification.ACTION_PREFERRED
+        assert derived_relation(False, True) is SetClassification.SET_PREFERRED
+        assert derived_relation(True, True) is SetClassification.INDIFFERENT
+        assert derived_relation(False, False) is SetClassification.INCOMPARABLE
 
     def test_hotel_pairs_at_070(self, hotel, hotel_vectors):
         kernel = compile_criteria(hotel["criteria"])
@@ -226,11 +224,11 @@ class TestCrispAndDerived:
             sab, sba = sigma(a, b)
             return derived_relation(sab >= lam, sba >= lam)
 
-        assert relation("a1", "b31", 0.7) is DerivedRelation.A_PREFERRED
-        assert relation("a1", "a1", 0.7) is DerivedRelation.INDIFFERENT
+        assert relation("a1", "b31", 0.7) is SetClassification.ACTION_PREFERRED
+        assert relation("a1", "a1", 0.7) is SetClassification.INDIFFERENT
         # sigma(a1,b42) = 1 and sigma(b42,a1) = 103/108, both above 0.7
         assert sigma("a1", "b42") == (1.0, pytest.approx(103 / 108, abs=1e-12))
-        assert relation("a1", "b42", 0.7) is DerivedRelation.INDIFFERENT
+        assert relation("a1", "b42", 0.7) is SetClassification.INDIFFERENT
 
 
 class TestDominates:
@@ -357,7 +355,7 @@ class TestRangeInvariants:
     )
     def test_derived_relation_partition(self, sab, sba, lam):
         rel = derived_relation(sab >= lam, sba >= lam)
-        assert rel in DerivedRelation
+        assert rel in SetClassification
 
 
 class TestThresholdEdgeCases:

@@ -22,7 +22,11 @@ from electre_score.properties import (
     make_edits,
     shrink_instance,
 )
-from electre_score.refsets import check_separability, classify_action_vs_levels
+from electre_score.refsets import (
+    SetClassification,
+    check_separability,
+    classify_action_vs_levels,
+)
 from electre_score.scoring import scan_bounds
 
 
@@ -186,6 +190,41 @@ class TestPropositionChecker:
         report = check_propositions(inst.refs, inst.criteria, 0.75, actions)
         assert report.hypothesis_met
         assert any(f.case.endswith("fast path diverges") for f in report.failures)
+
+    def test_ladder_gated_on_soft_preference(self):
+        # soft dominance gives a higher level only B S b; with soft
+        # preference failing, "level 5 must be preferred to L3P0" is no
+        # longer asserted
+        inst = generate_instance(6, GeneratorConfig(
+            n_criteria=3, n_levels=5, max_profiles_per_level=2, n_actions=0,
+            strong_dominance=False))
+        sep = check_separability(inst.refs, inst.criteria, 0.65)
+        assert sep.soft_dominance and not sep.all_soft_preference_primal
+        report = check_propositions(inst.refs, inst.criteria, 0.65, {})
+        assert report.hypothesis_met
+        assert report.failures == ()
+
+    def test_ladder_failure_survives_the_gate(self, monkeypatch):
+        # falsification: with soft preference holding, a higher level read
+        # as indifferent to a profile must still fail the ladder
+        inst = generate_instance(6, GeneratorConfig(
+            n_criteria=4, n_levels=4, max_profiles_per_level=2, n_actions=0))
+        assert check_separability(inst.refs, inst.criteria, 0.75).all_soft_preference_primal
+        real = refsets.ProfileTable.profile_levels
+
+        def corrupted(self, k, p, lam):
+            relations = real(self, k, p, lam)
+            if k + 1 < len(relations):
+                relations = relations[:k + 1] + (SetClassification.INDIFFERENT,) + relations[k + 2:]
+            return relations
+
+        monkeypatch.setattr(refsets.ProfileTable, "profile_levels", corrupted)
+        report = check_propositions(inst.refs, inst.criteria, 0.75, {})
+        assert report.hypothesis_met
+        assert [f.case for f in report.failures] == [
+            f"profile L{k}P{p}: level {k + 2} must be preferred to it"
+            for k, ref in enumerate(inst.refs.sets[:-1]) for p in range(len(ref.profiles))
+        ]
 
     def test_incomparable_action_skipped(self):
         inst = generate_instance(7, GeneratorConfig(

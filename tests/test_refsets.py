@@ -3,11 +3,7 @@ import random
 
 import pytest
 
-from electre_score.credibility import (
-    DerivedRelation,
-    compile_criteria,
-    derived_relation,
-)
+from electre_score.credibility import compile_criteria
 from electre_score.properties import GeneratorConfig, apply_edit, generate_instance, make_edits
 from electre_score.refsets import (
     ProfileTable,
@@ -16,6 +12,7 @@ from electre_score.refsets import (
     check_separability,
     classify_action_vs_levels,
     classify_relations,
+    derived_relation,
     soft_dominance,
     validate_basic_assumptions,
 )
@@ -23,10 +20,10 @@ from electre_score.refsets import (
 from criterion_reference import credibility
 from oracle import HOTEL_ORACLE_CRITERIA, classify_oracle
 
-AP = DerivedRelation.A_PREFERRED
-BP = DerivedRelation.B_PREFERRED
-IND = DerivedRelation.INDIFFERENT
-INC = DerivedRelation.INCOMPARABLE
+AP = SetClassification.ACTION_PREFERRED
+BP = SetClassification.SET_PREFERRED
+IND = SetClassification.INDIFFERENT
+INC = SetClassification.INCOMPARABLE
 
 
 def set_relations(relations) -> set[str]:
@@ -82,6 +79,14 @@ class TestClassifyRelations:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             classify_relations([])
+
+    @pytest.mark.parametrize("relation", list(SetClassification), ids=lambda r: r.value)
+    def test_one_relation_type(self, relation):
+        # derived_relation gives each member, and a one-profile set has its
+        # profile's relation
+        directions = [(sab, sba) for sab in (True, False) for sba in (True, False)]
+        assert relation in [derived_relation(*d) for d in directions]
+        assert classify_relations([relation]) is relation
 
 
 class TestClassifyActionVsSet:
