@@ -5,7 +5,8 @@ Commands: ``evaluate`` (score ranges), ``validate`` (structural checks),
 cutting-level bands for a relation target), ``verify`` (randomized
 property suites).
 
-Exit codes: 0 ok; 2 parse/usage error; 3 validation error (also a
+Exit codes: 0 ok; 2 parse/usage error (also an output path that
+cannot be written); 3 validation error (also a
 threshold that fails at a pair of values); 4 comparability failure; 5
 verification failure (a suite found counterexamples, or no cutting level
 reproduces the sweep target).
@@ -68,10 +69,21 @@ class _Exit(Exception):
         self.code = code
 
 
+def _write_output(output: str | Path | None, text: str) -> None:
+    """A report's text to ``output``, or to stdout when there is none."""
+    if output is None:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(output).write_text(text)
+    except OSError as exc:
+        raise _Exit(EXIT_PARSE, f"cannot write {output}: {exc.strerror or exc}")
+
+
 def _load_inputs(args) -> tuple[LoadedModel, PerformanceTable | None]:
     model = load_model(args.model)
     table = None
-    if getattr(args, "performances", None):
+    if args.performances:
         table = load_performances_csv(args.performances, model.criteria)
     elif model.embedded_performances:
         table = PerformanceTable(model.criteria, model.embedded_performances)
@@ -149,9 +161,7 @@ def cmd_evaluate(args) -> int:
         "validation_warnings": list(validation.warnings) + list(model.warnings),
         "used_fast_path": result.used_fast_path,
     }
-    text = write_report(report, args.output)
-    if args.output is None:
-        sys.stdout.write(text)
+    _write_output(args.output, write_report(report))
     # a comparable action has both bounds (AP at the bottom level, SP at the top)
     failed = [a for a, ok in comparability.items() if not ok]
     if failed:
@@ -206,9 +216,7 @@ def cmd_validate(args) -> int:
         ]
         report["separability"] = _separability_json(profiles.separability(1.0))
 
-    text = write_report(report, args.output)
-    if args.output is None:
-        sys.stdout.write(text)
+    _write_output(args.output, write_report(report))
     if invalid:
         return EXIT_VALIDATION
     if incomparable:
@@ -252,11 +260,7 @@ def cmd_sigma(args) -> int:
     writer.writerow(["sigma"] + names)
     for name, row in zip(names, sigma):
         writer.writerow([name] + [f"{s:.6f}" for s in row])
-    text = buf.getvalue()
-    if args.output is not None:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args.output, buf.getvalue())
     return EXIT_OK
 
 
@@ -291,9 +295,7 @@ def cmd_sweep_lambda(args) -> int:
             "mismatched_pairs": [list(p) for p in result.mismatches_best],
         },
     }
-    text = write_report(report, args.output)
-    if args.output is None:
-        sys.stdout.write(text)
+    _write_output(args.output, write_report(report))
     if not result.feasible:
         print(
             "no cutting level reproduces the target table; closest band "
@@ -327,6 +329,9 @@ def cmd_verify(args) -> int:
             raise _Exit(EXIT_PARSE, f"cannot read config {args.config}: {exc}")
         if not isinstance(config, dict):
             raise _Exit(EXIT_PARSE, f"config {args.config} must be a JSON object")
+        unknown = [key for key in config if key not in ("suites", "trials", "seed")]
+        if unknown:
+            raise _Exit(EXIT_PARSE, f"unknown config key {unknown[0]!r}")
     trials = args.trials if args.trials is not None else _config_int(config, "trials", 500)
     seed = args.seed if args.seed is not None else _config_int(config, "seed", 1)
     if trials < 0:
@@ -342,7 +347,10 @@ def cmd_verify(args) -> int:
 
     out_dir = Path(args.output) if args.output else None
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _Exit(EXIT_PARSE, f"cannot write {out_dir}: {exc.strerror or exc}")
 
     any_failure = False
     for name in suite_names:
@@ -354,9 +362,9 @@ def cmd_verify(args) -> int:
             f"{report.skipped} skipped)"
         )
         if out_dir is not None:
-            write_report(
-                {**dataclasses.asdict(report), "passed": report.passed},
+            _write_output(
                 out_dir / f"{report.name}.json",
+                write_report({**dataclasses.asdict(report), "passed": report.passed}),
             )
     return EXIT_VERIFY if any_failure else EXIT_OK
 
@@ -368,24 +376,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, performances=True):
+    def common(p, cutting_level=False):
         p.add_argument("model", help="model file (JSON)")
-        if performances:
-            p.add_argument(
-                "--performances", help="performance table (CSV)", default=None
-            )
-        p.add_argument("--lambda", dest="cutting_level", type=float, default=None,
-                       help="cutting level in ]0.5, 1]")
+        p.add_argument("--performances", help="performance table (CSV)", default=None)
+        # only evaluate and validate read a cutting level
+        if cutting_level:
+            p.add_argument("--lambda", dest="cutting_level", type=float, default=None,
+                           help="cutting level in ]0.5, 1]")
         p.add_argument("--output", default=None, help="write the report here")
 
     p_eval = sub.add_parser("evaluate", help="assign score ranges to all actions")
-    common(p_eval)
+    common(p_eval, cutting_level=True)
     p_eval.add_argument("--force", action="store_true",
                         help="score even if the basic assumptions fail")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_val = sub.add_parser("validate", help="structural checks on a model")
-    common(p_val)
+    common(p_val, cutting_level=True)
     p_val.set_defaults(func=cmd_validate)
 
     p_sig = sub.add_parser("sigma", help="dump the full credibility matrix as CSV")

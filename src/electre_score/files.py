@@ -431,12 +431,9 @@ def _encode(value: Any, append, newline: str) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def write_report(report: dict, output: str | Path | None) -> str:
-    """The report as deterministic JSON text, also written to ``output``."""
+def write_report(report: dict) -> str:
+    """The report as deterministic JSON text."""
     pieces: list[str] = []
     _encode(report, pieces.append, "\n")
     pieces.append("\n")
-    text = "".join(pieces)
-    if output is not None:
-        Path(output).write_text(text)
-    return text
+    return "".join(pieces)

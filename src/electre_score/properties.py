@@ -8,9 +8,8 @@ hypothesis fails the report is marked gated rather than failed.
 Stability reads soft dominance from dominance alone
 (:func:`refsets.soft_dominance`); conformity and propositions, which
 also need soft preference, read the separability of the profile table
-they build anyway. On a genuine failure the offending instance is
-shrunk by dropping criteria, then profiles, then actions, and the
-smallest failing instance's digest is recorded.
+they build anyway. :func:`shrink_instance` reduces a failing instance
+to a smaller one that still fails.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .credibility import compile_criteria
 from .model import (
@@ -299,16 +298,6 @@ class PropertyReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def merged(self, other: "PropertyReport") -> "PropertyReport":
-        return PropertyReport(
-            self.name,
-            self.trials + other.trials,
-            self.failures + other.failures,
-            self.skipped + other.skipped,
-            self.hypothesis_met and other.hypothesis_met,
-            self.notes + other.notes,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -744,26 +733,22 @@ def _drop_criterion(instance: Instance, j: int) -> Instance | None:
     return Instance(criteria, table, ReferenceStructure(sets))
 
 
-def _drop_profile(instance: Instance, level: int, idx: int) -> Instance | None:
-    sets = list(instance.refs.sets)
-    target = sets[level]
-    if len(target.profiles) <= 1:
-        if len(sets) <= 2:
-            return None
-        del sets[level]
-    else:
-        sets[level] = ReferenceSet(
-            target.score,
-            target.profiles[:idx] + target.profiles[idx + 1 :],
-            (target.names[:idx] + target.names[idx + 1 :]) if target.names else (),
-        )
-    return Instance(instance.criteria, instance.table, ReferenceStructure(tuple(sets)))
-
-
-def _drop_action(instance: Instance, action: str) -> Instance | None:
-    rows = {a: vec for a, vec in instance.table.rows.items() if a != action}
-    table = PerformanceTable(instance.criteria, rows)
-    return Instance(instance.criteria, table, instance.refs)
+def _reductions(instance: Instance) -> Iterator[Instance | None]:
+    """One-step reductions, each built when tried: criteria, profiles, actions."""
+    for j in range(len(instance.criteria)):
+        yield _drop_criterion(instance, j)
+    for level, ref in enumerate(instance.refs.sets):
+        for idx in range(len(ref.profiles)):
+            # a level's last profile goes with its set
+            edit = DeleteSet(level) if len(ref.profiles) == 1 else DeleteProfile(level, idx)
+            try:
+                refs = apply_edit(instance.refs, edit)
+            except InvalidEditError:  # the set is one of the last two
+                continue
+            yield replace(instance, refs=refs)
+    for action in instance.table.actions:
+        rows = {a: vec for a, vec in instance.table.rows.items() if a != action}
+        yield replace(instance, table=PerformanceTable(instance.criteria, rows))
 
 
 def shrink_instance(
@@ -771,33 +756,14 @@ def shrink_instance(
 ) -> Instance:
     """Greedy reduction: drop criteria, then profiles, then actions.
 
-    Each removal is kept only when the failure persists; restarts after
-    every successful removal until a fixed point.
+    Each removal is kept only when the failure persists; the search
+    restarts after every kept removal until none is left to keep.
     """
     current = instance
-    reduced = True
-    while reduced:
-        reduced = False
-        for j in range(len(current.criteria)):
-            cand = _drop_criterion(current, j)
+    while True:
+        for cand in _reductions(current):
             if cand is not None and still_fails(cand):
-                current, reduced = cand, True
+                current = cand
                 break
-        if reduced:
-            continue
-        for level in range(len(current.refs.sets)):
-            for idx in range(len(current.refs.sets[level].profiles)):
-                cand = _drop_profile(current, level, idx)
-                if cand is not None and still_fails(cand):
-                    current, reduced = cand, True
-                    break
-            if reduced:
-                break
-        if reduced:
-            continue
-        for action in current.table.actions:
-            cand = _drop_action(current, action)
-            if cand is not None and still_fails(cand):
-                current, reduced = cand, True
-                break
-    return current
+        else:
+            return current

@@ -3,15 +3,18 @@
 Five suites back the verification harness: the dominance/outranking
 implication chain, the credibility invariants, the set-relation
 propositions, conformity, and stability under single edits. Trials are
-deterministic per (base seed, index); a failing trial is shrunk before
-being recorded. ``deck-example`` is a notice, not a trial suite.
+deterministic per (base seed, index) and all drawn by :func:`_trials`.
+A failing trial of a checked suite is shrunk by dropping criteria, then
+profiles, then actions, and its failures carry the trial seed and the
+digest of the smallest instance that still fails. ``deck-example`` is a
+notice, not a trial suite.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .credibility import compile_criteria, dominates, sigma_pair
 from .model import Criterion, Direction
@@ -38,18 +41,43 @@ MAX_PROFILES = 4
 MAX_ACTIONS = 20
 
 
-def _draw_config(rng: random.Random, **overrides) -> GeneratorConfig:
-    base = dict(
-        n_criteria=rng.randint(1, MAX_CRITERIA),
-        n_levels=rng.randint(2, MAX_LEVELS),
-        max_profiles_per_level=rng.randint(1, MAX_PROFILES),
-        n_actions=rng.randint(1, MAX_ACTIONS),
-        threshold_mode="constant",
-        veto=False,
-        strong_dominance=True,
-    )
-    base.update(overrides)
-    return GeneratorConfig(**base)
+def _trials(
+    trials: int,
+    seed: int,
+    actions: tuple[int, int] | None = None,
+    salt: int = 0,
+    **overrides,
+) -> Iterator[tuple[int, random.Random, Instance]]:
+    """Yield ``(trial_seed, rng, instance)`` for each trial.
+
+    Trial ``i`` has seed ``seed + i``; its ``rng`` is seeded with that
+    seed xor ``salt`` and draws the instance's sizes, after the action
+    count in ``actions`` when one is given. The suite reads its own
+    draws from the same ``rng`` afterwards.
+    """
+    for trial_seed in range(seed, seed + trials):
+        rng = random.Random(trial_seed ^ salt)
+        n_actions = rng.randint(*actions) if actions else None
+        config = dict(
+            n_criteria=rng.randint(1, MAX_CRITERIA),
+            n_levels=rng.randint(2, MAX_LEVELS),
+            max_profiles_per_level=rng.randint(1, MAX_PROFILES),
+            # drawn even when replaced, so the suite's later draws stay put
+            n_actions=rng.randint(1, MAX_ACTIONS),
+            **overrides,
+        )
+        if n_actions is not None:
+            config["n_actions"] = n_actions
+        yield trial_seed, rng, generate_instance(trial_seed, GeneratorConfig(**config))
+
+
+def _recorder(
+    failures: list[PropertyFailure], trial_seed: int, inst: Instance
+) -> Callable[[str, str, str], None]:
+    def record(case: str, expected: str, observed: str) -> None:
+        failures.append(PropertyFailure(trial_seed, inst.digest(), case, expected, observed))
+
+    return record
 
 
 def _dominated_variant(
@@ -75,23 +103,12 @@ def run_dominance_implication_suite(trials: int, seed: int) -> PropertyReport:
     likewise for strict preference.
     """
     failures: list[PropertyFailure] = []
-    total = 0
-    for i in range(trials):
-        rng = random.Random(seed + i)
-        inst = generate_instance(
-            seed + i, _draw_config(rng, n_actions=max(3, rng.randint(3, 8)),
-                                   strong_dominance=False),
-        )
+    for trial_seed, rng, inst in _trials(trials, seed, actions=(3, 8),
+                                         strong_dominance=False):
         crit = inst.criteria
         kernel = compile_criteria(crit)
-        total += 1
         pool = list(inst.table.rows.values())
-
-        def record(case: str, expected: str, observed: str) -> None:
-            failures.append(
-                PropertyFailure(seed + i, inst.digest(), case, expected, observed)
-            )
-
+        record = _recorder(failures, trial_seed, inst)
         for _ in range(3):
             a = rng.choice(pool)
             b = rng.choice(pool)
@@ -128,39 +145,27 @@ def run_dominance_implication_suite(trials: int, seed: int) -> PropertyReport:
                 ):
                     record(f"dominating source keeps strict preference, lam={lam}",
                            "still strict", f"({s_pb}, {s_bp})")
-    return PropertyReport("dominance-implications", total, tuple(failures))
+    return PropertyReport("dominance-implications", trials, tuple(failures))
 
 
 def _sigma_invariant_trials(
     trials: int, seed: int, name: str, veto: bool, threshold_mode: str
 ) -> PropertyReport:
     failures: list[PropertyFailure] = []
-    total = 0
-    for i in range(trials):
-        rng = random.Random(seed + i)
-        inst = generate_instance(
-            seed + i,
-            _draw_config(rng, veto=veto, threshold_mode=threshold_mode,
-                         strong_dominance=False,
-                         n_actions=max(2, rng.randint(2, 8))),
-        )
+    for trial_seed, rng, inst in _trials(trials, seed, actions=(2, 8), veto=veto,
+                                         threshold_mode=threshold_mode,
+                                         strong_dominance=False):
         crit = inst.criteria
         kernel = compile_criteria(crit)
         # with every veto stripped, credibility is concordance
         concordance = (
             compile_criteria([replace(c, veto=None) for c in crit]) if veto else kernel
         )
-        total += 1
         entities = dict(inst.table.rows)
         for pname, _, _, vec in inst.refs.flat_profiles():
             entities[pname] = vec
         keys = list(entities)
-
-        def record(case: str, expected: str, observed: str) -> None:
-            failures.append(
-                PropertyFailure(seed + i, inst.digest(), case, expected, observed)
-            )
-
+        record = _recorder(failures, trial_seed, inst)
         for key in rng.sample(keys, min(3, len(keys))):
             if sigma_pair(kernel, entities[key], entities[key]) != (1.0, 1.0):
                 record(f"reflexivity at {key}", "1.0", "not 1")
@@ -178,7 +183,7 @@ def _sigma_invariant_trials(
                 record(f"relation mirror symmetry ({a},{b})", f"{(back, sigma)}", f"{mirror}")
             if sigma != 1.0 and dominates(crit, entities[a], entities[b]):
                 record(f"dominance gives credibility 1 ({a},{b})", "1.0", f"{sigma}")
-    return PropertyReport(name, total, tuple(failures))
+    return PropertyReport(name, trials, tuple(failures))
 
 
 def run_sigma_invariants_suite(trials: int, seed: int) -> PropertyReport:
@@ -203,15 +208,11 @@ def run_variable_threshold_suite(trials: int, seed: int) -> PropertyReport:
     """
     base = _sigma_invariant_trials(trials, seed, "variable-thresholds",
                                    veto=False, threshold_mode="variable")
-    notes: list[str] = list(base.notes)
+    notes: list[str] = []
     observed = 0
-    for i in range(trials):
-        rng = random.Random((seed + i) ^ 0x7A11)
-        inst = generate_instance(
-            seed + i,
-            _draw_config(rng, threshold_mode="variable", strong_dominance=False,
-                         n_actions=max(3, rng.randint(3, 6))),
-        )
+    for trial_seed, rng, inst in _trials(trials, seed, actions=(3, 6), salt=0x7A11,
+                                         threshold_mode="variable",
+                                         strong_dominance=False):
         crit = inst.criteria
         kernel = compile_criteria(crit)
         pool = list(inst.table.rows.values())
@@ -225,7 +226,7 @@ def run_variable_threshold_suite(trials: int, seed: int) -> PropertyReport:
                     observed += 1
                     if observed <= 5:
                         notes.append(
-                            f"seed {seed + i}: outranking lost against a "
+                            f"seed {trial_seed}: outranking lost against a "
                             f"dominated target at lam={lam} "
                             f"({s_ab:.6f} -> {s_abm:.6f})"
                         )
@@ -234,8 +235,7 @@ def run_variable_threshold_suite(trials: int, seed: int) -> PropertyReport:
             f"{observed} implication violations observed under variable "
             "thresholds (reported, not asserted)"
         )
-    return PropertyReport(base.name, base.trials, base.failures,
-                          base.skipped, base.hypothesis_met, tuple(notes))
+    return replace(base, notes=tuple(notes))
 
 
 def _run_checked_suite(
@@ -244,31 +244,31 @@ def _run_checked_suite(
     seed: int,
     runner: Callable[[Instance, float, int], PropertyReport],
 ) -> PropertyReport:
-    merged = PropertyReport(name, 0)
-    for i in range(trials):
-        rng = random.Random(seed + i)
-        cfg = _draw_config(rng)
-        inst = generate_instance(seed + i, cfg)
+    failures: list[PropertyFailure] = []
+    notes: list[str] = []
+    skipped, hypothesis_met = 0, True
+    for trial_seed, rng, inst in _trials(trials, seed):
         lam = rng.choice(LAMBDA_GRID)
-        report = runner(inst, lam, seed + i)
-        failures = report.failures
-        if failures:
-            def still_fails(candidate: Instance) -> bool:
-                return bool(runner(candidate, lam, seed + i).failures)
-
-            small = shrink_instance(inst, still_fails)
-            shrunk = runner(small, lam, seed + i).failures
-            if shrunk:
-                dims = small.dims()
-                failures = tuple(
-                    replace(f, case=f"{f.case} [shrunk to {dims}]") for f in shrunk
-                )
-            # the checkers record neither seed nor digest: both are
-            # stamped here, the digest computed for failing trials only
-            digest = (small if shrunk else inst).digest()
-            failures = tuple(replace(f, seed=seed + i, digest=digest) for f in failures)
-        merged = merged.merged(replace(report, name=name, trials=1, failures=failures))
-    return merged
+        report = runner(inst, lam, trial_seed)
+        skipped += report.skipped
+        hypothesis_met = hypothesis_met and report.hypothesis_met
+        notes.extend(report.notes)
+        if not report.failures:
+            continue
+        small = shrink_instance(
+            inst, lambda candidate: bool(runner(candidate, lam, trial_seed).failures)
+        )
+        shrunk = runner(small, lam, trial_seed).failures
+        found = report.failures
+        if shrunk:
+            found = tuple(
+                replace(f, case=f"{f.case} [shrunk to {small.dims()}]") for f in shrunk
+            )
+        # the checkers record neither seed nor digest: both are stamped
+        # here, the digest computed for failing trials only
+        digest = (small if shrunk else inst).digest()
+        failures.extend(replace(f, seed=trial_seed, digest=digest) for f in found)
+    return PropertyReport(name, trials, tuple(failures), skipped, hypothesis_met, tuple(notes))
 
 
 def run_propositions_suite(trials: int, seed: int) -> PropertyReport:

@@ -224,6 +224,15 @@ class TestSigma:
         for e in entities:
             assert matrix[(e, e)] == 1.0
 
+    def test_lambda_is_usage_error(self, hotel_files, capsys):
+        # sigma reads no cutting level, so an out-of-range one must not
+        # pass silently
+        model, perf, _ = hotel_files
+        with pytest.raises(SystemExit) as exc:
+            main(["sigma", str(model), "--performances", str(perf), "--lambda", "7"])
+        assert exc.value.code == EXIT_PARSE
+        assert "--lambda" in capsys.readouterr().err
+
 
 class TestSweepLambda:
     def test_hotel_target_is_infeasible(self, hotel_files, tmp_path, capsys):
@@ -236,6 +245,15 @@ class TestSweepLambda:
         assert report["intervals"] == []
         assert report["closest_band"]["mismatched_pairs"] == [["b41", "a4"], ["b51", "a4"]]
         assert "no cutting level" in capsys.readouterr().err
+
+    def test_lambda_is_usage_error(self, hotel_files, capsys):
+        # the sweep finds every cutting level itself
+        model, perf, target = hotel_files
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-lambda", str(model), str(target), "--performances", str(perf),
+                  "--lambda", "0.1"])
+        assert exc.value.code == EXIT_PARSE
+        assert "--lambda" in capsys.readouterr().err
 
     def test_self_consistent_target(self, hotel_files, tmp_path):
         model, perf, target = hotel_files
@@ -741,7 +759,7 @@ class TestNonFiniteInput:
         from electre_score.files import write_report
 
         with pytest.raises(ValueError):
-            write_report({"value": float("nan")}, None)
+            write_report({"value": float("nan")})
 
 
 def _zero_weights(raw):
@@ -883,8 +901,10 @@ class TestVerifyConfigValues:
         {"suites": "stability"},
         {"suites": ["stability", 3]},
         {"suites": ["conformity", "nope"]},
+        {"suites": ["deck-example"], "trails": 3},
     ], ids=["trials-str", "seed-str", "list", "trials-float", "trials-negative",
-            "trials-bool", "suites-str", "suites-non-str", "suites-unknown-late"])
+            "trials-bool", "suites-str", "suites-non-str", "suites-unknown-late",
+            "unknown-key"])
     def test_bad_value_is_parse_error(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -902,6 +922,13 @@ class TestVerifyConfigValues:
         assert captured.out == ""
         assert str(cfg) in captured.err and "repeated key 'trials'" in captured.err
 
+    def test_unknown_key_is_named(self, tmp_path, capsys):
+        # a misspelt "trials" would otherwise run the default 500 trials
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suites": ["deck-example"], "trails": 3}))
+        assert main(["verify", "--config", str(cfg)]) == EXIT_PARSE
+        assert capsys.readouterr().err == "error: unknown config key 'trails'\n"
+
     def test_deeply_nested_config_is_parse_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[" * 100_000)
@@ -909,6 +936,37 @@ class TestVerifyConfigValues:
 
     def test_negative_trials_flag_is_parse_error(self):
         assert main(["verify", "--trials", "-1"]) == EXIT_PARSE
+
+
+class TestUnwritableOutput:
+    """An --output that cannot be written ends with exit 2 and one
+    ``error: cannot write`` line, for every command that writes a report."""
+
+    @pytest.mark.parametrize("command, output", [
+        (["evaluate", "MODEL", "--performances", "PERF", "--lambda", "0.65"], "missing/r.json"),
+        (["validate", "MODEL"], "missing/r.json"),
+        (["sigma", "MODEL", "--performances", "PERF"], "missing/s.csv"),
+        (["sweep-lambda", "MODEL", "TARGET", "--performances", "PERF"], "missing/r.json"),
+        (["verify", "--trials", "1"], "MODEL"),  # an existing file, not a directory
+        (["verify", "--trials", "1"], "BLOCKED"),  # a suite report path is a directory
+    ], ids=["evaluate", "validate", "sigma", "sweep-lambda", "verify-mkdir",
+            "verify-report"])
+    def test_exit_2_without_traceback(self, hotel_files, tmp_path, command, output):
+        model, perf, target = hotel_files
+        (tmp_path / "blocked" / "dominance-implications.json").mkdir(parents=True)
+        paths = {"MODEL": model, "PERF": perf, "TARGET": target,
+                 "BLOCKED": tmp_path / "blocked"}
+        output = paths.get(output, tmp_path / output)
+        argv = [str(paths.get(a, a)) for a in command] + ["--output", str(output)]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "electre_score.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_PARSE, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot write ")
+        assert str(output.name) in proc.stderr
 
 
 class TestNonUtf8Input:

@@ -156,7 +156,7 @@ REPORTS = st.recursive(
 @settings(max_examples=500, deadline=None)
 @given(REPORTS)
 def test_report_writer_matches_json_dumps(report):
-    assert write_report(report, None) == _reference_report(report)
+    assert write_report(report) == _reference_report(report)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -165,4 +165,4 @@ def test_report_writer_refuses_non_finite(value):
     with pytest.raises(ValueError):
         _reference_report(report)
     with pytest.raises(ValueError):
-        write_report(report, None)
+        write_report(report)

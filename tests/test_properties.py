@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -433,6 +434,26 @@ class TestShrinker:
         small = shrink_instance(inst, lambda c: True)
         assert len(small.criteria) == 1
         assert len(small.refs.sets) == 2
+
+    def test_candidate_sequence_is_pinned(self):
+        # every candidate the search tries, in order: a reordered or
+        # dropped reduction changes which counterexample a suite reports
+        inst = generate_instance(12, GeneratorConfig(
+            n_criteria=5, n_levels=4, max_profiles_per_level=2, n_actions=6))
+        seen = []
+
+        def still_fails(candidate):
+            seen.append(candidate.digest())
+            return (len(candidate.criteria) >= 2 and len(candidate.refs.sets) >= 3
+                    and len(candidate.table.actions) >= 2)
+
+        small = shrink_instance(inst, still_fails)
+        assert small.dims() == "2crit/3lvl/3prof/2act"
+        assert len(seen) == 44
+        assert seen[:3] == ["8a004bd1b1d6", "2aa3886b62d8", "976d6b29a827"]
+        assert hashlib.sha256(",".join(seen).encode()).hexdigest() == (
+            "b8fcc13006c59d554c558403eeadf32cfc2998b412311428194654c781b69f0d"
+        )
 
 
 class TestSuiteReproducibility:

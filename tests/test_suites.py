@@ -4,12 +4,17 @@ Each suite reads ``suites.sigma_pair``. Replacing it with a corrupted
 kernel must turn the suite's report into failures of the check that
 the corruption breaks; a suite that stopped checking would still pass.
 Each suite's kernel calls are pinned too, so one that drew fewer pairs
-fails here.
+fails here, and so are the reports of the checked suites when a
+corrupted bound scan makes their trials fail.
 """
+
+import hashlib
+import json
+from dataclasses import asdict
 
 import pytest
 
-from electre_score import suites
+from electre_score import properties, suites
 
 KERNEL = suites.sigma_pair
 
@@ -79,3 +84,33 @@ def test_kernel_calls_are_pinned(monkeypatch, suite, calls):
     monkeypatch.setattr(suites, "sigma_pair", counting)
     assert suites.SUITES[suite](20, 1).passed
     assert len(seen) == calls
+
+
+def _lower_one_level_down(real):
+    def corrupted(relations, scores):
+        lower, upper = real(relations, scores)
+        if lower is not None and lower[1] > 0:
+            lower = scores[lower[1] - 1], lower[1] - 1
+        return lower, upper
+
+    return corrupted
+
+
+@pytest.mark.parametrize("suite, failures, sha256", [
+    ("conformity", 21,
+     "2a85caa07a32656768bd7aec01d1339ad6fd7ed3e40d1118d11698ccb8b59dba"),
+    ("propositions", 44,
+     "ba9bf54df13228f340ad2a3db076cf0deb29e548b6b819933d685fd84b3518f1"),
+    ("stability", 18,
+     "3ea224968afc3065d5b2ba382c08609c56dfa94a3188ab0c9929e45d55a367d0"),
+], ids=["conformity", "propositions", "stability"])
+def test_failing_trials_are_pinned(monkeypatch, suite, failures, sha256):
+    # no golden has a failing trial; a lower bound scanned one level too
+    # low makes these suites fail, and their reports pin the shrinking and
+    # the seed and digest stamped on every failure
+    monkeypatch.setattr(properties, "scan_bounds", _lower_one_level_down(properties.scan_bounds))
+    report = suites.SUITES[suite](25, 4)
+    assert len(report.failures) == failures
+    assert all(f.seed is not None and f.digest for f in report.failures)
+    blob = json.dumps(asdict(report), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == sha256
