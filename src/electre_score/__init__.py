@@ -10,7 +10,6 @@ from .model import (
     ThresholdMode,
     ThresholdSpec,
     ValidationReport,
-    normalize_weights,
     validate_model,
 )
 from .credibility import (
@@ -22,7 +21,6 @@ from .credibility import (
 )
 from .refsets import (
     ProfileTable,
-    SeparabilityReport,
     SetClassification,
     check_comparability,
     check_separability,

@@ -38,7 +38,7 @@ from .model import (
     check_cutting_level,
     validate_model,
 )
-from .refsets import ProfileTable, check_comparability, is_comparable
+from .refsets import ProfileTable, check_comparability, is_comparable, soft_dominance
 from .scoring import BasicAssumptionsViolatedError, score_ranges
 
 # sweep and the verify suites (properties, hashlib, random) are
@@ -199,7 +199,7 @@ def cmd_validate(args) -> int:
         [violations] = profiles.basic_assumption_violations([lam])
         report["basic_assumptions"] = {"lambda": lam, "violations": violations}
         invalid = bool(violations)
-        report["separability"] = _separability_json(profiles.separability(lam))
+        report["separability"] = _separability_json(model, profiles, lam)
         if table is not None:
             comparability = check_comparability(table, model.refs, model.criteria, lam)
             report["comparability"] = comparability
@@ -214,7 +214,7 @@ def cmd_validate(args) -> int:
                 [0.5, *ends], ends, profiles.basic_assumption_violations(ends)
             )
         ]
-        report["separability"] = _separability_json(profiles.separability(1.0))
+        report["separability"] = _separability_json(model, profiles, 1.0)
 
     _write_output(args.output, write_report(report))
     if invalid:
@@ -224,18 +224,19 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _separability_json(separability) -> dict:
-    pairs = []
-    for (lo, hi), flags in sorted(separability.pairs.items()):
-        pairs.append({
-            "lower_level": lo + 1, "higher_level": hi + 1, **dataclasses.asdict(flags),
-        })
+def _separability_json(model, profiles: ProfileTable, lam: float) -> dict:
+    pairs = [
+        {"lower_level": lo + 1, "higher_level": hi + 1, **dataclasses.asdict(flags)}
+        for (lo, hi), flags in profiles.separability(lam).items()
+    ]
+    dominance = soft_dominance(model.criteria, model.refs)
+    preference = profiles.soft_preference(lam)
     return {
         "pairs": pairs,
-        "all_soft_dominance_primal": separability.all_soft_dominance_primal,
-        "all_soft_dominance_dual": separability.all_soft_dominance_dual,
-        "all_soft_preference_primal": separability.all_soft_preference_primal,
-        "all_soft_preference_dual": separability.all_soft_preference_dual,
+        "all_soft_dominance_primal": dominance[0],
+        "all_soft_dominance_dual": dominance[1],
+        "all_soft_preference_primal": preference[0],
+        "all_soft_preference_dual": preference[1],
     }
 
 

@@ -14,13 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .model import (
-    Criterion,
-    Direction,
-    ThresholdMode,
-    ThresholdSpec,
-    normalize_weights,
-)
+from .model import AllZeroWeightsError, Criterion, Direction, ThresholdMode, ThresholdSpec
 
 
 class ThresholdError(ValueError):
@@ -80,8 +74,8 @@ class CompiledCriteria:
 def compile_criteria(criteria: Sequence[Criterion]) -> CompiledCriteria:
     """Prepare criteria once per command for repeated :func:`sigma_pair` calls."""
     criteria = tuple(criteria)
-    if not any(c.weight > 0 for c in criteria):
-        normalize_weights(criteria)  # raises AllZeroWeightsError
+    if all(c.weight == 0 for c in criteria):
+        raise AllZeroWeightsError("all criterion weights are zero")
     rows = []
     total = 0.0
     for crit in criteria:

@@ -236,6 +236,12 @@ def _model_from_json(raw: Any) -> LoadedModel:
                 "computation; explicit scores are used"
             )
     elif deck_scores is not None:
+        if any(e is not None for e in explicit):
+            # the deck would silently replace the scores that are given
+            raise ParseError(
+                f"reference_sets[{explicit.index(None)}]: no 'score', though other "
+                "sets give one; give every set a score, or none to use the deck"
+            )
         scores = deck_scores
     else:
         raise ParseError(
@@ -282,6 +288,8 @@ def _model_from_json(raw: Any) -> LoadedModel:
             raise ParseError("'performances' must be an object of action rows")
         embedded = {}
         for action, vec in raw["performances"].items():
+            if not action.strip():
+                raise ParseError(f"performances: empty action id {action!r}")
             if not isinstance(vec, list) or len(vec) != len(criteria):
                 raise ParseError(
                     f"performances[{action!r}]: expected {len(criteria)} values"
@@ -325,6 +333,8 @@ def load_performances_csv(path: str | Path, criteria) -> PerformanceTable:
                 f"{path}:{line_no}: expected {len(names) + 1} cells, got {len(row)}"
             )
         action = row[0].strip()
+        if not action:
+            raise ParseError(f"{path}:{line_no}: empty action id")
         values = tuple(
             _cell_number(cell, f"{path}:{line_no}: column {name!r}")
             for name, cell in zip(names, row[1:])

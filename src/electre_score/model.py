@@ -171,19 +171,6 @@ def check_cutting_level(lam: float) -> float:
     return lam
 
 
-def normalize_weights(criteria: Sequence[Criterion] | Sequence[float]) -> list[float]:
-    """Scale weights to sum to one.
-
-    Accepts criteria or raw weights. Raises AllZeroWeightsError when the
-    total weight is zero.
-    """
-    weights = [c.weight if isinstance(c, Criterion) else float(c) for c in criteria]
-    total = sum(weights)
-    if total == 0:
-        raise AllZeroWeightsError("all criterion weights are zero")
-    return [w / total for w in weights]
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of structural validation: hard violations plus advisories."""

@@ -5,11 +5,11 @@ edit operations, and checkers for the method's consistency guarantees
 Each checker verifies its own hypothesis (the separability flags its
 guarantee is stated under) before asserting the conclusion; when the
 hypothesis fails the report is marked gated rather than failed.
-Stability reads soft dominance from dominance alone
-(:func:`refsets.soft_dominance`); conformity and propositions, which
-also need soft preference, read the separability of the profile table
-they build anyway. :func:`shrink_instance` reduces a failing instance
-to a smaller one that still fails.
+Every checker reads soft dominance from :func:`refsets.soft_dominance`;
+conformity and propositions, which also need soft preference, read it
+from the profile table they build anyway
+(:meth:`refsets.ProfileTable.soft_preference`). :func:`shrink_instance`
+reduces a failing instance to a smaller one that still fails.
 """
 
 from __future__ import annotations
@@ -317,8 +317,7 @@ def check_conformity(
     """
     check_cutting_level(lam)
     table = ProfileTable(compile_criteria(criteria), refs)
-    sep = table.separability(lam)
-    hypothesis = sep.soft_dominance and sep.soft_preference
+    hypothesis = all(soft_dominance(criteria, refs)) and all(table.soft_preference(lam))
     scores = refs.scores
 
     failures: list[PropertyFailure] = []
@@ -403,8 +402,8 @@ def check_propositions(
     check_cutting_level(lam)
     kernel = compile_criteria(criteria)
     table = ProfileTable(kernel, refs)
-    sep = table.separability(lam)
-    primal, dual = sep.all_soft_dominance_primal, sep.all_soft_dominance_dual
+    primal, dual = soft_dominance(criteria, refs)
+    preference_primal, _ = table.soft_preference(lam)
     scores = refs.scores
 
     failures: list[PropertyFailure] = []
@@ -461,7 +460,7 @@ def check_propositions(
                     if relations[h] not in _OUTRANKS_SET:
                         fail(f"profile L{k}P{p}: must outrank level {h+1}",
                              "outranks", relations[h].value)
-            if sep.all_soft_preference_primal:
+            if preference_primal:
                 for h in range(k + 1, len(scores)):
                     if relations[h] is not SetClassification.SET_PREFERRED:
                         fail(f"profile L{k}P{p}: level {h+1} must be preferred to it",

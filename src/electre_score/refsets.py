@@ -26,10 +26,13 @@ assumptions, separability, the lambda bands and each profile's relation
 to every level, and a :class:`CertifiedFold` relates each action of a
 table to every level, with no kernel call for a level the action clears
 by more than p on every criterion.
-Soft dominance alone, the hypothesis the stability checker gates on and
-the scoring's fast-path flag reports, comes from :func:`soft_dominance`,
-which computes no credibility. The public functions validate the
-cutting level once and compile the criteria themselves.
+Each separability hypothesis has one rule: soft dominance comes from
+:func:`soft_dominance`, which compares adjacent levels and computes no
+credibility, and soft preference from :meth:`ProfileTable.soft_preference`,
+which compares every pair of levels. :meth:`ProfileTable.separability`
+gives the flags per level pair, for the validator's report only. The
+public functions validate the cutting level once and compile the
+criteria themselves.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
 from .credibility import (
     CONSTANT,
@@ -288,42 +292,6 @@ class LevelPairFlags:
     soft_preference_dual: bool
 
 
-@dataclass(frozen=True)
-class SeparabilityReport:
-    """Separability flags per ordered level pair plus their conjunctions."""
-
-    # keyed by (lower level index, higher level index), 0-based
-    pairs: Mapping[tuple[int, int], LevelPairFlags]
-
-    def _all(self, attr: str) -> bool:
-        return all(getattr(f, attr) for f in self.pairs.values())
-
-    @property
-    def all_soft_dominance_primal(self) -> bool:
-        return self._all("soft_dominance_primal")
-
-    @property
-    def all_soft_dominance_dual(self) -> bool:
-        return self._all("soft_dominance_dual")
-
-    @property
-    def all_soft_preference_primal(self) -> bool:
-        return self._all("soft_preference_primal")
-
-    @property
-    def all_soft_preference_dual(self) -> bool:
-        return self._all("soft_preference_dual")
-
-    @property
-    def soft_dominance(self) -> bool:
-        """Both soft dominance conditions over every level pair."""
-        return self.all_soft_dominance_primal and self.all_soft_dominance_dual
-
-    @property
-    def soft_preference(self) -> bool:
-        return self.all_soft_preference_primal and self.all_soft_preference_dual
-
-
 def _flags(matrix: Sequence[Sequence[bool]]) -> tuple[bool, bool, bool]:
     """(strong, primal, dual) of a lower-by-higher level matrix: every
     cell, some cell in every row, some cell in every column."""
@@ -337,10 +305,8 @@ def soft_dominance(
 
     Primal: each profile of a lower level is dominated by some profile of
     every higher level. Dual: each profile of a higher level dominates
-    some profile of every lower level. These equal
-    ``all_soft_dominance_primal`` and ``all_soft_dominance_dual`` of
-    :meth:`ProfileTable.separability`, but need no credibility, so no
-    threshold is evaluated.
+    some profile of every lower level. This is the one soft-dominance
+    rule: it needs no credibility, so no threshold is evaluated.
 
     Only adjacent levels are compared. Dominance is componentwise ``>=``
     with one strict ``>``, and on finite values the sign of each
@@ -439,20 +405,42 @@ class ProfileTable:
                 bands[band].append(message)
         return bands
 
-    def separability(self, lam: float) -> SeparabilityReport:
-        """Dominance and preference separability flags at ``lam``."""
+    def _preferred(self, lo: int, hi: int, lam: float) -> list[list[bool]]:
+        """Whether each profile of level ``hi`` (columns) is strictly
+        preferred to each profile of level ``lo`` (rows)."""
+        return [[self.relation(hi, j, lo, i, lam) is _ACTION_PREFERRED
+                 for j in range(len(self.refs.sets[hi].profiles))]
+                for i in range(len(self.refs.sets[lo].profiles))]
+
+    def soft_preference(self, lam: float) -> tuple[bool, bool]:
+        """(primal, dual) soft preference over every pair of levels.
+
+        As :func:`soft_dominance` with strict preference at ``lam`` in
+        place of dominance. Preference is not transitive, so every pair
+        of levels is compared.
+        """
+        primal = dual = True
+        for lo, hi in combinations(range(len(self.refs.sets)), 2):
+            _, p, d = _flags(self._preferred(lo, hi, lam))
+            primal, dual = primal and p, dual and d
+        return primal, dual
+
+    def separability(self, lam: float) -> dict[tuple[int, int], LevelPairFlags]:
+        """Dominance and preference flags at ``lam`` per level pair.
+
+        Keyed by (lower, higher) 0-based level indices, in sorted order.
+        The hypotheses over all pairs are :func:`soft_dominance` and
+        :meth:`soft_preference`.
+        """
         sets = self.refs.sets
-        pairs: dict[tuple[int, int], LevelPairFlags] = {}
-        for lo in range(len(sets)):
-            for hi in range(lo + 1, len(sets)):
-                # rows: the lower level's profiles; columns: the higher level's
-                dom = [[dominates(self.criteria, high, low) for high in sets[hi].profiles]
-                       for low in sets[lo].profiles]
-                pref = [[self.relation(hi, j, lo, i, lam) is _ACTION_PREFERRED
-                         for j in range(len(sets[hi].profiles))]
-                        for i in range(len(sets[lo].profiles))]
-                pairs[(lo, hi)] = LevelPairFlags(*_flags(dom), *_flags(pref))
-        return SeparabilityReport(pairs)
+        pairs = {}
+        for lo, hi in combinations(range(len(sets)), 2):
+            # rows: the lower level's profiles; columns: the higher level's
+            dom = [[dominates(self.criteria, high, low) for high in sets[hi].profiles]
+                   for low in sets[lo].profiles]
+            pref = self._preferred(lo, hi, lam)
+            pairs[(lo, hi)] = LevelPairFlags(*_flags(dom), *_flags(pref))
+        return pairs
 
 
 def validate_basic_assumptions(
@@ -473,8 +461,9 @@ def check_separability(
     refs: ReferenceStructure,
     criteria: Sequence[Criterion],
     lam: float,
-) -> SeparabilityReport:
-    """Exhaustively evaluate the dominance and preference separability flags."""
+) -> dict[tuple[int, int], LevelPairFlags]:
+    """Dominance and preference flags per level pair; see
+    :meth:`ProfileTable.separability`."""
     check_cutting_level(lam)
     return ProfileTable(compile_criteria(criteria), refs).separability(lam)
 

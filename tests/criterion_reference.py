@@ -28,11 +28,11 @@ from electre_score.credibility import (
     NegativeThresholdError,
 )
 from electre_score.model import (
+    AllZeroWeightsError,
     Criterion,
     Direction,
     ThresholdMode,
     ThresholdSpec,
-    normalize_weights,
 )
 
 
@@ -105,8 +105,8 @@ def concordance(
     their full normalized weight; criteria where b is weakly preferred
     count a linear fraction of it; strict opposition counts nothing.
     """
-    if not any(c.weight > 0 for c in criteria):
-        normalize_weights(criteria)  # raises AllZeroWeightsError
+    if all(c.weight == 0 for c in criteria):
+        raise AllZeroWeightsError("all criterion weights are zero")
     # accumulate raw weights and divide once, so a fully concordant
     # coalition yields exactly 1.0
     numerator = 0.0

@@ -172,10 +172,10 @@ def test_criterion_5_property_suites():
 @_criterion("6 validator ground truth")
 def test_criterion_6_validator(hotel, hotel_sweep):
     separability = check_separability(hotel["refs"], hotel["criteria"], 0.65)
-    flags_2_3 = separability.pairs[(1, 2)]
+    flags_2_3 = separability[(1, 2)]
     assert not flags_2_3.soft_dominance_primal
     failing = {
-        pair for pair, f in separability.pairs.items() if not f.soft_dominance_primal
+        pair for pair, f in separability.items() if not f.soft_dominance_primal
     }
     assert failing == {(1, 2)}
 

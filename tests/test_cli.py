@@ -431,6 +431,44 @@ class TestModelFileParsing:
         assert main(["evaluate", str(model), "--performances", str(perf),
                      "--lambda", "0.65"]) == EXIT_PARSE
 
+    def test_partial_scores_with_deck_rejected(self, hotel_files, tmp_path, capsys):
+        # the deck would otherwise replace every given score without a warning
+        model, perf, _ = hotel_files
+        raw = json.loads(model.read_text())
+        del raw["reference_sets"][2]["score"]
+        del raw["reference_sets"][4]["score"]
+        model.write_text(json.dumps(raw))
+        code = main(["validate", str(model), "--performances", str(perf),
+                     "--output", str(tmp_path / "r.json")])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "reference_sets[2]: no 'score'" in err
+        assert "reference_sets[4]" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("action", ["", "  "], ids=["empty", "blank"])
+    def test_empty_embedded_action_id_rejected(self, hotel_files, tmp_path, capsys,
+                                               action):
+        model, _, _ = hotel_files
+        raw = json.loads(model.read_text())
+        raw["performances"] = {"a1": [13000, 3000, 4, 4, 4],
+                               action: [15000, 2500, 6, 2, 7]}
+        model.write_text(json.dumps(raw))
+        code = main(["evaluate", str(model), "--lambda", "0.65",
+                     "--output", str(tmp_path / "r.json")])
+        assert code == EXIT_PARSE
+        assert f"performances: empty action id {action!r}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_empty_csv_action_id_rejected(self, hotel_files, tmp_path, capsys):
+        model, perf, _ = hotel_files
+        with open(perf, "a") as fh:
+            fh.write(",1,2,3,4,5\n")
+        code = main(["evaluate", str(model), "--performances", str(perf),
+                     "--lambda", "0.65", "--output", str(tmp_path / "r.json")])
+        assert code == EXIT_PARSE
+        assert f"{perf}:7: empty action id" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
 
     @pytest.mark.parametrize("old, new, key", [
         # a second row for a1: json alone would score only the last one
@@ -625,12 +663,12 @@ class TestVerifyUnchanged:
 
 
 class TestScriptsUnchanged:
-    """The scripts run as written in the README and print what they printed
-    when their goldens were written; nothing else exercises them."""
+    """The script runs as written in the README and prints what it printed
+    when its golden was written; nothing else exercises it."""
 
     ROOT = Path(__file__).resolve().parent.parent
 
-    @pytest.mark.parametrize("script", ["hotel_demo", "lambda_band_analysis"])
+    @pytest.mark.parametrize("script", ["lambda_band_analysis"])
     def test_stdout(self, script, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}
         proc = subprocess.run(
@@ -1046,6 +1084,12 @@ class TestTracedEntry:
         totals = self._trace(tmp_path, "evaluate", str(model), "--performances", str(perf),
                              "--lambda", "0.65", "--output", str(tmp_path / "r.json"))
         assert totals["scoring.score_ranges"]["count"] == 1
+
+    def test_validate(self, hotel_files, tmp_path):
+        model, perf, _ = hotel_files
+        totals = self._trace(tmp_path, "validate", str(model), "--lambda", "0.65",
+                             "--performances", str(perf), "--output", str(tmp_path / "r.json"))
+        assert totals["cli.validate"]["count"] == 1
 
     def test_verify(self, tmp_path):
         totals = self._trace(tmp_path, "verify", "--trials", "2",

@@ -1,9 +1,6 @@
-import math
-
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
+from electre_score.credibility import compile_criteria
 from electre_score.model import (
     AllZeroWeightsError,
     Criterion,
@@ -14,7 +11,6 @@ from electre_score.model import (
     ThresholdMode,
     ThresholdSpec,
     check_cutting_level,
-    normalize_weights,
     validate_model,
 )
 
@@ -37,32 +33,11 @@ class TestThresholdSpec:
         assert spec.at(13000) == pytest.approx(640.0)
 
 
-class TestNormalizeWeights:
-    def test_hotel_weights(self):
-        weights = normalize_weights([5, 4, 3, 3, 3])
-        assert weights == pytest.approx([5 / 18, 4 / 18, 3 / 18, 3 / 18, 3 / 18])
-        assert sum(weights) == pytest.approx(1.0, abs=1e-12)
-
-    def test_single_criterion(self):
-        assert normalize_weights([1]) == [1.0]
-
-    def test_symmetric_pair(self):
-        assert normalize_weights([2, 2]) == [0.5, 0.5]
-
-    def test_all_zero(self):
-        with pytest.raises(AllZeroWeightsError):
-            normalize_weights([0.0, 0.0])
-
-    def test_accepts_criteria(self):
-        crits = [_const_criterion("a", 3.0), _const_criterion("b", 1.0)]
-        assert normalize_weights(crits) == pytest.approx([0.75, 0.25])
-
-    @given(st.lists(st.floats(min_value=0.01, max_value=1e6), min_size=1, max_size=12))
-    def test_idempotent(self, weights):
-        once = normalize_weights(weights)
-        twice = normalize_weights(once)
-        assert all(abs(a - b) <= 1e-12 for a, b in zip(once, twice))
-        assert math.isclose(sum(once), 1.0, abs_tol=1e-12)
+class TestAllZeroWeights:
+    def test_compile_criteria_rejects_all_zero(self):
+        crits = [_const_criterion("a", 0.0), _const_criterion("b", 0.0)]
+        with pytest.raises(AllZeroWeightsError, match="all criterion weights are zero"):
+            compile_criteria(crits)
 
 
 class TestCuttingLevel:

@@ -5,6 +5,7 @@ import pytest
 
 from electre_score import properties as props
 from electre_score import refsets
+from electre_score.credibility import compile_criteria
 from electre_score.model import ReferenceSet, ReferenceStructure
 from electre_score.properties import (
     DeleteProfile,
@@ -24,11 +25,17 @@ from electre_score.properties import (
     shrink_instance,
 )
 from electre_score.refsets import (
+    ProfileTable,
     SetClassification,
     check_separability,
     classify_action_vs_levels,
+    soft_dominance,
 )
 from electre_score.scoring import scan_bounds
+
+
+def soft_preference(inst, lam):
+    return ProfileTable(compile_criteria(inst.criteria), inst.refs).soft_preference(lam)
 
 
 def bounds(vec, refs, crit, lam):
@@ -51,8 +58,8 @@ class TestGenerator:
         for seed in range(8):
             inst = generate_instance(seed, GeneratorConfig(
                 n_criteria=4, n_levels=4, max_profiles_per_level=3, n_actions=2))
-            report = check_separability(inst.refs, inst.criteria, 0.75)
-            for pair, flags in report.pairs.items():
+            pairs = check_separability(inst.refs, inst.criteria, 0.75)
+            for pair, flags in pairs.items():
                 assert flags.strong_dominance, (seed, pair)
                 assert flags.soft_preference_primal and flags.soft_preference_dual
 
@@ -61,8 +68,7 @@ class TestGenerator:
         for seed in range(20):
             inst = generate_instance(seed, GeneratorConfig(
                 n_levels=4, strong_dominance=False, n_actions=0))
-            report = check_separability(inst.refs, inst.criteria, 0.75)
-            if not report.soft_dominance:
+            if not all(soft_dominance(inst.criteria, inst.refs)):
                 seen_false = True
                 break
         assert seen_false
@@ -159,6 +165,36 @@ class TestConformityChecker:
         assert report.failures
 
 
+class TestHypothesisRules:
+    """The checkers read each hypothesis from its one rule, soft_dominance
+    and ProfileTable.soft_preference, never from the per-pair flags."""
+
+    def test_checkers_do_not_read_per_pair_flags(self, monkeypatch, hotel):
+        cases = [(hotel["refs"], hotel["criteria"], hotel["table"], 0.65)]
+        for seed, free in ((6, False), (3, True), (11, True)):
+            inst = generate_instance(seed, GeneratorConfig(
+                n_criteria=3, n_levels=4, max_profiles_per_level=2, n_actions=6,
+                strong_dominance=not free))
+            cases.append((inst.refs, inst.criteria, inst.table, 0.75))
+
+        def run():
+            return [
+                (check_conformity(refs, crit, lam),
+                 check_propositions(refs, crit, lam, dict(table.rows)))
+                for refs, crit, table, lam in cases
+            ]
+
+        expected = run()
+
+        def per_pair_flags(self, lam):
+            raise AssertionError("a checker read ProfileTable.separability")
+
+        monkeypatch.setattr(refsets.ProfileTable, "separability", per_pair_flags)
+        assert run() == expected
+        # both gates are exercised: met and not met
+        assert {conformity.hypothesis_met for conformity, _ in expected} == {True, False}
+
+
 class TestPropositionChecker:
     def test_generated_collection_passes(self):
         inst = generate_instance(6, GeneratorConfig(
@@ -199,8 +235,8 @@ class TestPropositionChecker:
         inst = generate_instance(6, GeneratorConfig(
             n_criteria=3, n_levels=5, max_profiles_per_level=2, n_actions=0,
             strong_dominance=False))
-        sep = check_separability(inst.refs, inst.criteria, 0.65)
-        assert sep.soft_dominance and not sep.all_soft_preference_primal
+        assert all(soft_dominance(inst.criteria, inst.refs))
+        assert not soft_preference(inst, 0.65)[0]
         report = check_propositions(inst.refs, inst.criteria, 0.65, {})
         assert report.hypothesis_met
         assert report.failures == ()
@@ -210,7 +246,7 @@ class TestPropositionChecker:
         # as indifferent to a profile must still fail the ladder
         inst = generate_instance(6, GeneratorConfig(
             n_criteria=4, n_levels=4, max_profiles_per_level=2, n_actions=0))
-        assert check_separability(inst.refs, inst.criteria, 0.75).all_soft_preference_primal
+        assert soft_preference(inst, 0.75)[0]
         real = refsets.ProfileTable.profile_levels
 
         def corrupted(self, k, p, lam):
@@ -521,7 +557,7 @@ class TestEditFlagPreservation:
         edited = apply_edit(refs, InsertSet(40.0, (new_profile,)))
         after = check_separability(edited, crit, 0.65)
         held = {
-            pair for pair, f in before.pairs.items()
+            pair for pair, f in before.items()
             if f.soft_dominance_primal and f.soft_dominance_dual
         }
         # map old level indices to new ones (insert lands at position 3)
@@ -529,7 +565,7 @@ class TestEditFlagPreservation:
             return k if k < 3 else k + 1
 
         for lo, hi in held:
-            flags = after.pairs[(shift(lo), shift(hi))]
+            flags = after[(shift(lo), shift(hi))]
             assert flags.soft_dominance_primal and flags.soft_dominance_dual
 
 

@@ -180,28 +180,27 @@ class TestBasicAssumptions:
 
 class TestSeparability:
     def test_hotel_soft_dominance_fails_exactly_at_pair_2_3(self, hotel):
-        report = check_separability(hotel["refs"], hotel["criteria"], 0.65)
+        pairs = check_separability(hotel["refs"], hotel["criteria"], 0.65)
         failing = {
             pair
-            for pair, flags in report.pairs.items()
+            for pair, flags in pairs.items()
             if not flags.soft_dominance_primal
         }
         # profile at level 3 has IMAGE 1, below both level-2 profiles
         assert failing == {(1, 2)}
-        assert not report.pairs[(1, 2)].soft_dominance_dual
-        assert not report.soft_dominance
+        assert not pairs[(1, 2)].soft_dominance_dual
+        assert not any(soft_dominance(hotel["criteria"], hotel["refs"]))
 
     def test_hotel_other_pairs_strongly_dominated(self, hotel):
-        report = check_separability(hotel["refs"], hotel["criteria"], 0.65)
-        for pair, flags in report.pairs.items():
+        pairs = check_separability(hotel["refs"], hotel["criteria"], 0.65)
+        for pair, flags in pairs.items():
             if pair != (1, 2):
                 assert flags.soft_dominance_primal and flags.soft_dominance_dual, pair
 
     def test_two_singleton_sets_dominating(self):
         inst = generate_instance(7, GeneratorConfig(
             n_criteria=2, n_levels=2, max_profiles_per_level=1, n_actions=0))
-        report = check_separability(inst.refs, inst.criteria, 0.75)
-        flags = report.pairs[(0, 1)]
+        flags = check_separability(inst.refs, inst.criteria, 0.75)[(0, 1)]
         assert flags.strong_dominance
         assert flags.soft_dominance_primal and flags.soft_dominance_dual
         assert flags.strong_preference
@@ -216,7 +215,7 @@ class TestSeparability:
             ReferenceSet(0.0, inst.refs.sets[1].profiles),
             ReferenceSet(1.0, inst.refs.sets[0].profiles),
         ))
-        flags = check_separability(reversed_refs, inst.criteria, 0.75).pairs[(0, 1)]
+        flags = check_separability(reversed_refs, inst.criteria, 0.75)[(0, 1)]
         assert not flags.strong_dominance
         assert not flags.soft_dominance_primal
         assert not flags.soft_dominance_dual
@@ -224,12 +223,21 @@ class TestSeparability:
     def test_strong_implies_soft(self):
         for seed in range(6):
             inst = generate_instance(seed, GeneratorConfig(n_actions=0))
-            report = check_separability(inst.refs, inst.criteria, 0.8)
-            for flags in report.pairs.values():
+            pairs = check_separability(inst.refs, inst.criteria, 0.8)
+            for flags in pairs.values():
                 if flags.strong_dominance:
                     assert flags.soft_dominance_primal and flags.soft_dominance_dual
                 if flags.strong_preference:
                     assert flags.soft_preference_primal and flags.soft_preference_dual
+
+
+def all_pairs(pairs, hypothesis):
+    """(primal, dual) of ``hypothesis`` over every level pair of the
+    per-pair flags, taken here rather than in the package."""
+    return tuple(
+        all(getattr(flags, f"{hypothesis}_{side}") for flags in pairs.values())
+        for side in ("primal", "dual")
+    )
 
 
 class TestSoftDominance:
@@ -254,7 +262,7 @@ class TestSoftDominance:
         for criteria, refs, _ in self._free_instances():
             sep = ProfileTable(compile_criteria(criteria), refs).separability(0.75)
             flags = soft_dominance(criteria, refs)
-            assert flags == (sep.all_soft_dominance_primal, sep.all_soft_dominance_dual)
+            assert flags == all_pairs(sep, "soft_dominance")
             seen.update(enumerate(flags))
         # each flag occurs both true and false
         assert seen == {(0, True), (0, False), (1, True), (1, False)}
@@ -263,12 +271,48 @@ class TestSoftDominance:
         for criteria, _, edited in self._free_instances():
             for refs in edited:
                 sep = ProfileTable(compile_criteria(criteria), refs).separability(0.75)
-                assert soft_dominance(criteria, refs) == (
-                    sep.all_soft_dominance_primal, sep.all_soft_dominance_dual)
+                assert soft_dominance(criteria, refs) == all_pairs(sep, "soft_dominance")
 
     def test_hotel_fails_both_ways(self, hotel):
         # the level-3 profile has IMAGE 1, below both level-2 profiles
         assert soft_dominance(hotel["criteria"], hotel["refs"]) == (False, False)
+
+
+class TestSoftPreference:
+    # soft_preference folds every level pair of the table itself, so it
+    # must equal the per-pair flags' conjunction at every cutting level
+
+    def test_equals_separability_flags(self):
+        seen = set()
+        for criteria, refs, edited in TestSoftDominance._free_instances():
+            for structure in (refs, *edited):
+                table = ProfileTable(compile_criteria(criteria), structure)
+                for lam in (0.55, 0.75, 0.95):
+                    flags = table.soft_preference(lam)
+                    assert flags == all_pairs(table.separability(lam), "soft_preference")
+                    seen.update(enumerate(flags))
+        # each flag occurs both true and false
+        assert seen == {(0, True), (0, False), (1, True), (1, False)}
+
+    def test_preference_is_not_transitive(self):
+        # each level gains 20 on g1 and loses 4 on g2 (p = 10): one step
+        # is strict preference, two steps are not, so unlike dominance no
+        # chain of adjacent witnesses stands in for the outer pair
+        from electre_score.model import (
+            Criterion, Direction, ReferenceSet, ReferenceStructure, ThresholdSpec,
+        )
+
+        criteria = [Criterion(name, Direction.MAX, 1.0, ThresholdSpec(0.0), ThresholdSpec(10.0))
+                    for name in ("g1", "g2")]
+        refs = ReferenceStructure(tuple(
+            ReferenceSet(float(k), ((20.0 * k, -4.0 * k),)) for k in range(3)
+        ))
+        table = ProfileTable(compile_criteria(criteria), refs)
+        pairs = table.separability(0.75)
+        assert [pairs[pair].soft_preference_primal for pair in ((0, 1), (1, 2), (0, 2))] == [
+            True, True, False]
+        assert table.soft_preference(0.75) == all_pairs(pairs, "soft_preference") == (
+            False, False)
 
 
 class TestComparability:
