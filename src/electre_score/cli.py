@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import sys
@@ -32,18 +31,12 @@ from .files import (
     reject_repeated_keys,
     write_report,
 )
-from .model import (
-    PerformanceTable,
-    ValidationReport,
-    check_cutting_level,
-    validate_model,
-)
-from .refsets import ProfileTable, check_comparability, is_comparable, soft_dominance
-from .scoring import BasicAssumptionsViolatedError, score_ranges
+from .model import PerformanceTable, ValidationReport, check_cutting_level, validate_model
 
-# sweep and the verify suites (properties, hashlib, random) are
-# imported inside the commands that run them: every command is its own
-# short process, and the others should not pay to load them
+# refsets, scoring, sweep and the verify suites (properties,
+# dataclasses, hashlib, random) are imported inside the commands that
+# run them: every command is its own short process, and the others
+# should not pay to load them
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -90,12 +83,12 @@ def _load_inputs(args) -> tuple[LoadedModel, PerformanceTable | None]:
     return model, table
 
 
-def _resolve_lambda(args, model: LoadedModel) -> float:
+def _resolve_lambda(args, model: LoadedModel, required: bool = True) -> float | None:
     lam = args.cutting_level if args.cutting_level is not None else model.lam
-    if lam is None:
+    if lam is None and required:
         raise _Exit(EXIT_PARSE, "no cutting level: pass --lambda or set it in the model file")
     try:
-        return check_cutting_level(lam)
+        return lam if lam is None else check_cutting_level(lam)
     except ValueError as exc:
         raise _Exit(EXIT_PARSE, str(exc))
 
@@ -110,6 +103,9 @@ def _require_valid_model(model: LoadedModel, table) -> ValidationReport:
 
 
 def cmd_evaluate(args) -> int:
+    from .refsets import is_comparable
+    from .scoring import BasicAssumptionsViolatedError, score_ranges
+
     model, table = _load_inputs(args)
     if table is None:
         raise _Exit(EXIT_PARSE, "evaluate needs a performance table (CSV or embedded)")
@@ -171,6 +167,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .refsets import ProfileTable, check_comparability
+
     model, table = _load_inputs(args)
     # without a performance table the criteria are checked on the profiles
     validation = validate_model(
@@ -186,12 +184,7 @@ def cmd_validate(args) -> int:
     invalid = bool(validation.errors)
     incomparable = False
 
-    lam = args.cutting_level if args.cutting_level is not None else model.lam
-    if lam is not None:
-        try:
-            check_cutting_level(lam)
-        except ValueError as exc:
-            raise _Exit(EXIT_PARSE, str(exc))
+    lam = _resolve_lambda(args, model, required=False)
     # the structural checks read credibilities, which an invalid model
     # (zero weights, q > p, veto <= p, ...) cannot give
     profiles = None if invalid else ProfileTable(compile_criteria(model.criteria), model.refs)
@@ -225,8 +218,10 @@ def cmd_validate(args) -> int:
 
 
 def _separability_json(model, profiles: ProfileTable, lam: float) -> dict:
+    from .refsets import soft_dominance
+
     pairs = [
-        {"lower_level": lo + 1, "higher_level": hi + 1, **dataclasses.asdict(flags)}
+        {"lower_level": lo + 1, "higher_level": hi + 1, **flags._asdict()}
         for (lo, hi), flags in profiles.separability(lam).items()
     ]
     dominance = soft_dominance(model.criteria, model.refs)
@@ -317,6 +312,8 @@ def _config_int(config: dict, key: str, default: int) -> int:
 
 
 def cmd_verify(args) -> int:
+    from dataclasses import asdict
+
     from .suites import SUITES
 
     config = {}
@@ -365,7 +362,7 @@ def cmd_verify(args) -> int:
         if out_dir is not None:
             _write_output(
                 out_dir / f"{report.name}.json",
-                write_report({**dataclasses.asdict(report), "passed": report.passed}),
+                write_report({**asdict(report), "passed": report.passed}),
             )
     return EXIT_VERIFY if any_failure else EXIT_OK
 

@@ -11,8 +11,7 @@ relations read from these numbers live in :mod:`.refsets`.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import AllZeroWeightsError, Criterion, Direction, ThresholdMode, ThresholdSpec
 
@@ -57,8 +56,7 @@ def _compile_spec(spec: ThresholdSpec, is_max: bool) -> tuple[int, float, float]
     return (LOWER if reads_lower else HIGHER), spec.intercept, spec.slope
 
 
-@dataclass(frozen=True)
-class CompiledCriteria:
+class CompiledCriteria(NamedTuple):
     """Criteria flattened to plain tuples for :func:`sigma_pair`.
 
     Each row is ``(name, is_max, weight, q, p, v)`` where q, p and v are

@@ -14,7 +14,7 @@ import json
 import math
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .model import (
     Criterion,
@@ -25,7 +25,6 @@ from .model import (
     ThresholdMode,
     ThresholdSpec,
 )
-from .scoring import DeckOfCards, deck_of_cards_scores
 
 
 class ParseError(ValueError):
@@ -124,22 +123,14 @@ def _criterion_from_json(raw: Any, index: int) -> Criterion:
         raise ParseError(f"{where}: {exc}") from exc
 
 
-class LoadedModel:
+class LoadedModel(NamedTuple):
     """Parsed model file: criteria, reference structure, optional extras."""
 
-    def __init__(
-        self,
-        criteria: tuple[Criterion, ...],
-        refs: ReferenceStructure,
-        lam: float | None,
-        embedded_performances: Mapping[str, tuple[float, ...]] | None,
-        warnings: tuple[str, ...],
-    ):
-        self.criteria = criteria
-        self.refs = refs
-        self.lam = lam
-        self.embedded_performances = embedded_performances
-        self.warnings = warnings
+    criteria: tuple[Criterion, ...]
+    refs: ReferenceStructure
+    lam: float | None
+    embedded_performances: Mapping[str, tuple[float, ...]] | None
+    warnings: tuple[str, ...]
 
 
 def load_model(path: str | Path) -> LoadedModel:
@@ -197,6 +188,9 @@ def _model_from_json(raw: Any) -> LoadedModel:
     warnings: list[str] = []
     deck_scores = None
     if "deck_of_cards" in raw:
+        # scoring (and fractions) load only for a model that converts a deck
+        from .scoring import DeckOfCards, deck_of_cards_scores
+
         deck_raw = raw["deck_of_cards"]
         try:
             blank_cards = deck_raw["blank_cards"]

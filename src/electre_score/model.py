@@ -1,23 +1,39 @@
 """Domain types shared by every other module.
 
-All types are frozen dataclasses: once built, a model is safe to share
-across threads and across repeated evaluations. Structural checks that
-need the whole model (threshold ordering over the observed performance
-range, score ordering, profile arity) live in :func:`validate_model`,
-which reports violations instead of raising so a caller can show all
-problems at once.
+All types are named tuples: immutable, so a model is safe to share across
+threads and across repeated evaluations, and cheap to define and build.
+Structural checks that need the whole model (threshold ordering over the
+observed performance range, score ordering, profile arity) live in
+:func:`validate_model`, which reports violations instead of raising so a
+caller can show all problems at once.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 
 class AllZeroWeightsError(ValueError):
     """Raised when every criterion weight is zero."""
+
+
+def checked(cls):
+    """Make the constructor of the named tuple ``cls``, and ``_replace``,
+    run ``cls._check``; a NamedTuple body cannot define ``__new__``."""
+    new = cls.__new__
+
+    @functools.wraps(new)
+    def __new__(klass, *args, **kwargs):
+        self = new(klass, *args, **kwargs)
+        self._check()
+        return self
+
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda klass, values: klass(*values))
+    return cls
 
 
 class Direction(enum.Enum):
@@ -38,15 +54,15 @@ class ThresholdMode(enum.Enum):
     INVERSE = "inverse"
 
 
-@dataclass(frozen=True)
-class ThresholdSpec:
+@checked
+class ThresholdSpec(NamedTuple):
     """Affine threshold ``intercept + slope * g`` on a criterion's scale."""
 
     intercept: float
     slope: float = 0.0
     mode: ThresholdMode = ThresholdMode.CONSTANT
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.mode is ThresholdMode.CONSTANT and self.slope != 0.0:
             raise ValueError("constant threshold requires slope = 0")
 
@@ -55,8 +71,8 @@ class ThresholdSpec:
         return self.intercept + self.slope * g
 
 
-@dataclass(frozen=True)
-class Criterion:
+@checked
+class Criterion(NamedTuple):
     """A pseudo-criterion: direction, weight, and discrimination thresholds.
 
     ``ordinal`` marks coded verbal scales; thresholds on those are meant
@@ -71,13 +87,13 @@ class Criterion:
     veto: ThresholdSpec | None = None
     ordinal: bool = False
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.weight < 0:
             raise ValueError(f"criterion {self.name!r}: weight must be >= 0")
 
 
-@dataclass(frozen=True)
-class PerformanceTable:
+@checked
+class PerformanceTable(NamedTuple):
     """Actions x criteria performances: one row per action, in criteria order.
 
     Every row has one value per criterion, so the table is total by
@@ -87,7 +103,7 @@ class PerformanceTable:
     criteria: tuple[Criterion, ...]
     rows: Mapping[str, tuple[float, ...]]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for action, values in self.rows.items():
             if len(values) != len(self.criteria):
                 raise ValueError(
@@ -115,28 +131,28 @@ class PerformanceTable:
         return self.rows[action]
 
 
-@dataclass(frozen=True)
-class ReferenceSet:
+@checked
+class ReferenceSet(NamedTuple):
     """One scored set of limiting profiles."""
 
     score: float
     profiles: tuple[tuple[float, ...], ...]
     names: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.profiles:
             raise ValueError("reference set must contain at least one profile")
         if self.names and len(self.names) != len(self.profiles):
             raise ValueError("profile name count must match profile count")
 
 
-@dataclass(frozen=True)
-class ReferenceStructure:
+@checked
+class ReferenceStructure(NamedTuple):
     """Strictly increasing scored reference sets of limiting profiles."""
 
     sets: tuple[ReferenceSet, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.sets) < 2:
             raise ValueError("reference structure needs at least two sets")
 
@@ -146,22 +162,18 @@ class ReferenceStructure:
 
     def profile_names(self) -> tuple[tuple[str, ...], ...]:
         """Per-level profile names; default is positional (b11, b21, b22, ...)."""
-        out = []
-        for k, ref in enumerate(self.sets, start=1):
-            if ref.names:
-                out.append(ref.names)
-            else:
-                out.append(tuple(f"b{k}{p}" for p in range(1, len(ref.profiles) + 1)))
-        return tuple(out)
+        return tuple(
+            ref.names or tuple(f"b{k}{p}" for p in range(1, len(ref.profiles) + 1))
+            for k, ref in enumerate(self.sets, start=1)
+        )
 
     def flat_profiles(self) -> list[tuple[str, int, int, tuple[float, ...]]]:
         """(name, level_index, profile_index, vector) for every profile."""
-        flat = []
         names = self.profile_names()
-        for k, ref in enumerate(self.sets):
-            for p, vec in enumerate(ref.profiles):
-                flat.append((names[k][p], k, p, vec))
-        return flat
+        return [
+            (names[k][p], k, p, vec)
+            for k, ref in enumerate(self.sets) for p, vec in enumerate(ref.profiles)
+        ]
 
 
 def check_cutting_level(lam: float) -> float:
@@ -171,8 +183,7 @@ def check_cutting_level(lam: float) -> float:
     return lam
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of structural validation: hard violations plus advisories."""
 
     errors: tuple[str, ...] = ()
@@ -274,9 +285,8 @@ def validate_model(
                 ):
                     if spec is None:
                         continue
-                    if spec.mode is not ThresholdMode.CONSTANT or (
-                        float(spec.intercept).is_integer() is False
-                    ):
+                    variable = spec.mode is not ThresholdMode.CONSTANT
+                    if variable or not float(spec.intercept).is_integer():
                         warnings.append(
                             f"criterion {crit.name}: ordinal scale with non-integer "
                             f"or variable {label} threshold"

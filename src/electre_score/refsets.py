@@ -39,9 +39,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .credibility import (
     CONSTANT,
@@ -280,8 +279,7 @@ def is_comparable(relations: Sequence[SetClassification]) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class LevelPairFlags:
+class LevelPairFlags(NamedTuple):
     """Separability flags for one ordered level pair (lower, higher)."""
 
     strong_dominance: bool

@@ -11,12 +11,11 @@ action-preferred and the lowest set-preferred levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+import math
+from typing import NamedTuple, Sequence
 
 from .credibility import compile_criteria
-from .model import Criterion, PerformanceTable, ReferenceStructure, check_cutting_level
+from .model import Criterion, PerformanceTable, ReferenceStructure, check_cutting_level, checked
 from .refsets import CertifiedFold, ProfileTable, SetClassification, soft_dominance
 
 class BasicAssumptionsViolatedError(ValueError):
@@ -30,14 +29,14 @@ class BasicAssumptionsViolatedError(ValueError):
         self.violations = list(violations)
 
 
-@dataclass(frozen=True)
-class DeckOfCards:
+@checked
+class DeckOfCards(NamedTuple):
     """Blank-card counts between consecutive scored sets, with anchor scores."""
 
     blank_cards: tuple[int, ...]
     anchors: tuple[float, float] = (0.0, 100.0)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.blank_cards) < 1:
             raise ValueError("need at least two levels (one blank-card count)")
         if any(e < 0 or int(e) != e for e in self.blank_cards):
@@ -45,6 +44,8 @@ class DeckOfCards:
         low, high = self.anchors
         if not low < high:
             raise ValueError("anchor scores must satisfy low < high")
+        if not math.isfinite(high - low):
+            raise ValueError(f"anchor span {high} - {low} is beyond the float range")
 
     @property
     def levels(self) -> int:
@@ -53,8 +54,8 @@ class DeckOfCards:
     def unit(self) -> float:
         """Value of one unit: the anchor span divided by the total unit count."""
         low, high = self.anchors
-        alpha = sum(e + 1 for e in self.blank_cards)
-        return float(Fraction(high - low) / alpha)
+        # exact operands, so one correctly rounded division gives the unit
+        return (high - low) / sum(e + 1 for e in self.blank_cards)
 
 
 def deck_of_cards_scores(deck: DeckOfCards) -> list[float]:
@@ -63,6 +64,8 @@ def deck_of_cards_scores(deck: DeckOfCards) -> list[float]:
     Exact rational arithmetic keeps the top score equal to the high
     anchor and renders thirds and the like at full double precision.
     """
+    from fractions import Fraction  # loaded only where a deck is converted
+
     low, high = deck.anchors
     alpha = sum(e + 1 for e in deck.blank_cards)
     unit = Fraction(high - low) / alpha
@@ -72,8 +75,7 @@ def deck_of_cards_scores(deck: DeckOfCards) -> list[float]:
     return [float(x) for x in scores]
 
 
-@dataclass(frozen=True)
-class ScoreRange:
+class ScoreRange(NamedTuple):
     """Open score interval assigned to one action.
 
     Bound values are members of the reference score list; ``None`` marks
@@ -121,8 +123,7 @@ def scan_bounds(
     return lower, upper
 
 
-@dataclass(frozen=True)
-class ScoringResult:
+class ScoringResult(NamedTuple):
     """Score ranges for every action plus post-hoc consistency findings.
 
     ``relations`` holds, per range, the action's relation to every level

@@ -159,7 +159,7 @@ def _sigma_invariant_trials(
         kernel = compile_criteria(crit)
         # with every veto stripped, credibility is concordance
         concordance = (
-            compile_criteria([replace(c, veto=None) for c in crit]) if veto else kernel
+            compile_criteria([c._replace(veto=None) for c in crit]) if veto else kernel
         )
         entities = dict(inst.table.rows)
         for pname, _, _, vec in inst.refs.flat_profiles():

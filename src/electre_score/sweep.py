@@ -12,15 +12,13 @@ difference array counts the misses of every band.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .credibility import band_ends, compile_criteria, preferred_bands, sigma_pair
 from .model import Criterion, PerformanceTable, ReferenceStructure
 
 
-@dataclass(frozen=True)
-class LambdaInterval:
+class LambdaInterval(NamedTuple):
     """Maximal band ]lower, upper] of admissible cutting levels."""
 
     lower: float
@@ -33,8 +31,7 @@ class LambdaInterval:
         return (self.lower + self.upper) / 2
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     intervals: tuple[LambdaInterval, ...]
     breakpoints: tuple[float, ...]
     mismatches_best: tuple[tuple[str, str], ...]  # closest band's failing pairs

@@ -501,6 +501,26 @@ class TestModelFileParsing:
             err = capsys.readouterr().err
             assert f"deck_of_cards.blank_cards[{i}]" in err and repr(bad) in err
 
+    @pytest.mark.parametrize("command", ["validate", "evaluate"])
+    @pytest.mark.parametrize("scores", [False, True], ids=["deck-scores", "explicit-scores"])
+    def test_anchor_span_beyond_float_range_rejected(self, hotel_files, tmp_path, capsys,
+                                                     command, scores):
+        # high - low is inf, which no exact rational can hold
+        model, perf, _ = hotel_files
+        raw = json.loads(model.read_text())
+        raw["deck_of_cards"]["anchors"] = [-1e308, 1e308]
+        if not scores:
+            for s in raw["reference_sets"]:
+                del s["score"]
+        model.write_text(json.dumps(raw))
+        code = main([command, str(model), "--performances", str(perf),
+                     "--lambda", "0.65", "--output", str(tmp_path / "r.json")])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"{model}: deck_of_cards block: anchor span" in err
+        assert "beyond the float range" in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("path, bad", [
         ((0, "weight"), True),
         ((1, "weight"), "4"),
@@ -1039,25 +1059,78 @@ class TestNonUtf8Input:
 
 class TestLazyImports:
     """Importing the CLI loads only what evaluate, validate and sigma run;
-    the sweep and the verify suites load with their command."""
+    refsets, scoring, the sweep and the verify suites load with their
+    command, and dataclasses (with inspect) and fractions stay off the
+    path of every command but verify and a deck conversion."""
 
     ROOT = Path(__file__).resolve().parent.parent
+    OFF_PATH = ("dataclasses", "inspect", "fractions")
 
-    def test_cli_import_leaves_command_modules_unloaded(self):
+    def _loaded(self, *argv):
+        """(exit code, loaded module names) of ``cli.main(argv)`` in a
+        fresh interpreter; -S keeps the environment's .pth hooks from
+        preloading modules."""
         probe = (
-            "import sys, electre_score.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('electre_score')))"
+            "import sys\n"
+            "from electre_score.cli import main\n"
+            "code = main(sys.argv[1:]) if len(sys.argv) > 1 else None\n"
+            "print(code, *sorted(sys.modules))"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", probe],
+            [sys.executable, "-S", "-c", probe, *map(str, argv)],
             env={**os.environ, "PYTHONPATH": str(self.ROOT / "src")},
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        loaded = proc.stdout.strip()
-        assert "electre_score.cli" in loaded
-        for module in ("suites", "properties", "sweep"):
-            assert f"'electre_score.{module}'" not in loaded
+        code, *loaded = proc.stdout.split()
+        return code, set(loaded)
+
+    @pytest.fixture()
+    def deckless(self, hotel_files):
+        """The hotel model with its explicit scores and no deck block."""
+        model, perf, target = hotel_files
+        raw = json.loads(model.read_text())
+        del raw["deck_of_cards"]
+        model.write_text(json.dumps(raw))
+        return model, perf, target
+
+    def test_cli_import_leaves_command_modules_unloaded(self):
+        code, loaded = self._loaded()
+        assert code == "None" and "electre_score.cli" in loaded
+        for module in ("refsets", "scoring", "suites", "properties", "sweep"):
+            assert f"electre_score.{module}" not in loaded
+        for module in self.OFF_PATH:
+            assert module not in loaded
+
+    @pytest.mark.parametrize("argv", [
+        ("evaluate", "--lambda", "0.65"),
+        ("validate", "--lambda", "0.65"),
+        ("validate",),
+        ("sigma",),
+    ], ids=["evaluate", "validate-lambda", "validate-bands", "sigma"])
+    def test_command_loads_no_dataclasses_or_fractions(self, deckless, tmp_path, argv):
+        model, perf, _ = deckless
+        code, loaded = self._loaded(argv[0], model, "--performances", perf, *argv[1:],
+                                    "--output", tmp_path / "r.out")
+        assert code == str(EXIT_OK)
+        for module in self.OFF_PATH:
+            assert module not in loaded
+
+    def test_sweep_lambda_loads_no_refsets_or_scoring(self, deckless, tmp_path):
+        model, perf, target = deckless
+        code, loaded = self._loaded("sweep-lambda", model, target, "--performances", perf,
+                                    "--output", tmp_path / "r.json")
+        assert code == str(EXIT_VERIFY)  # the hotel target is infeasible
+        assert "electre_score.sweep" in loaded
+        for module in ("electre_score.refsets", "electre_score.scoring", *self.OFF_PATH):
+            assert module not in loaded
+
+    def test_deck_conversion_loads_fractions(self, hotel_files, tmp_path):
+        model, perf, _ = hotel_files
+        code, loaded = self._loaded("validate", model, "--performances", perf,
+                                    "--output", tmp_path / "r.json")
+        assert code == str(EXIT_OK)
+        assert "fractions" in loaded and "dataclasses" not in loaded
 
 
 class TestTracedEntry:
@@ -1066,7 +1139,7 @@ class TestTracedEntry:
 
     ROOT = Path(__file__).resolve().parent.parent
 
-    def _trace(self, tmp_path, *cli_args):
+    def _trace(self, tmp_path, *cli_args, exit_code=0):
         trace = tmp_path / "trace.json"
         env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}
         proc = subprocess.run(
@@ -1074,9 +1147,9 @@ class TestTracedEntry:
              *cli_args],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == exit_code, proc.stderr
         report = json.loads(trace.read_text())
-        assert report["exit"] == 0
+        assert report["exit"] == exit_code
         return report["totals"]
 
     def test_evaluate(self, hotel_files, tmp_path):
@@ -1090,6 +1163,15 @@ class TestTracedEntry:
         totals = self._trace(tmp_path, "validate", str(model), "--lambda", "0.65",
                              "--performances", str(perf), "--output", str(tmp_path / "r.json"))
         assert totals["cli.validate"]["count"] == 1
+        assert totals["refsets.comparability"]["count"] == 1
+
+    def test_sweep_lambda(self, hotel_files, tmp_path):
+        model, perf, target = hotel_files
+        totals = self._trace(tmp_path, "sweep-lambda", str(model), str(target),
+                             "--performances", str(perf), "--output", str(tmp_path / "r.json"),
+                             exit_code=EXIT_VERIFY)  # the hotel target is infeasible
+        assert totals["sweep.sweep_lambda"]["count"] == 1
+        assert totals["files.load"]["count"] == 3  # model, performances, target
 
     def test_verify(self, tmp_path):
         totals = self._trace(tmp_path, "verify", "--trials", "2",

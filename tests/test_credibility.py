@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -336,7 +335,7 @@ class TestRangeInvariants:
                 seed, 1 + seed % 8, True, ("constant", "variable")[seed % 2]
             )
             assert any(c.veto is not None for c in criteria)
-            stripped = compile_criteria([replace(c, veto=None) for c in criteria])
+            stripped = compile_criteria([c._replace(veto=None) for c in criteria])
             for va in vectors:
                 for vb in vectors:
                     assert sigma_pair(stripped, va, vb) == (
@@ -434,7 +433,10 @@ class TestPairKernel:
         number = st.floats(min_value=-1e6, max_value=1e6,
                            allow_nan=False, allow_infinity=False)
         spec = st.one_of(
-            st.builds(ThresholdSpec, st.floats(min_value=-1.0, max_value=8.0)),
+            # a typed NamedTuple would get every field drawn, defaults
+            # included; pass the defaults so a constant spec keeps slope 0
+            st.builds(ThresholdSpec, st.floats(min_value=-1.0, max_value=8.0),
+                      st.just(0.0), st.just(ThresholdMode.CONSTANT)),
             st.builds(
                 ThresholdSpec,
                 st.floats(min_value=-1.0, max_value=8.0),
@@ -446,6 +448,7 @@ class TestPairKernel:
             st.builds(
                 Criterion, st.just("g"), st.sampled_from(list(Direction)),
                 st.sampled_from([0.0, 1.0, 2.5]), spec, spec, st.none() | spec,
+                ordinal=st.just(False),
             ),
             min_size=1, max_size=6,
         ))

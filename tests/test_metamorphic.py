@@ -10,7 +10,6 @@ columns, must leave the evaluate report byte for byte the same.
 """
 
 import csv
-import dataclasses
 import json
 import random
 
@@ -65,14 +64,14 @@ def test_min_max_swap_with_negated_columns(hotel, lam):
         flippable = [j for j, c in enumerate(criteria) if _constant(c)]
         flipped = {j for j in flippable if rng.random() < 0.7} or {flippable[0]}
         swapped = [
-            dataclasses.replace(c, direction=_FLIP[c.direction]) if j in flipped else c
+            c._replace(direction=_FLIP[c.direction]) if j in flipped else c
             for j, c in enumerate(criteria)
         ]
         swapped_table = PerformanceTable.from_rows(swapped, {
             action: _negate(vector, flipped) for action, vector in table.rows.items()
         })
         swapped_refs = ReferenceStructure(tuple(
-            dataclasses.replace(ref, profiles=tuple(_negate(b, flipped) for b in ref.profiles))
+            ref._replace(profiles=tuple(_negate(b, flipped) for b in ref.profiles))
             for ref in refs.sets
         ))
         assert _outcome(swapped, swapped_table, swapped_refs, lam) == _outcome(
@@ -84,7 +83,7 @@ def test_min_max_swap_with_negated_columns(hotel, lam):
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_doubled_weights(hotel, threshold_mode, lam):
     for case, criteria, table, refs in _instances(hotel, threshold_mode):
-        doubled = [dataclasses.replace(c, weight=2 * c.weight) for c in criteria]
+        doubled = [c._replace(weight=2 * c.weight) for c in criteria]
         doubled_table = PerformanceTable.from_rows(doubled, table.rows)
         assert _outcome(doubled, doubled_table, refs, lam) == _outcome(
             criteria, table, refs, lam
