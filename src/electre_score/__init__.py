@@ -3,6 +3,7 @@
 from .model import (
     AllZeroWeightsError,
     Criterion,
+    DeckOfCards,
     Direction,
     PerformanceTable,
     ReferenceSet,
@@ -10,6 +11,7 @@ from .model import (
     ThresholdMode,
     ThresholdSpec,
     ValidationReport,
+    deck_of_cards_scores,
     validate_model,
 )
 from .credibility import (
@@ -26,8 +28,8 @@ _LAZY = dict.fromkeys((
     "ProfileTable", "SetClassification", "check_comparability", "check_separability",
     "derived_relation", "validate_basic_assumptions",
 ), "refsets") | dict.fromkeys((
-    "BasicAssumptionsViolatedError", "DeckOfCards", "ScoreRange", "ScoringResult",
-    "deck_of_cards_scores", "scan_bounds", "score_ranges",
+    "BasicAssumptionsViolatedError", "ScoreRange", "ScoringResult", "scan_bounds",
+    "score_ranges",
 ), "scoring")
 
 

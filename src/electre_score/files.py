@@ -18,12 +18,14 @@ from typing import Any, Mapping, NamedTuple
 
 from .model import (
     Criterion,
+    DeckOfCards,
     Direction,
     PerformanceTable,
     ReferenceSet,
     ReferenceStructure,
     ThresholdMode,
     ThresholdSpec,
+    deck_of_cards_scores,
 )
 
 
@@ -188,9 +190,6 @@ def _model_from_json(raw: Any) -> LoadedModel:
     warnings: list[str] = []
     deck_scores = None
     if "deck_of_cards" in raw:
-        # scoring (and fractions) load only for a model that converts a deck
-        from .scoring import DeckOfCards, deck_of_cards_scores
-
         deck_raw = raw["deck_of_cards"]
         try:
             blank_cards = deck_raw["blank_cards"]

@@ -1,4 +1,4 @@
-"""Domain types shared by every other module.
+"""Domain types shared by every other module, and the deck-of-cards scale.
 
 All types are named tuples: immutable, so a model is safe to share across
 threads and across repeated evaluations, and cheap to define and build.
@@ -174,6 +174,52 @@ class ReferenceStructure(NamedTuple):
             (names[k][p], k, p, vec)
             for k, ref in enumerate(self.sets) for p, vec in enumerate(ref.profiles)
         ]
+
+
+@checked
+class DeckOfCards(NamedTuple):
+    """Blank-card counts between consecutive scored sets, with anchor scores."""
+
+    blank_cards: tuple[int, ...]
+    anchors: tuple[float, float] = (0.0, 100.0)
+
+    def _check(self) -> None:
+        if len(self.blank_cards) < 1:
+            raise ValueError("need at least two levels (one blank-card count)")
+        if any(e < 0 or int(e) != e for e in self.blank_cards):
+            raise ValueError("blank-card counts must be nonnegative integers")
+        low, high = self.anchors
+        if not low < high:
+            raise ValueError("anchor scores must satisfy low < high")
+        if not math.isfinite(high - low):
+            raise ValueError(f"anchor span {high} - {low} is beyond the float range")
+
+    @property
+    def levels(self) -> int:
+        return len(self.blank_cards) + 1
+
+    def unit(self) -> float:
+        """Value of one unit: the anchor span divided by the total unit count."""
+        low, high = self.anchors
+        # exact operands, so one correctly rounded division gives the unit
+        return (high - low) / sum(e + 1 for e in self.blank_cards)
+
+
+def deck_of_cards_scores(deck: DeckOfCards) -> list[float]:
+    """Scores for all levels: cumulative blank-card units between the anchors.
+
+    Exact rational arithmetic keeps the top score equal to the high
+    anchor and renders thirds and the like at full double precision.
+    """
+    from fractions import Fraction  # loaded only where a deck is converted
+
+    low, high = deck.anchors
+    alpha = sum(e + 1 for e in deck.blank_cards)
+    unit = Fraction(high - low) / alpha
+    scores = [Fraction(low)]
+    for e in deck.blank_cards:
+        scores.append(scores[-1] + (e + 1) * unit)
+    return [float(x) for x in scores]
 
 
 def check_cutting_level(lam: float) -> float:

@@ -17,8 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .credibility import compile_criteria
 from .model import (
@@ -30,6 +29,7 @@ from .model import (
     ThresholdMode,
     ThresholdSpec,
     check_cutting_level,
+    checked,
 )
 from .refsets import (
     CertifiedFold,
@@ -50,8 +50,8 @@ class InvalidEditError(ValueError):
 # instance generation
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+@checked
+class GeneratorConfig(NamedTuple):
     """Sizes and flavor knobs for random instances."""
 
     n_criteria: int = 4
@@ -62,7 +62,7 @@ class GeneratorConfig:
     veto: bool = False
     strong_dominance: bool = True
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.n_criteria < 1 or self.n_levels < 2 or self.n_actions < 0:
             raise ValueError("config sizes below the minimal instance")
         if self.max_profiles_per_level < 1:
@@ -71,8 +71,7 @@ class GeneratorConfig:
             raise ValueError("threshold_mode must be 'constant' or 'variable'")
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     criteria: tuple[Criterion, ...]
     table: PerformanceTable
     refs: ReferenceStructure
@@ -197,25 +196,21 @@ def generate_instance(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
 # edit operations
 
 
-@dataclass(frozen=True)
-class InsertSet:
+class InsertSet(NamedTuple):
     score: float
     profiles: tuple[tuple[float, ...], ...]
 
 
-@dataclass(frozen=True)
-class DeleteSet:
+class DeleteSet(NamedTuple):
     level: int
 
 
-@dataclass(frozen=True)
-class InsertProfile:
+class InsertProfile(NamedTuple):
     level: int
     profile: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class DeleteProfile:
+class DeleteProfile(NamedTuple):
     level: int
     profile_index: int
 
@@ -276,8 +271,7 @@ def apply_edit(refs: ReferenceStructure, edit: EditOperation) -> ReferenceStruct
 # reports
 
 
-@dataclass(frozen=True)
-class PropertyFailure:
+class PropertyFailure(NamedTuple):
     # the checkers leave seed None and digest empty; the suites stamp both
     seed: int | None
     digest: str
@@ -286,8 +280,7 @@ class PropertyFailure:
     observed: str
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     name: str
     trials: int
     failures: tuple[PropertyFailure, ...] = ()
@@ -298,6 +291,11 @@ class PropertyReport:
     @property
     def passed(self) -> bool:
         return not self.failures
+
+    def as_dict(self) -> dict:
+        """The fields by name, each failure as a dict of its own fields;
+        a report writer would print a failure left as a tuple as an array."""
+        return {**self._asdict(), "failures": [f._asdict() for f in self.failures]}
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +667,6 @@ def make_edits(
         if kind == "insert_set":
             position = rng.randint(0, len(refs.sets))
             if position == 0:
-                below = None
                 above = refs.sets[0]
                 base = _extrapolate(above.profiles[0], refs.sets[1].profiles[0])
                 score = refs.sets[0].score - 1.0
@@ -744,10 +741,10 @@ def _reductions(instance: Instance) -> Iterator[Instance | None]:
                 refs = apply_edit(instance.refs, edit)
             except InvalidEditError:  # the set is one of the last two
                 continue
-            yield replace(instance, refs=refs)
+            yield instance._replace(refs=refs)
     for action in instance.table.actions:
         rows = {a: vec for a, vec in instance.table.rows.items() if a != action}
-        yield replace(instance, table=PerformanceTable(instance.criteria, rows))
+        yield instance._replace(table=PerformanceTable(instance.criteria, rows))
 
 
 def shrink_instance(

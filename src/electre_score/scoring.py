@@ -1,4 +1,4 @@
-"""Score-range assignment and deck-of-cards reference scales.
+"""Score-range assignment: the bound scan and :func:`score_ranges`.
 
 One bound scan implements the general definitions: the lower bound is
 the highest level the action is strictly preferred to with every lower
@@ -11,12 +11,12 @@ action-preferred and the lowest set-preferred levels.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Sequence
 
 from .credibility import compile_criteria
-from .model import Criterion, PerformanceTable, ReferenceStructure, check_cutting_level, checked
+from .model import Criterion, PerformanceTable, ReferenceStructure, check_cutting_level
 from .refsets import CertifiedFold, ProfileTable, SetClassification, soft_dominance
+
 
 class BasicAssumptionsViolatedError(ValueError):
     """The reference collection violates the basic structural assumptions."""
@@ -27,52 +27,6 @@ class BasicAssumptionsViolatedError(ValueError):
             + "; ".join(violations)
         )
         self.violations = list(violations)
-
-
-@checked
-class DeckOfCards(NamedTuple):
-    """Blank-card counts between consecutive scored sets, with anchor scores."""
-
-    blank_cards: tuple[int, ...]
-    anchors: tuple[float, float] = (0.0, 100.0)
-
-    def _check(self) -> None:
-        if len(self.blank_cards) < 1:
-            raise ValueError("need at least two levels (one blank-card count)")
-        if any(e < 0 or int(e) != e for e in self.blank_cards):
-            raise ValueError("blank-card counts must be nonnegative integers")
-        low, high = self.anchors
-        if not low < high:
-            raise ValueError("anchor scores must satisfy low < high")
-        if not math.isfinite(high - low):
-            raise ValueError(f"anchor span {high} - {low} is beyond the float range")
-
-    @property
-    def levels(self) -> int:
-        return len(self.blank_cards) + 1
-
-    def unit(self) -> float:
-        """Value of one unit: the anchor span divided by the total unit count."""
-        low, high = self.anchors
-        # exact operands, so one correctly rounded division gives the unit
-        return (high - low) / sum(e + 1 for e in self.blank_cards)
-
-
-def deck_of_cards_scores(deck: DeckOfCards) -> list[float]:
-    """Scores for all levels: cumulative blank-card units between the anchors.
-
-    Exact rational arithmetic keeps the top score equal to the high
-    anchor and renders thirds and the like at full double precision.
-    """
-    from fractions import Fraction  # loaded only where a deck is converted
-
-    low, high = deck.anchors
-    alpha = sum(e + 1 for e in deck.blank_cards)
-    unit = Fraction(high - low) / alpha
-    scores = [Fraction(low)]
-    for e in deck.blank_cards:
-        scores.append(scores[-1] + (e + 1) * unit)
-    return [float(x) for x in scores]
 
 
 class ScoreRange(NamedTuple):

@@ -13,11 +13,10 @@ notice, not a trial suite.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from typing import Callable, Iterator, Sequence
 
 from .credibility import compile_criteria, dominates, sigma_pair
-from .model import Criterion, Direction
+from .model import Criterion, DeckOfCards, Direction, deck_of_cards_scores
 from .properties import (
     GeneratorConfig,
     Instance,
@@ -30,7 +29,6 @@ from .properties import (
     make_edits,
     shrink_instance,
 )
-from .scoring import DeckOfCards, deck_of_cards_scores
 
 LAMBDA_GRID = (0.55, 0.65, 0.75, 0.85, 0.95, 1.0)
 
@@ -235,7 +233,7 @@ def run_variable_threshold_suite(trials: int, seed: int) -> PropertyReport:
             f"{observed} implication violations observed under variable "
             "thresholds (reported, not asserted)"
         )
-    return replace(base, notes=tuple(notes))
+    return base._replace(notes=tuple(notes))
 
 
 def _run_checked_suite(
@@ -262,12 +260,12 @@ def _run_checked_suite(
         found = report.failures
         if shrunk:
             found = tuple(
-                replace(f, case=f"{f.case} [shrunk to {small.dims()}]") for f in shrunk
+                f._replace(case=f"{f.case} [shrunk to {small.dims()}]") for f in shrunk
             )
         # the checkers record neither seed nor digest: both are stamped
         # here, the digest computed for failing trials only
         digest = (small if shrunk else inst).digest()
-        failures.extend(replace(f, seed=trial_seed, digest=digest) for f in found)
+        failures.extend(f._replace(seed=trial_seed, digest=digest) for f in found)
     return PropertyReport(name, trials, tuple(failures), skipped, hypothesis_met, tuple(notes))
 
 

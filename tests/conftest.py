@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from electre_score.files import load_model, load_performances_csv, load_target_csv
-from electre_score.scoring import DeckOfCards
+from electre_score.model import DeckOfCards
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 

@@ -20,8 +20,8 @@ import pytest
 
 from electre_score.cli import main
 from electre_score.credibility import credibility
+from electre_score.model import deck_of_cards_scores
 from electre_score.refsets import check_separability, validate_basic_assumptions
-from electre_score.scoring import deck_of_cards_scores
 from electre_score.suites import (
     run_conformity_suite,
     run_propositions_suite,

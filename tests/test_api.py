@@ -14,6 +14,7 @@ from electre_score.credibility import CompiledCriteria, compile_criteria
 from electre_score.files import LoadedModel
 from electre_score.model import (
     Criterion,
+    DeckOfCards,
     Direction,
     PerformanceTable,
     ReferenceSet,
@@ -22,16 +23,26 @@ from electre_score.model import (
     ThresholdSpec,
     ValidationReport,
 )
+from electre_score.properties import (
+    DeleteProfile,
+    DeleteSet,
+    GeneratorConfig,
+    InsertProfile,
+    InsertSet,
+    Instance,
+    PropertyFailure,
+    PropertyReport,
+)
 from electre_score.refsets import LevelPairFlags, SetClassification
-from electre_score.scoring import DeckOfCards, ScoreRange, ScoringResult
+from electre_score.scoring import ScoreRange, ScoringResult
 from electre_score.sweep import LambdaInterval, SweepResult
 
 # every name the package exports, with the module that defines it
 PUBLIC = {
     "model": (
-        "AllZeroWeightsError", "Criterion", "Direction", "PerformanceTable", "ReferenceSet",
-        "ReferenceStructure", "ThresholdMode", "ThresholdSpec", "ValidationReport",
-        "validate_model",
+        "AllZeroWeightsError", "Criterion", "DeckOfCards", "Direction", "PerformanceTable",
+        "ReferenceSet", "ReferenceStructure", "ThresholdMode", "ThresholdSpec",
+        "ValidationReport", "deck_of_cards_scores", "validate_model",
     ),
     "credibility": (
         "CompiledCriteria", "compile_criteria", "credibility", "dominates", "sigma_pair",
@@ -41,8 +52,8 @@ PUBLIC = {
         "derived_relation", "validate_basic_assumptions",
     ),
     "scoring": (
-        "BasicAssumptionsViolatedError", "DeckOfCards", "ScoreRange", "ScoringResult",
-        "deck_of_cards_scores", "scan_bounds", "score_ranges",
+        "BasicAssumptionsViolatedError", "ScoreRange", "ScoringResult", "scan_bounds",
+        "score_ranges",
     ),
 }
 
@@ -100,6 +111,19 @@ RECORDS = {
         (LambdaInterval(0.5, 0.75),), (0.75, 1.0), (), LambdaInterval(0.5, 0.75)
     ), "breakpoints", True),
     "LoadedModel": (lambda: LoadedModel((_criterion(),), _refs(), None, None, ()), "lam", True),
+    "GeneratorConfig": (lambda: GeneratorConfig(n_criteria=2, veto=True), "n_levels", True),
+    # its table's rows are a dict
+    "Instance": (lambda: Instance(
+        (_criterion(),), PerformanceTable((_criterion(),), {"a": (1.0,)}), _refs()
+    ), "refs", False),
+    "InsertSet": (lambda: InsertSet(0.5, ((2.0,),)), "score", True),
+    "DeleteSet": (lambda: DeleteSet(1), "level", True),
+    "InsertProfile": (lambda: InsertProfile(0, (1.0,)), "profile", True),
+    "DeleteProfile": (lambda: DeleteProfile(1, 0), "profile_index", True),
+    "PropertyFailure": (lambda: PropertyFailure(3, "abc", "case", "x", "y"), "seed", True),
+    "PropertyReport": (lambda: PropertyReport(
+        "conformity", 2, (PropertyFailure(3, "abc", "case", "x", "y"),), notes=("n",)
+    ), "failures", True),
 }
 
 
@@ -156,3 +180,22 @@ def test_repr_names_the_class(name):
 def test_constructor_checks_raise(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+# one field out of range for each check of GeneratorConfig
+CONFIG_CHECKS = {
+    "n_criteria": (0, "config sizes below the minimal instance"),
+    "n_levels": (1, "config sizes below the minimal instance"),
+    "n_actions": (-1, "config sizes below the minimal instance"),
+    "max_profiles_per_level": (0, "need at least one profile per level"),
+    "threshold_mode": ("linear", "threshold_mode must be 'constant' or 'variable'"),
+}
+
+
+@pytest.mark.parametrize("field", CONFIG_CHECKS)
+def test_generator_config_checks_raise(field):
+    value, message = CONFIG_CHECKS[field]
+    with pytest.raises(ValueError, match=message):
+        GeneratorConfig(**{field: value})
+    with pytest.raises(ValueError, match=message):
+        GeneratorConfig()._replace(**{field: value})

@@ -16,7 +16,6 @@ which prints the key of every report that changed.
 
 import json
 import random
-from dataclasses import asdict, replace
 from pathlib import Path
 
 from electre_score.properties import (
@@ -57,8 +56,8 @@ def reports(seed, config, lam, rename=lambda name: name) -> dict:
 
     def stamped(report) -> dict:
         # the checkers leave seed and digest to their caller, as the suites do
-        failures = tuple(replace(f, seed=seed, digest=digest) for f in report.failures)
-        return asdict(replace(report, failures=failures))
+        failures = tuple(f._replace(seed=seed, digest=digest) for f in report.failures)
+        return report._replace(failures=failures).as_dict()
 
     return {
         "conformity": stamped(check_conformity(inst.refs, inst.criteria, lam)),

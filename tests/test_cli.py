@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from electre_score import refsets
+from electre_score import refsets, scoring
 from electre_score.cli import (
     EXIT_COMPARABILITY,
     EXIT_OK,
@@ -121,6 +121,27 @@ class TestEvaluate:
         assert code == EXIT_OK
         report = json.loads((tmp_path / "r.json").read_text())
         assert any("basic-assumption" in f for f in report["findings"])
+
+    def test_force_warns_only_on_a_violation(self, hotel_files, tmp_path, capsys,
+                                             monkeypatch):
+        # a range finding opens with its action's id, which may start
+        # like a violation finding; it must not raise the warning
+        model, perf, _ = hotel_files
+        perf.write_text(perf.read_text().replace("\na1,", "\nbasic-assumption-hub,"))
+        real = scoring.score_ranges
+
+        def with_range_finding(*args, **kwargs):
+            result = real(*args, **kwargs)
+            finding = "basic-assumption-hub: bounds not strictly ordered (50.0 !< 25.0)"
+            return result._replace(findings=result.findings + (finding,))
+
+        monkeypatch.setattr(scoring, "score_ranges", with_range_finding)
+        argv = ["evaluate", str(model), "--performances", str(perf), "--force",
+                "--output", str(tmp_path / "r.json")]
+        assert main([*argv, "--lambda", "0.65"]) == EXIT_OK
+        assert "warning" not in capsys.readouterr().err
+        assert main([*argv, "--lambda", "0.8"]) == EXIT_OK
+        assert "warning: scoring despite basic-assumption violations" in capsys.readouterr().err
 
     def test_deterministic_reports(self, hotel_files, tmp_path):
         model, perf, _ = hotel_files
@@ -1060,8 +1081,8 @@ class TestNonUtf8Input:
 class TestLazyImports:
     """Importing the CLI loads only what evaluate, validate and sigma run;
     refsets, scoring, the sweep and the verify suites load with their
-    command, and dataclasses (with inspect) and fractions stay off the
-    path of every command but verify and a deck conversion."""
+    command, a deck conversion loads fractions and no engine module, and
+    no command loads dataclasses (with inspect)."""
 
     ROOT = Path(__file__).resolve().parent.parent
     OFF_PATH = ("dataclasses", "inspect", "fractions")
@@ -1082,7 +1103,8 @@ class TestLazyImports:
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        code, *loaded = proc.stdout.split()
+        # the last line; verify prints its summary before it
+        code, *loaded = proc.stdout.splitlines()[-1].split()
         return code, set(loaded)
 
     @pytest.fixture()
@@ -1131,6 +1153,29 @@ class TestLazyImports:
                                     "--output", tmp_path / "r.json")
         assert code == str(EXIT_OK)
         assert "fractions" in loaded and "dataclasses" not in loaded
+
+    @pytest.mark.parametrize("argv, exit_code, absent", [
+        (("sigma",), EXIT_OK, ("refsets", "scoring")),
+        # the hotel target is infeasible
+        (("sweep-lambda",), EXIT_VERIFY, ("refsets", "scoring")),
+        (("validate", "--lambda", "0.65"), EXIT_OK, ("scoring",)),
+    ], ids=["sigma", "sweep-lambda", "validate"])
+    def test_deck_conversion_loads_no_engine_module(self, hotel_files, tmp_path, argv,
+                                                    exit_code, absent):
+        model, perf, target = hotel_files
+        targets = (target,) if argv[0] == "sweep-lambda" else ()
+        code, loaded = self._loaded(argv[0], model, *targets, "--performances", perf,
+                                    *argv[1:], "--output", tmp_path / "r.out")
+        assert code == str(exit_code)
+        assert "fractions" in loaded
+        for module in absent:
+            assert f"electre_score.{module}" not in loaded
+
+    def test_verify_loads_no_dataclasses(self, tmp_path):
+        code, loaded = self._loaded("verify", "--trials", "1", "--output", tmp_path / "reports")
+        assert code == str(EXIT_OK) and "electre_score.suites" in loaded
+        for module in ("dataclasses", "inspect"):
+            assert module not in loaded
 
 
 class TestTracedEntry:

@@ -4,14 +4,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from electre_score.model import Direction, PerformanceTable, ReferenceSet, ReferenceStructure
+from electre_score.model import (
+    DeckOfCards,
+    Direction,
+    PerformanceTable,
+    ReferenceSet,
+    ReferenceStructure,
+    deck_of_cards_scores,
+)
 from electre_score.properties import GeneratorConfig, generate_instance
 from electre_score.refsets import SetClassification, classify_action_vs_levels
 from electre_score.scoring import (
     BasicAssumptionsViolatedError,
-    DeckOfCards,
     _range_findings,
-    deck_of_cards_scores,
     scan_bounds,
     score_ranges,
 )

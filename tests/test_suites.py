@@ -10,7 +10,6 @@ corrupted bound scan makes their trials fail.
 
 import hashlib
 import json
-from dataclasses import asdict
 
 import pytest
 
@@ -112,5 +111,5 @@ def test_failing_trials_are_pinned(monkeypatch, suite, failures, sha256):
     report = suites.SUITES[suite](25, 4)
     assert len(report.failures) == failures
     assert all(f.seed is not None and f.digest for f in report.failures)
-    blob = json.dumps(asdict(report), sort_keys=True).encode()
+    blob = json.dumps(report.as_dict(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == sha256
