@@ -120,7 +120,7 @@ def cmd_evaluate(args) -> int:
             EXIT_VALIDATION,
             str(exc) + " (use --force to score anyway)",
         )
-    if args.force and any(f.startswith("basic-assumption violation: ") for f in result.findings):
+    if result.violations:
         print("warning: scoring despite basic-assumption violations", file=sys.stderr)
 
     names = model.refs.profile_names()
@@ -311,7 +311,7 @@ def _config_int(config: dict, key: str, default: int) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .suites import SUITES
+    from .suites import SUITES, run_suites
 
     config = {}
     if args.config:
@@ -348,8 +348,7 @@ def cmd_verify(args) -> int:
             raise _Exit(EXIT_PARSE, f"cannot write {out_dir}: {exc.strerror or exc}")
 
     any_failure = False
-    for name in suite_names:
-        report = SUITES[name](trials, seed)
+    for report in run_suites(suite_names, trials, seed):
         any_failure = any_failure or not report.passed
         print(
             f"{report.name}: {'PASS' if report.passed else 'FAIL'} "

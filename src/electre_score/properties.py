@@ -2,13 +2,12 @@
 edit operations, and checkers for the method's consistency guarantees
 (set-relation propositions, conformity, stability under single edits).
 
-Each checker verifies its own hypothesis (the separability flags its
-guarantee is stated under) before asserting the conclusion; when the
-hypothesis fails the report is marked gated rather than failed.
-Every checker reads soft dominance from :func:`refsets.soft_dominance`;
-conformity and propositions, which also need soft preference, read it
-from the profile table they build anyway
-(:meth:`refsets.ProfileTable.soft_preference`). :func:`shrink_instance`
+Each checker reads one :class:`Trial`, an instance at one cutting
+level, and checkers run on the same trial share all it derives, from the
+compiled kernel to each action's relation to every profile. Each checker
+verifies its own hypothesis (the separability flags its guarantee is
+stated under) before asserting the conclusion; when the hypothesis fails
+the report is marked gated rather than failed. :func:`shrink_instance`
 reduces a failing instance to a smaller one that still fails.
 """
 
@@ -17,9 +16,10 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from functools import cached_property
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from .credibility import compile_criteria
+from .credibility import CompiledCriteria, compile_criteria
 from .model import (
     Criterion,
     Direction,
@@ -302,29 +302,87 @@ class PropertyReport(NamedTuple):
 # theorem checkers
 
 
-def check_conformity(
-    refs: ReferenceStructure,
-    criteria: Sequence[Criterion],
-    lam: float,
-) -> PropertyReport:
+class Trial:
+    """One instance at one cutting level, as the checkers read it.
+
+    Each derived value is built on its first read and kept: the compiled
+    kernel, the :class:`~.refsets.ProfileTable`, soft dominance, soft
+    preference at ``lam``, every profile's relation to every level, and
+    every action's relation to every profile (through a
+    :class:`~.refsets.CertifiedFold`) and to every level. Checkers that
+    read one trial compute each pair once between them, and a checker
+    that reads no credibility computes none.
+    """
+
+    def __init__(
+        self,
+        criteria: Sequence[Criterion],
+        refs: ReferenceStructure,
+        lam: float,
+        actions: Mapping[str, Sequence[float]] | None = None,
+    ):
+        self.criteria, self.refs, self.actions = criteria, refs, actions or {}
+        self.lam = check_cutting_level(lam)
+
+    @cached_property
+    def kernel(self) -> CompiledCriteria:
+        return compile_criteria(self.criteria)
+
+    @cached_property
+    def table(self) -> ProfileTable:
+        return ProfileTable(self.kernel, self.refs)
+
+    @cached_property
+    def dominance(self) -> tuple[bool, bool]:
+        """(primal, dual) soft dominance; reads no credibility."""
+        return soft_dominance(self.criteria, self.refs)
+
+    @cached_property
+    def preference(self) -> tuple[bool, bool]:
+        """(primal, dual) soft preference at ``lam``."""
+        return self.table.soft_preference(self.lam)
+
+    @cached_property
+    def ladder(self) -> tuple[tuple[tuple[SetClassification, ...], ...], ...]:
+        """Per level and profile, the profile's relation to every level."""
+        table, lam = self.table, self.lam
+        return tuple(
+            tuple(table.profile_levels(k, p, lam) for p in range(len(ref.profiles)))
+            for k, ref in enumerate(self.refs.sets)
+        )
+
+    @cached_property
+    def rows(self) -> dict[str, tuple[tuple[SetClassification, ...], ...]]:
+        """Per action, its relation to every profile, level by level."""
+        levels = (ref.profiles for ref in self.refs.sets)
+        fold = CertifiedFold(self.kernel, levels, self.actions.values(), self.lam)
+        return {name: tuple(map(tuple, fold.rows(vec))) for name, vec in self.actions.items()}
+
+    @cached_property
+    def relations(self) -> dict[str, tuple[SetClassification, ...]]:
+        """Per action, its relation to every level, bottom to top."""
+        return {
+            name: tuple(map(classify_relations, rows)) for name, rows in self.rows.items()
+        }
+
+
+def check_conformity(trial: Trial) -> PropertyReport:
     """Interior profiles, scored as actions, must get their neighbours' scores.
 
     Hypothesis: all four soft separability flags (dominance and
     preference, primal and dual). When unmet the report is gated and the
     deviations are logged as notes only.
     """
-    check_cutting_level(lam)
-    table = ProfileTable(compile_criteria(criteria), refs)
-    hypothesis = all(soft_dominance(criteria, refs)) and all(table.soft_preference(lam))
-    scores = refs.scores
+    hypothesis = all(trial.dominance) and all(trial.preference)
+    scores = trial.refs.scores
 
     failures: list[PropertyFailure] = []
     notes: list[str] = []
     trials = 0
     for k in range(1, len(scores) - 1):
-        for p in range(len(refs.sets[k].profiles)):
+        for p, relations in enumerate(trial.ladder[k]):
             trials += 1
-            lo, hi = scan_bounds(table.profile_levels(k, p, lam), scores)
+            lo, hi = scan_bounds(relations, scores)
             expected = (scores[k - 1], scores[k + 1])
             observed = (None if lo is None else lo[0], None if hi is None else hi[0])
             if observed != expected:
@@ -377,12 +435,7 @@ def _flag_checks_for_action(
     return bad
 
 
-def check_propositions(
-    refs: ReferenceStructure,
-    criteria: Sequence[Criterion],
-    lam: float,
-    actions: Mapping[str, Sequence[float]],
-) -> PropertyReport:
+def check_propositions(trial: Trial) -> PropertyReport:
     """Set-relation implications plus the bound characterizations.
 
     Per action with both bounds: strictly preferred to every level at or
@@ -397,12 +450,9 @@ def check_propositions(
     primal soft preference (with basic assumption (ii)), since dominance
     alone gives only outranking.
     """
-    check_cutting_level(lam)
-    kernel = compile_criteria(criteria)
-    table = ProfileTable(kernel, refs)
-    primal, dual = soft_dominance(criteria, refs)
-    preference_primal, _ = table.soft_preference(lam)
-    scores = refs.scores
+    primal, dual = trial.dominance
+    preference_primal, _ = trial.preference
+    scores = trial.refs.scores
 
     failures: list[PropertyFailure] = []
     notes: list[str] = []
@@ -412,10 +462,8 @@ def check_propositions(
     def fail(case: str, expected: str, observed: str) -> None:
         failures.append(PropertyFailure(None, "", case, expected, observed))
 
-    fold = CertifiedFold(kernel, (ref.profiles for ref in refs.sets), actions.values(), lam)
-    for name, vec in actions.items():
+    for name, relations in trial.relations.items():
         trials += 1
-        relations = fold.relations(vec)
         for msg in _flag_checks_for_action(name, relations, primal, dual):
             fail(msg, "implication holds", "violated")
         if not (primal and dual):
@@ -449,10 +497,9 @@ def check_propositions(
                      f"outside (bounds {lo_idx+1}..{hi_idx+1})")
 
     # ladder implications for the profiles themselves
-    for k, ref in enumerate(refs.sets):
-        for p in range(len(ref.profiles)):
+    for k, level in enumerate(trial.ladder):
+        for p, relations in enumerate(level):
             trials += 1
-            relations = table.profile_levels(k, p, lam)
             if dual:
                 for h in range(k + 1):
                     if relations[h] not in _OUTRANKS_SET:
@@ -531,33 +578,29 @@ def _expected_after_edit(
     return exp_lower, exp_upper
 
 
-def _edited_rows(
+def _edited_relations(
+    relations: Sequence[SetClassification],
     rows: Sequence[tuple[SetClassification, ...]],
     refs: ReferenceStructure,
     edit: EditOperation,
     added: tuple[SetClassification, ...],
-) -> list[tuple[SetClassification, ...]]:
-    """The action's per-profile relations with the edit applied to them."""
-    out = list(rows)
+) -> list[SetClassification]:
+    """The action's relation to every level after the edit; only the
+    level the edit touches is classified again."""
+    out = list(relations)
     if isinstance(edit, InsertSet):
-        out.insert(sum(1 for s in refs.sets if s.score < edit.score), added)
+        out.insert(sum(1 for s in refs.sets if s.score < edit.score), classify_relations(added))
     elif isinstance(edit, DeleteSet):
         del out[edit.level]
     elif isinstance(edit, InsertProfile):
-        out[edit.level] += added
+        out[edit.level] = classify_relations(rows[edit.level] + added)
     else:
-        i = edit.profile_index
-        out[edit.level] = out[edit.level][:i] + out[edit.level][i + 1 :]
+        row, i = rows[edit.level], edit.profile_index
+        out[edit.level] = classify_relations(row[:i] + row[i + 1 :])
     return out
 
 
-def check_stability(
-    refs: ReferenceStructure,
-    criteria: Sequence[Criterion],
-    lam: float,
-    edits: Sequence[EditOperation],
-    actions: Mapping[str, Sequence[float]],
-) -> PropertyReport:
+def check_stability(trial: Trial, edits: Sequence[EditOperation]) -> PropertyReport:
     """Every single insert/delete moves each bound by at most one level.
 
     Checks the coarse one-level window against the original neighbours
@@ -565,11 +608,12 @@ def check_stability(
     break the soft-dominance hypothesis (before or after) are skipped
     and counted, not failed. The hypothesis is read from dominance
     alone, so the only credibilities computed, and the only threshold
-    errors raised, are those of the action-profile pairs checked.
+    errors raised, are those of the action-profile pairs checked. The
+    pre-edit relations are the trial's; after an edit only the level it
+    touches is classified again.
     """
-    check_cutting_level(lam)
-    kernel = compile_criteria(criteria)
-    if not all(soft_dominance(criteria, refs)):
+    criteria, refs, lam = trial.criteria, trial.refs, trial.lam
+    if not all(trial.dominance):
         return PropertyReport(
             "stability", 0, (), len(edits), False,
             ("hypothesis not met before edits: soft dominance separability",),
@@ -582,15 +626,14 @@ def check_stability(
     if not kept:  # nothing to check, so no action-profile pair is computed
         return PropertyReport("stability", 0, (), len(edits), True)
 
-    # each action's relation to every profile and its bounds before any
-    # edit, for the actions that have both bounds
+    # each action's relations and bounds before any edit, for the
+    # actions that have both bounds
     scores = refs.scores
     bounded = []
-    for name, vec in actions.items():
-        rows = [tuple(profile_relations(kernel, vec, ref.profiles, lam)) for ref in refs.sets]
-        lo, hi = scan_bounds([classify_relations(row) for row in rows], scores)
+    for name, relations in trial.relations.items():
+        lo, hi = scan_bounds(relations, scores)
         if lo is not None and hi is not None:
-            bounded.append((name, vec, rows, lo[1], hi[1]))
+            bounded.append((name, trial.actions[name], relations, trial.rows[name], lo[1], hi[1]))
 
     failures: list[PropertyFailure] = []
     trials = 0
@@ -600,13 +643,12 @@ def check_stability(
             else (edit.profile,) if isinstance(edit, InsertProfile)
             else ()
         )
-        for name, vec, rows, r, t in bounded:
+        for name, vec, relations, rows, r, t in bounded:
             trials += 1
-            added = tuple(profile_relations(kernel, vec, inserted, lam))
+            added = tuple(profile_relations(trial.kernel, vec, inserted, lam))
             exp_lower, exp_upper = _expected_after_edit(rows, scores, r, t, edit, added)
             new_lo, new_hi = scan_bounds(
-                [classify_relations(row) for row in _edited_rows(rows, refs, edit, added)],
-                new_scores,
+                _edited_relations(relations, rows, refs, edit, added), new_scores
             )
             got_lower = None if new_lo is None else new_lo[0]
             got_upper = None if new_hi is None else new_hi[0]

@@ -211,15 +211,17 @@ class CertifiedFold:
     A MIN criterion takes ``min b``, and losing is winning with the
     direction flipped, since ``a - b`` and ``b - a`` round to exact
     negatives. Every other level goes through :func:`profile_relations`,
-    one kernel call per profile.
+    one kernel call per profile. :meth:`rows` gives each action's
+    relation to every profile, and :meth:`relations` folds it per level.
 
     A test no action of the table can pass, since its lowest or highest
     value on some criterion fails it, is dropped, so a level no action
     clears costs nothing per action. The kept tests are used only when
     :func:`_thresholds_hold` shows that no pair of the actions and
     profiles can raise, so no skipped pair would have; otherwise no level
-    is certified and the kernel raises where it always did. ``relations``
-    takes one of ``actions``, and ``lam`` must already be validated.
+    is certified and the kernel raises where it always did. ``rows`` and
+    ``relations`` take one of ``actions``, and ``lam`` must already be
+    validated.
     """
 
     def __init__(
@@ -249,14 +251,21 @@ class CertifiedFold:
 
     def relations(self, action: Sequence[float]) -> tuple[SetClassification, ...]:
         """Relation of one action to every level, bottom to top."""
+        return tuple(map(classify_relations, self.rows(action)))
+
+    def rows(self, action: Sequence[float]) -> Iterator[Iterable[SetClassification]]:
+        """Relation of one action to every profile, level by level, each
+        level to be read once; a certified level's profiles all take its
+        class."""
         kernel, lam = self.kernel, self.lam
         p_action = [t + slope * x for (t, slope), x in zip(self._p, action)]
-        return tuple(
-            SetClassification.ACTION_PREFERRED if better and _clears(better, action, p_action)
-            else SetClassification.SET_PREFERRED if worse and _clears(worse, action, p_action)
-            else classify_relations(profile_relations(kernel, action, level, lam))
-            for level, (better, worse) in zip(self.levels, self._tests)
-        )
+        for level, (better, worse) in zip(self.levels, self._tests):
+            if better and _clears(better, action, p_action):
+                yield (_ACTION_PREFERRED,) * len(level)
+            elif worse and _clears(worse, action, p_action):
+                yield (_SET_PREFERRED,) * len(level)
+            else:
+                yield profile_relations(kernel, action, level, lam)
 
 
 def classify_action_vs_levels(

@@ -84,12 +84,17 @@ class ScoringResult(NamedTuple):
     bottom to top: the input of the bound scan and of comparability.
     ``used_fast_path``: both soft-dominance flags hold, so the bounds are
     the highest action-preferred and the lowest set-preferred levels.
+    ``violations`` holds the basic-assumption violations scored past
+    with ``force``, empty by default; each also opens the findings,
+    prefixed ``basic-assumption violation: ``, where an action's id
+    could match it.
     """
 
     ranges: tuple[ScoreRange, ...]
     findings: tuple[str, ...]
     used_fast_path: bool
     relations: tuple[tuple[SetClassification, ...], ...]
+    violations: tuple[str, ...] = ()
 
     def by_action(self) -> dict[str, ScoreRange]:
         return {r.action: r for r in self.ranges}
@@ -163,4 +168,6 @@ def score_ranges(
             findings.extend(_range_findings(action, relations, scores, lo_idx, hi_idx))
         ranges.append(ScoreRange(action, lo, hi, lo_idx, hi_idx, reason or None))
     fast = all(soft_dominance(criteria, refs))  # reported only; the scan needs no gate
-    return ScoringResult(tuple(ranges), tuple(findings), fast, tuple(all_relations))
+    return ScoringResult(
+        tuple(ranges), tuple(findings), fast, tuple(all_relations), tuple(violations)
+    )

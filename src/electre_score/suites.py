@@ -4,10 +4,20 @@ Five suites back the verification harness: the dominance/outranking
 implication chain, the credibility invariants, the set-relation
 propositions, conformity, and stability under single edits. Trials are
 deterministic per (base seed, index) and all drawn by :func:`_trials`.
-A failing trial of a checked suite is shrunk by dropping criteria, then
-profiles, then actions, and its failures carry the trial seed and the
-digest of the smallest instance that still fails. ``deck-example`` is a
-notice, not a trial suite.
+
+The three checked suites (propositions, conformity, stability) draw the
+same trials: the same instance at the same cutting level. So
+:func:`run_checked_suites` runs any of them in one pass, trial by trial
+in seed order: it draws each trial once, wraps it in one
+:class:`~.properties.Trial` that every requested checker reads, and
+keeps that trial only until the next is drawn. Each suite folds its own
+report, which equals the report of that suite run alone;
+:func:`run_suites` runs any list of suites, the checked ones in that
+one pass. A failing
+trial of a checked suite is shrunk by dropping criteria, then profiles,
+then actions, each candidate checked on a trial of its own, and its
+failures carry the trial seed and the digest of the smallest instance
+that still fails. ``deck-example`` is a notice, not a trial suite.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from .properties import (
     Instance,
     PropertyFailure,
     PropertyReport,
+    Trial,
     check_conformity,
     check_propositions,
     check_stability,
@@ -236,27 +247,33 @@ def run_variable_threshold_suite(trials: int, seed: int) -> PropertyReport:
     return base._replace(notes=tuple(notes))
 
 
-def _run_checked_suite(
-    name: str,
-    trials: int,
-    seed: int,
-    runner: Callable[[Instance, float, int], PropertyReport],
-) -> PropertyReport:
-    failures: list[PropertyFailure] = []
-    notes: list[str] = []
-    skipped, hypothesis_met = 0, True
-    for trial_seed, rng, inst in _trials(trials, seed):
-        lam = rng.choice(LAMBDA_GRID)
-        report = runner(inst, lam, trial_seed)
-        skipped += report.skipped
-        hypothesis_met = hypothesis_met and report.hypothesis_met
-        notes.extend(report.notes)
+# a checked suite's checker on one trial: (trial, instance, trial seed) -> report
+Checker = Callable[[Trial, Instance, int], PropertyReport]
+
+
+class _CheckedFold:
+    """One checked suite's report, folded trial by trial."""
+
+    def __init__(self, name: str, checker: Checker):
+        self.name, self.checker = name, checker
+        self.failures: list[PropertyFailure] = []
+        self.notes: list[str] = []
+        self.skipped, self.hypothesis_met = 0, True
+
+    def add(self, trial: Trial, inst: Instance, trial_seed: int) -> None:
+        report = self.checker(trial, inst, trial_seed)
+        self.skipped += report.skipped
+        self.hypothesis_met = self.hypothesis_met and report.hypothesis_met
+        self.notes.extend(report.notes)
         if not report.failures:
-            continue
-        small = shrink_instance(
-            inst, lambda candidate: bool(runner(candidate, lam, trial_seed).failures)
-        )
-        shrunk = runner(small, lam, trial_seed).failures
+            return
+
+        def run(candidate: Instance) -> PropertyReport:
+            # every candidate gets a trial of its own
+            return self.checker(_trial(candidate, trial.lam), candidate, trial_seed)
+
+        small = shrink_instance(inst, lambda candidate: bool(run(candidate).failures))
+        shrunk = run(small).failures
         found = report.failures
         if shrunk:
             found = tuple(
@@ -265,31 +282,70 @@ def _run_checked_suite(
         # the checkers record neither seed nor digest: both are stamped
         # here, the digest computed for failing trials only
         digest = (small if shrunk else inst).digest()
-        failures.extend(f._replace(seed=trial_seed, digest=digest) for f in found)
-    return PropertyReport(name, trials, tuple(failures), skipped, hypothesis_met, tuple(notes))
+        self.failures.extend(f._replace(seed=trial_seed, digest=digest) for f in found)
+
+    def report(self, trials: int) -> PropertyReport:
+        return PropertyReport(self.name, trials, tuple(self.failures), self.skipped,
+                              self.hypothesis_met, tuple(self.notes))
+
+
+def _trial(inst: Instance, lam: float) -> Trial:
+    return Trial(inst.criteria, inst.refs, lam, inst.table.rows)
+
+
+# the checkers are looked up when called, so a wrapped module global is seen
+CHECKED: dict[str, Checker] = {
+    "propositions": lambda trial, inst, trial_seed: check_propositions(trial),
+    "conformity": lambda trial, inst, trial_seed: check_conformity(trial),
+    "stability": lambda trial, inst, trial_seed: check_stability(
+        trial, make_edits(inst, random.Random(trial_seed ^ 0x5EED), count=4)
+    ),
+}
+
+
+def run_checked_suites(
+    names: Sequence[str], trials: int, seed: int
+) -> dict[str, PropertyReport]:
+    """The reports of the named checked suites from one pass over the
+    trials, each equal to the report of its suite run alone.
+
+    Every trial is drawn once and read by every named checker, through
+    one :class:`Trial` kept until the next trial is drawn; each suite
+    folds and shrinks its own report.
+    """
+    folds = [_CheckedFold(name, CHECKED[name]) for name in dict.fromkeys(names)]
+    for trial_seed, rng, inst in _trials(trials, seed):
+        trial = _trial(inst, rng.choice(LAMBDA_GRID))
+        for fold in folds:
+            fold.add(trial, inst, trial_seed)
+    return {fold.name: fold.report(trials) for fold in folds}
+
+
+def run_suites(names: Sequence[str], trials: int, seed: int) -> Iterator[PropertyReport]:
+    """The named suites' reports in the order named, a repeated name
+    repeated.
+
+    The checked suites among them share one pass, run when the first of
+    them is due; every other suite runs through its :data:`SUITES` entry,
+    looked up when called.
+    """
+    joint: dict[str, PropertyReport] = {}
+    for name in names:
+        if name in CHECKED and not joint:
+            joint = run_checked_suites([n for n in names if n in CHECKED], trials, seed)
+        yield joint[name] if name in CHECKED else SUITES[name](trials, seed)
 
 
 def run_propositions_suite(trials: int, seed: int) -> PropertyReport:
-    def runner(inst: Instance, lam: float, trial_seed: int) -> PropertyReport:
-        return check_propositions(inst.refs, inst.criteria, lam, inst.table.rows)
-
-    return _run_checked_suite("propositions", trials, seed, runner)
+    return run_checked_suites(["propositions"], trials, seed)["propositions"]
 
 
 def run_conformity_suite(trials: int, seed: int) -> PropertyReport:
-    def runner(inst: Instance, lam: float, trial_seed: int) -> PropertyReport:
-        return check_conformity(inst.refs, inst.criteria, lam)
-
-    return _run_checked_suite("conformity", trials, seed, runner)
+    return run_checked_suites(["conformity"], trials, seed)["conformity"]
 
 
 def run_stability_suite(trials: int, seed: int) -> PropertyReport:
-    def runner(inst: Instance, lam: float, trial_seed: int) -> PropertyReport:
-        rng = random.Random(trial_seed ^ 0x5EED)
-        edits = make_edits(inst, rng, count=4)
-        return check_stability(inst.refs, inst.criteria, lam, edits, inst.table.rows)
-
-    return _run_checked_suite("stability", trials, seed, runner)
+    return run_checked_suites(["stability"], trials, seed)["stability"]
 
 
 # the bundled hotel example's recorded blank cards and its elicited

@@ -54,6 +54,13 @@ def _plain_fold(kernel, action, refs, lam):
     )
 
 
+def _plain_rows(kernel, action, refs, lam):
+    """Every profile of every level through the kernel, level by level."""
+    return tuple(
+        tuple(refsets.profile_relations(kernel, action, ref.profiles, lam)) for ref in refs.sets
+    )
+
+
 def _assert_fold_equals_kernel(criteria, table, refs, lam):
     """Every action's relations, or the error, equal the plain fold's."""
     kernel = compile_criteria(criteria)
@@ -177,6 +184,44 @@ class TestSoundness:
             profiles = sum(len(ref.profiles) for ref in inst.refs.sets)
             certified_somewhere |= calls < len(inst.table.rows) * profiles
         assert certified_somewhere
+
+    @settings(max_examples=200, deadline=None)
+    @given(_instance(), st.sampled_from(LAMBDAS))
+    def test_random_rows_equal_the_plain_rows(self, instance, lam):
+        criteria, table, refs = instance
+        kernel = compile_criteria(criteria)
+        fold = CertifiedFold(kernel, (ref.profiles for ref in refs.sets), table.rows.values(), lam)
+        for vector in table.rows.values():
+            assert _outcome(lambda: tuple(map(tuple, fold.rows(vector)))) == _outcome(
+                lambda: _plain_rows(kernel, vector, refs, lam)
+            ), vector
+
+    @pytest.mark.parametrize("mode", ["constant", "variable"])
+    @pytest.mark.parametrize("veto", [False, True], ids=["no-veto", "veto"])
+    @pytest.mark.parametrize("lam", [LAMBDAS[0], LAMBDAS[-1]], ids=["0.5+eps", "1.0"])
+    def test_generated_rows(self, monkeypatch, mode, veto, lam):
+        # rows agree with the kernel on every profile of every level, and
+        # relations are the rows folded level by level
+        certified = 0
+        for seed in range(10):
+            inst = generate_instance(seed, GeneratorConfig(
+                n_criteria=4, n_levels=5, max_profiles_per_level=3, n_actions=10,
+                threshold_mode=mode, veto=veto,
+            ))
+            kernel = compile_criteria(inst.criteria)
+            fold = CertifiedFold(
+                kernel, (ref.profiles for ref in inst.refs.sets), inst.table.rows.values(), lam
+            )
+            for vector in inst.table.rows.values():
+                rows = tuple(map(tuple, fold.rows(vector)))
+                assert rows == _plain_rows(kernel, vector, inst.refs, lam)
+                assert fold.relations(vector) == tuple(map(refsets.classify_relations, rows))
+            calls = _kernel_calls(
+                monkeypatch, lambda: [fold.relations(v) for v in inst.table.rows.values()]
+            )
+            profiles = sum(len(ref.profiles) for ref in inst.refs.sets)
+            certified += len(inst.table.rows) * profiles - calls
+        assert certified > 0
 
     def test_zero_weight_veto_criterion_is_checked(self, monkeypatch):
         # g2 has no weight but a veto. The certificate reads it like any

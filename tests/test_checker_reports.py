@@ -20,6 +20,7 @@ from pathlib import Path
 
 from electre_score.properties import (
     GeneratorConfig,
+    Trial,
     check_conformity,
     check_propositions,
     check_stability,
@@ -59,10 +60,11 @@ def reports(seed, config, lam, rename=lambda name: name) -> dict:
         failures = tuple(f._replace(seed=seed, digest=digest) for f in report.failures)
         return report._replace(failures=failures).as_dict()
 
+    trial = Trial(inst.criteria, inst.refs, lam, actions)
     return {
-        "conformity": stamped(check_conformity(inst.refs, inst.criteria, lam)),
-        "propositions": stamped(check_propositions(inst.refs, inst.criteria, lam, actions)),
-        "stability": stamped(check_stability(inst.refs, inst.criteria, lam, edits, actions)),
+        "conformity": stamped(check_conformity(trial)),
+        "propositions": stamped(check_propositions(trial)),
+        "stability": stamped(check_stability(trial, edits)),
     }
 
 
@@ -106,7 +108,7 @@ def test_profile_named_action_keeps_propositions_clean():
     actions = {
         PROFILE_LIKE[i]: inst.table.vector(a) for i, a in enumerate(inst.table.actions)
     }
-    report = check_propositions(inst.refs, inst.criteria, 0.75, actions)
+    report = check_propositions(Trial(inst.criteria, inst.refs, 0.75, actions))
     assert report.hypothesis_met
     assert report.failures == ()
 

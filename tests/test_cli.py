@@ -18,6 +18,7 @@ from electre_score.cli import (
     EXIT_VERIFY,
     main,
 )
+from electre_score.model import PerformanceTable
 
 from oracle import engine_criterion_to_dict, strict_side
 
@@ -140,6 +141,32 @@ class TestEvaluate:
                 "--output", str(tmp_path / "r.json")]
         assert main([*argv, "--lambda", "0.65"]) == EXIT_OK
         assert "warning" not in capsys.readouterr().err
+        assert main([*argv, "--lambda", "0.8"]) == EXIT_OK
+        assert "warning: scoring despite basic-assumption violations" in capsys.readouterr().err
+
+    def test_force_warns_from_violations_not_text(self, hotel_files, tmp_path, capsys,
+                                                  monkeypatch):
+        # an action whose id is the violation prefix itself: its range
+        # finding reads exactly like a violation finding
+        model, perf, _ = hotel_files
+        action = "basic-assumption violation"
+        real = scoring.score_ranges
+        finding = f"{action}: strict preference strictly inside the range (level 4, set_preferred)"
+
+        def renamed(table, *args, **kwargs):
+            rows = {action if a == "a1" else a: vec for a, vec in table.rows.items()}
+            result = real(PerformanceTable(table.criteria, rows), *args, **kwargs)
+            return result._replace(findings=result.findings + (finding,))
+
+        monkeypatch.setattr(scoring, "score_ranges", renamed)
+        out = tmp_path / "r.json"
+        argv = ["evaluate", str(model), "--performances", str(perf), "--force",
+                "--output", str(out)]
+        assert main([*argv, "--lambda", "0.65"]) == EXIT_OK
+        assert "warning" not in capsys.readouterr().err
+        report = json.loads(out.read_text())
+        assert report["actions"][0]["action"] == action
+        assert report["findings"] == [finding]
         assert main([*argv, "--lambda", "0.8"]) == EXIT_OK
         assert "warning: scoring despite basic-assumption violations" in capsys.readouterr().err
 

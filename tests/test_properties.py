@@ -16,6 +16,7 @@ from electre_score.properties import (
     InvalidEditError,
     PropertyFailure,
     PropertyReport,
+    Trial,
     apply_edit,
     check_conformity,
     check_propositions,
@@ -132,19 +133,19 @@ class TestConformityChecker:
     def test_generated_collection_passes(self):
         inst = generate_instance(3, GeneratorConfig(
             n_criteria=3, n_levels=5, max_profiles_per_level=2, n_actions=0))
-        report = check_conformity(inst.refs, inst.criteria, 0.75)
+        report = check_conformity(Trial(inst.criteria, inst.refs, 0.75))
         assert report.hypothesis_met
         assert report.failures == ()
         assert report.trials > 0
 
     def test_two_level_collection_is_vacuous(self):
         inst = generate_instance(4, GeneratorConfig(n_levels=2, n_actions=0))
-        report = check_conformity(inst.refs, inst.criteria, 0.75)
+        report = check_conformity(Trial(inst.criteria, inst.refs, 0.75))
         assert report.trials == 0
         assert report.passed
 
     def test_hotel_is_gated(self, hotel):
-        report = check_conformity(hotel["refs"], hotel["criteria"], 0.65)
+        report = check_conformity(Trial(hotel["criteria"], hotel["refs"], 0.65))
         assert not report.hypothesis_met
         assert report.failures == ()  # observations logged, not asserted
         assert any("hypothesis not met" in n for n in report.notes)
@@ -161,7 +162,7 @@ class TestConformityChecker:
             return (scores[0], 0) if lower is not None else None, upper
 
         monkeypatch.setattr(props, "scan_bounds", corrupted)
-        report = check_conformity(inst.refs, inst.criteria, 0.75)
+        report = check_conformity(Trial(inst.criteria, inst.refs, 0.75))
         assert report.failures
 
 
@@ -179,8 +180,8 @@ class TestHypothesisRules:
 
         def run():
             return [
-                (check_conformity(refs, crit, lam),
-                 check_propositions(refs, crit, lam, dict(table.rows)))
+                (check_conformity(Trial(crit, refs, lam)),
+                 check_propositions(Trial(crit, refs, lam, dict(table.rows))))
                 for refs, crit, table, lam in cases
             ]
 
@@ -200,13 +201,13 @@ class TestPropositionChecker:
         inst = generate_instance(6, GeneratorConfig(
             n_criteria=4, n_levels=4, max_profiles_per_level=2, n_actions=8))
         actions = {a: inst.table.vector(a) for a in inst.table.actions}
-        report = check_propositions(inst.refs, inst.criteria, 0.75, actions)
+        report = check_propositions(Trial(inst.criteria, inst.refs, 0.75, actions))
         assert report.hypothesis_met
         assert report.failures == ()
 
     def test_hotel_is_gated(self, hotel):
         actions = {a: hotel["table"].vector(a) for a in hotel["table"].actions}
-        report = check_propositions(hotel["refs"], hotel["criteria"], 0.65, actions)
+        report = check_propositions(Trial(hotel["criteria"], hotel["refs"], 0.65, actions))
         assert not report.hypothesis_met
 
     def test_detects_lower_bound_one_level_down(self, monkeypatch):
@@ -224,7 +225,7 @@ class TestPropositionChecker:
             return lower, upper
 
         monkeypatch.setattr(props, "scan_bounds", corrupted)
-        report = check_propositions(inst.refs, inst.criteria, 0.75, actions)
+        report = check_propositions(Trial(inst.criteria, inst.refs, 0.75, actions))
         assert report.hypothesis_met
         assert any(f.case.endswith("fast path diverges") for f in report.failures)
 
@@ -237,7 +238,7 @@ class TestPropositionChecker:
             strong_dominance=False))
         assert all(soft_dominance(inst.criteria, inst.refs))
         assert not soft_preference(inst, 0.65)[0]
-        report = check_propositions(inst.refs, inst.criteria, 0.65, {})
+        report = check_propositions(Trial(inst.criteria, inst.refs, 0.65))
         assert report.hypothesis_met
         assert report.failures == ()
 
@@ -256,7 +257,7 @@ class TestPropositionChecker:
             return relations
 
         monkeypatch.setattr(refsets.ProfileTable, "profile_levels", corrupted)
-        report = check_propositions(inst.refs, inst.criteria, 0.75, {})
+        report = check_propositions(Trial(inst.criteria, inst.refs, 0.75))
         assert report.hypothesis_met
         assert [f.case for f in report.failures] == [
             f"profile L{k}P{p}: level {k + 2} must be preferred to it"
@@ -275,7 +276,7 @@ class TestPropositionChecker:
             for v, c in zip(top, inst.criteria)
         )
         report = check_propositions(
-            inst.refs, inst.criteria, 0.75, {"super": super_action}
+            Trial(inst.criteria, inst.refs, 0.75, {"super": super_action})
         )
         assert report.skipped >= 1
         assert report.failures == ()
@@ -288,7 +289,7 @@ class TestStabilityChecker:
         rng = random.Random(8)
         edits = make_edits(inst, rng, count=6)
         actions = {a: inst.table.vector(a) for a in inst.table.actions}
-        report = check_stability(inst.refs, inst.criteria, 0.75, edits, actions)
+        report = check_stability(Trial(inst.criteria, inst.refs, 0.75, actions), edits)
         assert report.failures == ()
         assert report.trials > 0
 
@@ -371,13 +372,13 @@ class TestStabilityChecker:
             return lower, upper
 
         monkeypatch.setattr(props, "scan_bounds", corrupted)
-        report = check_stability(inst.refs, inst.criteria, 0.75, edits, actions)
+        report = check_stability(Trial(inst.criteria, inst.refs, 0.75, actions), edits)
         assert report.failures
 
     def test_gated_when_hypothesis_broken(self, hotel):
         actions = {a: hotel["table"].vector(a) for a in hotel["table"].actions}
         report = check_stability(
-            hotel["refs"], hotel["criteria"], 0.65, [DeleteSet(3)], actions
+            Trial(hotel["criteria"], hotel["refs"], 0.65, actions), [DeleteSet(3)]
         )
         assert not report.hypothesis_met
         assert report.trials == 0
@@ -394,7 +395,7 @@ class TestStabilityChecker:
         monkeypatch.setattr(refsets, "sigma_pair", counting)
         inst = generate_instance(seed, GeneratorConfig(n_levels=4, strong_dominance=False))
         edits = make_edits(inst, random.Random(seed), count=4)
-        report = check_stability(inst.refs, inst.criteria, 0.75, edits, inst.table.rows)
+        report = check_stability(Trial(inst.criteria, inst.refs, 0.75, inst.table.rows), edits)
         assert not report.hypothesis_met and report.skipped == len(edits)
         assert calls == []
 
@@ -429,15 +430,15 @@ class TestStabilityThresholdErrors:
 
     def test_gated_structure_evaluates_no_threshold(self):
         crit, refs = _negative_threshold_chain((0.0, 30.0, 20.0))
-        report = check_stability(refs, crit, 0.75, [DeleteSet(1)], {"a": (5.0,)})
+        report = check_stability(Trial(crit, refs, 0.75, {"a": (5.0,)}), [DeleteSet(1)])
         assert not report.hypothesis_met
         assert (report.trials, report.skipped) == (0, 1)
 
     def test_action_pairs_only(self):
         crit, refs = _negative_threshold_chain((0.0, 20.0, 30.0))
         # a beats the profile at 0 beyond p and loses to the others
-        report = check_stability(refs, crit, 0.75, [InsertProfile(1, (21.0,))],
-                                 {"a": (5.0,)})
+        report = check_stability(Trial(crit, refs, 0.75, {"a": (5.0,)}),
+                                 [InsertProfile(1, (21.0,))])
         assert report.hypothesis_met and report.failures == ()
         assert report.trials == 1
 
@@ -446,7 +447,7 @@ class TestStabilityThresholdErrors:
 
         crit, refs = _negative_threshold_chain((0.0, 20.0, 30.0))
         with pytest.raises(NegativeThresholdError):
-            check_stability(refs, crit, 0.75, [DeleteSet(1)], {"a": (15.0,)})
+            check_stability(Trial(crit, refs, 0.75, {"a": (15.0,)}), [DeleteSet(1)])
 
 
 class TestShrinker:
@@ -513,31 +514,33 @@ class TestFailingTrialDigest:
     def _failure(trial_seed):
         return PropertyReport("x", 1, (PropertyFailure(trial_seed, "", "case", "e", "o"),))
 
-    def test_shrunk_failure_carries_the_shrunk_digest(self):
-        from electre_score.suites import _run_checked_suite
+    def test_shrunk_failure_carries_the_shrunk_digest(self, monkeypatch):
+        from electre_score import suites
 
         seen = []
 
-        def runner(inst, lam, trial_seed):
+        def runner(trial, inst, trial_seed):
             seen.append(inst)
             return self._failure(trial_seed)
 
-        [failure] = _run_checked_suite("x", 1, 5, runner).failures
+        monkeypatch.setitem(suites.CHECKED, "x", runner)
+        [failure] = suites.run_checked_suites(["x"], 1, 5)["x"].failures
         small = seen[-1]
         assert small.dims() == "1crit/2lvl/2prof/0act"
         assert failure.digest == small.digest()
         assert failure.case == f"case [shrunk to {small.dims()}]"
 
-    def test_unreproduced_failure_carries_the_trial_digest(self):
-        from electre_score.suites import _run_checked_suite
+    def test_unreproduced_failure_carries_the_trial_digest(self, monkeypatch):
+        from electre_score import suites
 
         seen = []
 
-        def runner(inst, lam, trial_seed):
+        def runner(trial, inst, trial_seed):
             seen.append(inst)
             return self._failure(trial_seed) if len(seen) == 1 else PropertyReport("x", 1)
 
-        [failure] = _run_checked_suite("x", 1, 5, runner).failures
+        monkeypatch.setitem(suites.CHECKED, "x", runner)
+        [failure] = suites.run_checked_suites(["x"], 1, 5)["x"].failures
         assert failure.digest == seen[0].digest()
         assert failure.case == "case"
 
@@ -597,7 +600,7 @@ class TestStabilityHandCases:
         # while a's fraction back is zero, so the new set is strictly
         # preferred and sits inside the old range: new upper = 25
         edit = InsertSet(25.0, ((17.0,),))
-        report = check_stability(refs, crit, 0.75, [edit], action)
+        report = check_stability(Trial(crit, refs, 0.75, action), [edit])
         assert report.trials == 1
         assert report.failures == ()
         edited = apply_edit(refs, edit)
@@ -612,7 +615,7 @@ class TestStabilityHandCases:
         # existing profile 10 of that set (the move-down condition for
         # the upper bound requires that no such profile remains)
         edit = InsertProfile(1, (17.0,))
-        report = check_stability(refs, crit, 0.75, [edit], action)
+        report = check_stability(Trial(crit, refs, 0.75, action), [edit])
         assert report.trials == 1
         assert report.failures == ()
         edited = apply_edit(refs, edit)
@@ -645,7 +648,7 @@ class TestStabilityHandCases:
         assert bounds(a, refs, crit, lam) == ((20.0, 1), (40.0, 3))
 
         edit = DeleteProfile(2, 0)
-        report = check_stability(refs, crit, lam, [edit], {"a": a})
+        report = check_stability(Trial(crit, refs, lam, {"a": a}), [edit])
         assert report.trials == 1
         assert report.failures == ()
         edited = apply_edit(refs, edit)

@@ -5,15 +5,17 @@ kernel must turn the suite's report into failures of the check that
 the corruption breaks; a suite that stopped checking would still pass.
 Each suite's kernel calls are pinned too, so one that drew fewer pairs
 fails here, and so are the reports of the checked suites when a
-corrupted bound scan makes their trials fail.
+corrupted bound scan makes their trials fail. The checked suites run in
+one pass must give each suite's own report, from one instance per trial.
 """
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
-from electre_score import properties, suites
+from electre_score import properties, refsets, suites
 
 KERNEL = suites.sigma_pair
 
@@ -113,3 +115,68 @@ def test_failing_trials_are_pinned(monkeypatch, suite, failures, sha256):
     assert all(f.seed is not None and f.digest for f in report.failures)
     blob = json.dumps(report.as_dict(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == sha256
+
+
+CHECKED = ("propositions", "conformity", "stability")
+
+
+@pytest.mark.parametrize("names", [
+    ["stability"], ["conformity", "propositions"], list(CHECKED),
+], ids="+".join)
+@pytest.mark.parametrize("seed", [1, 4])
+def test_joint_pass_equals_each_suite_alone(names, seed):
+    joint = suites.run_checked_suites(names, 30, seed)
+    assert list(joint) == names
+    for name in names:
+        assert joint[name] == suites.SUITES[name](30, seed)
+
+
+def test_joint_pass_shrinks_as_each_suite_alone(monkeypatch):
+    # with failing trials, each suite still shrinks on fresh trials of its own
+    monkeypatch.setattr(properties, "scan_bounds", _lower_one_level_down(properties.scan_bounds))
+    joint = suites.run_checked_suites(list(CHECKED), 12, 4)
+    for name in CHECKED:
+        assert joint[name].failures
+        assert joint[name] == suites.SUITES[name](12, 4)
+
+
+def test_run_suites_keeps_the_order_and_repeats(monkeypatch):
+    # the checked suites draw their trials once, between the others
+    names = ["conformity", "deck-example", "propositions", "sigma-invariants", "conformity"]
+    drawn = []
+    generate = suites.generate_instance
+
+    def generating(*args):
+        drawn.append(args)
+        return generate(*args)
+
+    alone = [suites.SUITES[name](10, 1) for name in names]
+    monkeypatch.setattr(suites, "generate_instance", generating)
+    assert list(suites.run_suites(names, 10, 1)) == alone
+    assert len(drawn) == 20  # ten for the checked pass, ten for sigma-invariants
+
+
+@pytest.mark.parametrize("names, calls", [
+    (["propositions"], 1913),  # the profile table, then every action's rows
+    (["conformity"], 1024),  # the profile table
+    (["stability"], 1297),  # every action's rows, then the inserted profiles
+    # each of the above once: 5366 when every suite drew its own trials
+    (list(CHECKED), 2321),
+], ids=lambda x: "+".join(x) if isinstance(x, list) else str(x))
+def test_checked_kernel_calls_are_pinned(monkeypatch, names, calls):
+    # one instance per trial, however many checked suites read it
+    seen = Counter()
+    kernel, generate = refsets.sigma_pair, suites.generate_instance
+
+    def counting(compiled, pa, pb):
+        seen["sigma_pair"] += 1
+        return kernel(compiled, pa, pb)
+
+    def generating(*args):
+        seen["generate_instance"] += 1
+        return generate(*args)
+
+    monkeypatch.setattr(refsets, "sigma_pair", counting)
+    monkeypatch.setattr(suites, "generate_instance", generating)
+    assert all(r.passed for r in suites.run_checked_suites(names, 20, 1).values())
+    assert seen == {"generate_instance": 20, "sigma_pair": calls}
