@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -33,9 +32,9 @@ from .files import (
 )
 from .model import PerformanceTable, ValidationReport, check_cutting_level, validate_model
 
-# refsets, scoring, sweep and the verify suites (properties, hashlib,
-# random) are imported inside the commands that run them: every command
-# is its own short process, and the others should not pay to load them
+# refsets, scoring, sweep and the verify suites (properties, random) are
+# imported inside the commands that run them: every command is its own
+# short process, and the others should not pay to load them
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -61,15 +60,41 @@ class _Exit(Exception):
         self.code = code
 
 
-def _write_output(output: str | Path | None, text: str) -> None:
-    """A report's text to ``output``, or to stdout when there is none."""
+def _write_output(output: str | Path | None, emit) -> None:
+    """Stream a computed report to ``output``, or to stdout when there is none.
+
+    ``emit`` writes the report to the text stream it is given, so the
+    file is opened only once the report is computed. If ``emit`` fails
+    partway (an encoding error, a full disk), the partial file is
+    deleted, so no truncated report is left behind; stdout cannot take
+    back what it was given.
+    """
     if output is None:
-        sys.stdout.write(text)
+        emit(sys.stdout)
         return
+    path = Path(output)
     try:
-        Path(output).write_text(text)
+        out = path.open("w")
     except OSError as exc:
         raise _Exit(EXIT_PARSE, f"cannot write {output}: {exc.strerror or exc}")
+    try:
+        with out:
+            emit(out)
+    except BaseException as exc:
+        if path.is_file():  # never a device such as /dev/null
+            path.unlink()
+        if isinstance(exc, OSError):
+            raise _Exit(EXIT_PARSE, f"cannot write {output}: {exc.strerror or exc}")
+        raise
+
+
+def _write_report(output: str | Path | None, report: dict) -> None:
+    """A JSON report through ``_write_output``, streamed in chunks."""
+
+    def emit(out) -> None:
+        write_report(report, lambda chunk: out.write("".join(chunk)))
+
+    _write_output(output, emit)
 
 
 def _load_inputs(args) -> tuple[LoadedModel, PerformanceTable | None]:
@@ -156,7 +181,7 @@ def cmd_evaluate(args) -> int:
         "validation_warnings": list(validation.warnings) + list(model.warnings),
         "used_fast_path": result.used_fast_path,
     }
-    _write_output(args.output, write_report(report))
+    _write_report(args.output, report)
     # a comparable action has both bounds (AP at the bottom level, SP at the top)
     failed = [a for a, ok in comparability.items() if not ok]
     if failed:
@@ -208,7 +233,7 @@ def cmd_validate(args) -> int:
         ]
         report["separability"] = _separability_json(model, profiles, 1.0)
 
-    _write_output(args.output, write_report(report))
+    _write_report(args.output, report)
     if invalid:
         return EXIT_VALIDATION
     if incomparable:
@@ -250,12 +275,13 @@ def cmd_sigma(args) -> int:
         for j in range(i, len(names)):
             sigma[i][j], sigma[j][i] = sigma_pair(kernel, vectors[a], vectors[names[j]])
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["sigma"] + names)
-    for name, row in zip(names, sigma):
-        writer.writerow([name] + [f"{s:.6f}" for s in row])
-    _write_output(args.output, buf.getvalue())
+    def emit(out) -> None:
+        writer = csv.writer(out)
+        writer.writerow(["sigma"] + names)
+        for name, row in zip(names, sigma):
+            writer.writerow([name] + [f"{s:.6f}" for s in row])
+
+    _write_output(args.output, emit)
     return EXIT_OK
 
 
@@ -290,7 +316,7 @@ def cmd_sweep_lambda(args) -> int:
             "mismatched_pairs": [list(p) for p in result.mismatches_best],
         },
     }
-    _write_output(args.output, write_report(report))
+    _write_report(args.output, report)
     if not result.feasible:
         print(
             "no cutting level reproduces the target table; closest band "
@@ -356,19 +382,33 @@ def cmd_verify(args) -> int:
             f"{report.skipped} skipped)"
         )
         if out_dir is not None:
-            _write_output(
+            _write_report(
                 out_dir / f"{report.name}.json",
-                write_report({**report.as_dict(), "passed": report.passed}),
+                {**report.as_dict(), "passed": report.passed},
             )
     return EXIT_VERIFY if any_failure else EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("evaluate", "validate", "sigma", "sweep-lambda", "verify")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; given one of ``COMMANDS``, only its subparser.
+
+    A command parses with its own subparser, so ``main`` builds only
+    that one. The top-level usage still names every command, so each
+    message, help text included, is the full parser's.
+    """
     parser = argparse.ArgumentParser(
         prog="electre-score",
         description="Outranking-based score-range assignment.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    names = (command,) if command in COMMANDS else COMMANDS
+    # one subparser prints the usage line the full parser derives from its choices
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None,
+    )
 
     def common(p, cutting_level=False):
         p.add_argument("model", help="model file (JSON)")
@@ -379,43 +419,49 @@ def build_parser() -> argparse.ArgumentParser:
                            help="cutting level in ]0.5, 1]")
         p.add_argument("--output", default=None, help="write the report here")
 
-    p_eval = sub.add_parser("evaluate", help="assign score ranges to all actions")
-    common(p_eval, cutting_level=True)
-    p_eval.add_argument("--force", action="store_true",
-                        help="score even if the basic assumptions fail")
-    p_eval.set_defaults(func=cmd_evaluate)
+    if "evaluate" in names:
+        p_eval = sub.add_parser("evaluate", help="assign score ranges to all actions")
+        common(p_eval, cutting_level=True)
+        p_eval.add_argument("--force", action="store_true",
+                            help="score even if the basic assumptions fail")
+        p_eval.set_defaults(func=cmd_evaluate)
 
-    p_val = sub.add_parser("validate", help="structural checks on a model")
-    common(p_val, cutting_level=True)
-    p_val.set_defaults(func=cmd_validate)
+    if "validate" in names:
+        p_val = sub.add_parser("validate", help="structural checks on a model")
+        common(p_val, cutting_level=True)
+        p_val.set_defaults(func=cmd_validate)
 
-    p_sig = sub.add_parser("sigma", help="dump the full credibility matrix as CSV")
-    common(p_sig)
-    p_sig.set_defaults(func=cmd_sigma)
+    if "sigma" in names:
+        p_sig = sub.add_parser("sigma", help="dump the full credibility matrix as CSV")
+        common(p_sig)
+        p_sig.set_defaults(func=cmd_sigma)
 
-    p_sweep = sub.add_parser(
-        "sweep-lambda", help="find cutting-level bands matching a relation target"
-    )
-    common(p_sweep)
-    p_sweep.add_argument("target", help="relation target table (CSV)")
-    p_sweep.add_argument(
-        "--dont-care-blanks", action="store_true",
-        help="blank cells constrain nothing instead of demanding no preference",
-    )
-    p_sweep.set_defaults(func=cmd_sweep_lambda)
+    if "sweep-lambda" in names:
+        p_sweep = sub.add_parser(
+            "sweep-lambda", help="find cutting-level bands matching a relation target"
+        )
+        common(p_sweep)
+        p_sweep.add_argument("target", help="relation target table (CSV)")
+        p_sweep.add_argument(
+            "--dont-care-blanks", action="store_true",
+            help="blank cells constrain nothing instead of demanding no preference",
+        )
+        p_sweep.set_defaults(func=cmd_sweep_lambda)
 
-    p_verify = sub.add_parser("verify", help="run the randomized property suites")
-    p_verify.add_argument("--config", default=None, help="suite config (JSON)")
-    p_verify.add_argument("--trials", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--output", default=None, help="directory for suite reports")
-    p_verify.set_defaults(func=cmd_verify)
+    if "verify" in names:
+        p_verify = sub.add_parser("verify", help="run the randomized property suites")
+        p_verify.add_argument("--config", default=None, help="suite config (JSON)")
+        p_verify.add_argument("--trials", type=int, default=None)
+        p_verify.add_argument("--seed", type=int, default=None)
+        p_verify.add_argument("--output", default=None, help="directory for suite reports")
+        p_verify.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

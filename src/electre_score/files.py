@@ -2,9 +2,14 @@
 targets, and deterministic JSON report writing.
 
 Reports round every real value to six decimals as they are written, so
-identical inputs produce byte-identical files. Every number read must be
-finite: Python's ``json`` and ``float`` accept NaN and Infinity, which
-would make every comparison in the engine silently false.
+identical inputs produce byte-identical files: the bytes of
+``json.dumps(report, indent=2, allow_nan=False)`` on a copy with every
+float rounded, plus a final newline. The writer streams a report in
+chunks of at most ``CHUNK_PIECES`` pieces, so its memory does not grow
+with the report; only the chunk boundaries depend on that constant,
+never the bytes. Every number read must be finite: Python's ``json``
+and ``float`` accept NaN and Infinity, which would make every comparison
+in the engine silently false.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import json
 import math
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .model import (
     Criterion,
@@ -379,64 +384,91 @@ def load_target_csv(path: str | Path) -> dict[tuple[str, str], str]:
     return target
 
 
-def _encode(value: Any, append, newline: str) -> None:
-    """Append ``value`` as JSON with two-space indentation, floats rounded.
+# the streamed writer passes its pieces on in chunks of at most this many,
+# so the memory it holds does not grow with the report
+CHUNK_PIECES = 4096
+
+
+def _encode(value: Any, pieces: list[str], write, newline: str) -> None:
+    """Append ``value`` to ``pieces`` as JSON with two-space indentation,
+    floats rounded, passing full chunks on to ``write`` as it goes.
 
     The pieces joined are the bytes of ``json.dumps(value, indent=2,
     allow_nan=False)`` with every float first rounded to six decimals:
     strings go through the json module's C quoting, floats and ints
     through ``float.__repr__`` and ``int.__repr__`` as json does, and
     keys must be strings. One pass, with no rounded copy of the report
-    and no pure-Python encoder generators.
+    and no pure-Python encoder generators. After each item of a list or
+    dict, a buffer of ``CHUNK_PIECES`` pieces or more goes to ``_flush``.
     """
     if isinstance(value, str):
-        append(_quote(value))
+        pieces.append(_quote(value))
     elif isinstance(value, float):
         value = round(value, 6)
         if not math.isfinite(value):
             raise ValueError(
                 "Out of range float values are not JSON compliant: " + repr(value)
             )
-        append(float.__repr__(value))
+        pieces.append(float.__repr__(value))
     elif value is None:
-        append("null")
+        pieces.append("null")
     elif value is True:
-        append("true")
+        pieces.append("true")
     elif value is False:
-        append("false")
+        pieces.append("false")
     elif isinstance(value, int):
-        append(int.__repr__(value))
+        pieces.append(int.__repr__(value))
     elif isinstance(value, dict):
         if not value:
-            append("{}")
+            pieces.append("{}")
             return
         inner = newline + "  "
         sep = "{" + inner
         for key, item in value.items():
-            append(sep)
-            append(_quote(key))
-            append(": ")
-            _encode(item, append, inner)
+            pieces.append(f"{sep}{_quote(key)}: ")
+            _encode(item, pieces, write, inner)
+            if len(pieces) >= CHUNK_PIECES:
+                _flush(pieces, write)
             sep = "," + inner
-        append(newline + "}")
+        pieces.append(newline + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
-            append("[]")
+            pieces.append("[]")
             return
         inner = newline + "  "
         sep = "[" + inner
         for item in value:
-            append(sep)
-            _encode(item, append, inner)
+            pieces.append(sep)
+            _encode(item, pieces, write, inner)
+            if len(pieces) >= CHUNK_PIECES:
+                _flush(pieces, write)
             sep = "," + inner
-        append(newline + "]")
+        pieces.append(newline + "]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def write_report(report: dict) -> str:
-    """The report as deterministic JSON text."""
+def _flush(pieces: list[str], write, final: bool = False) -> None:
+    """Pass ``pieces`` on to ``write`` in chunks of ``CHUNK_PIECES``,
+    keeping a shorter rest for the next chunk unless ``final``."""
+    while len(pieces) >= CHUNK_PIECES or final and pieces:
+        write(pieces[:CHUNK_PIECES])
+        del pieces[:CHUNK_PIECES]
+
+
+def write_report(report: dict, write: Callable[[list[str]], Any] | None = None) -> str | None:
+    """The report as deterministic JSON: streamed to ``write``, or, with
+    no ``write``, returned as one text.
+
+    ``write`` receives the text in order as chunks, each a new list of
+    at most ``CHUNK_PIECES`` strings, so a streamed report is never held
+    whole. An encoding error (a non-finite float, a value that is not
+    JSON) raises partway, after the chunks before it were written.
+    """
+    text: list[str] = []
     pieces: list[str] = []
-    _encode(report, pieces.append, "\n")
+    sink = text.extend if write is None else write
+    _encode(report, pieces, sink, "\n")
     pieces.append("\n")
-    return "".join(pieces)
+    _flush(pieces, sink, final=True)
+    return "".join(text) if write is None else None

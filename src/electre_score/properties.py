@@ -13,7 +13,6 @@ reduces a failing instance to a smaller one that still fails.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from functools import cached_property
@@ -89,6 +88,10 @@ class Instance(NamedTuple):
             "refs": [(s.score, s.profiles) for s in self.refs.sets],
         }
         blob = json.dumps(payload, sort_keys=True, default=str).encode()
+        # only a failing trial has a digest; hashlib loads OpenSSL's
+        # libcrypto, about 3 MB of memory that a passing verify never needs
+        import hashlib
+
         return hashlib.sha256(blob).hexdigest()[:12]
 
     def dims(self) -> str:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -9,13 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from electre_score import refsets, scoring
+from electre_score import cli, files, refsets, scoring
 from electre_score.cli import (
     EXIT_COMPARABILITY,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
     EXIT_VERIFY,
+    build_parser,
     main,
 )
 from electre_score.model import PerformanceTable
@@ -705,6 +707,36 @@ class TestReportsUnchanged:
         assert out.read_bytes() == (GOLDEN / "hotel_sigma.csv").read_bytes()
 
 
+class TestUsageUnchanged:
+    """Help texts and usage errors byte for byte, with their exit codes,
+    as the parser that built all five subparsers for every command
+    printed them (tests/golden/cli_usage.json: Python 3.11's argparse at
+    80 columns). ``main`` now builds only the subparser of the command
+    it is given."""
+
+    CASES = json.loads((GOLDEN / "cli_usage.json").read_text())
+
+    @pytest.mark.parametrize("case", CASES,
+                             ids=[" ".join(case["argv"]) or "(none)" for case in CASES])
+    def test_output_and_exit_code(self, case, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(case["argv"])
+        assert exc.value.code == case["exit"]
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (case["stdout"], case["stderr"])
+
+    @pytest.mark.parametrize("command, built", [
+        ("sigma", ["sigma"]),
+        (None, ["evaluate", "validate", "sigma", "sweep-lambda", "verify"]),
+        ("-h", ["evaluate", "validate", "sigma", "sweep-lambda", "verify"]),
+    ])
+    def test_subparsers_built(self, command, built):
+        [sub] = [action for action in build_parser(command)._actions
+                 if isinstance(action, argparse._SubParsersAction)]
+        assert list(sub.choices) == built
+
+
 class TestVerifyUnchanged:
     """verify with all eight suites, byte for byte as it ran when the four
     credibility suites still called the per-criterion engine, one
@@ -1075,6 +1107,45 @@ class TestUnwritableOutput:
         assert str(output.name) in proc.stderr
 
 
+class TestNoTruncatedReport:
+    """A report that fails to encode partway through its stream leaves no
+    --output file behind, and the error propagates as it did when the
+    whole text was encoded before the file was opened."""
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("lower", float("nan"), ValueError),
+        ("reason", object(), TypeError),
+    ], ids=["nan-bound", "non-json-type"])
+    def test_evaluate_deletes_partial_file(self, hotel_files, tmp_path, monkeypatch,
+                                           field, value, error):
+        model, perf, _ = hotel_files
+        out = tmp_path / "r.json"
+        real_score_ranges = scoring.score_ranges
+
+        def last_range_broken(*args, **kwargs):
+            result = real_score_ranges(*args, **kwargs)
+            *head, last = result.ranges
+            return result._replace(ranges=(*head, last._replace(**{field: value})))
+
+        written = []
+
+        def spied_write_report(report, write):
+            def spy(chunk):
+                write(chunk)
+                written.append(out.exists())
+
+            return files.write_report(report, spy)
+
+        monkeypatch.setattr(scoring, "score_ranges", last_range_broken)
+        monkeypatch.setattr(cli, "write_report", spied_write_report)
+        monkeypatch.setattr(files, "CHUNK_PIECES", 8)
+        with pytest.raises(error):
+            main(["evaluate", str(model), "--performances", str(perf),
+                  "--lambda", "0.65", "--output", str(out)])
+        assert written and all(written)  # chunks reached the file before the error
+        assert not out.exists()
+
+
 class TestNonUtf8Input:
     BAD = b"\xff\xfe{}"
 
@@ -1203,6 +1274,12 @@ class TestLazyImports:
         assert code == str(EXIT_OK) and "electre_score.suites" in loaded
         for module in ("dataclasses", "inspect"):
             assert module not in loaded
+
+    def test_passing_verify_loads_no_hashlib(self, tmp_path):
+        # only a failing trial's digest needs hashlib (and OpenSSL's libcrypto)
+        code, loaded = self._loaded("verify", "--trials", "5", "--output", tmp_path / "reports")
+        assert code == str(EXIT_OK) and "electre_score.properties" in loaded
+        assert "hashlib" not in loaded and "_hashlib" not in loaded
 
 
 class TestTracedEntry:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from electre_score import files
 from electre_score.files import (
     LoadedModel,
     ParseError,
@@ -157,6 +158,27 @@ REPORTS = st.recursive(
 @given(REPORTS)
 def test_report_writer_matches_json_dumps(report):
     assert write_report(report) == _reference_report(report)
+
+
+@settings(max_examples=500, deadline=None)
+@given(REPORTS)
+def test_streamed_report_writer_matches_json_dumps(report):
+    # eight pieces a chunk, so most reports are written in several chunks
+    chunks = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(files, "CHUNK_PIECES", 8)
+        assert write_report(report, chunks.append) is None
+    assert "".join("".join(chunk) for chunk in chunks) == _reference_report(report)
+    assert all(len(chunk) == 8 for chunk in chunks[:-1])
+    assert 1 <= len(chunks[-1]) <= 8
+
+
+def test_large_report_streams_in_full_chunks():
+    report = {"actions": [{"action": f"a{i}", "lower": i / 7} for i in range(2000)]}
+    chunks = []
+    write_report(report, chunks.append)
+    assert len(chunks) > 1 and all(len(chunk) == files.CHUNK_PIECES for chunk in chunks[:-1])
+    assert "".join("".join(chunk) for chunk in chunks) == _reference_report(report)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
