@@ -148,33 +148,33 @@ def cmd_evaluate(args) -> int:
     if result.violations:
         print("warning: scoring despite basic-assumption violations", file=sys.stderr)
 
-    names = model.refs.profile_names()
     level_labels = [f"B{k + 1}" for k in range(len(model.refs.sets))]
-    comparability = {}
-    actions_out = []
-    for rng, relations in zip(result.ranges, result.relations):
-        comparability[rng.action] = is_comparable(relations)
-        actions_out.append({
+    comparability = {
+        rng.action: is_comparable(relations)
+        for rng, relations in zip(result.ranges, result.relations)
+    }
+    # one record at a time, each made as the writer reaches it
+    actions_out = (
+        {
             "action": rng.action,
             "lower": rng.lower,
             "upper": rng.upper,
             "lower_level": None if rng.lower_level is None else rng.lower_level + 1,
             "upper_level": None if rng.upper_level is None else rng.upper_level + 1,
-            "range": (
-                f"]{rng.lower:.6f}, {rng.upper:.6f}[" if rng.defined else None
-            ),
+            "range": f"]{rng.lower:.6f}, {rng.upper:.6f}[" if rng.defined else None,
             "reason": rng.reason,
             "classifications": {
-                label: rel.value
-                for label, rel in zip(level_labels, relations)
+                label: rel.value for label, rel in zip(level_labels, relations)
             },
-        })
+        }
+        for rng, relations in zip(result.ranges, result.relations)
+    )
 
     report = {
         "command": "evaluate",
         "lambda": lam,
         "reference_scores": list(model.refs.scores),
-        "profile_names": [list(level) for level in names],
+        "profile_names": [list(level) for level in model.refs.profile_names()],
         "actions": actions_out,
         "comparability": comparability,
         "findings": list(result.findings),

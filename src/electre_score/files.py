@@ -4,12 +4,13 @@ targets, and deterministic JSON report writing.
 Reports round every real value to six decimals as they are written, so
 identical inputs produce byte-identical files: the bytes of
 ``json.dumps(report, indent=2, allow_nan=False)`` on a copy with every
-float rounded, plus a final newline. The writer streams a report in
-chunks of at most ``CHUNK_PIECES`` pieces, so its memory does not grow
-with the report; only the chunk boundaries depend on that constant,
-never the bytes. Every number read must be finite: Python's ``json``
-and ``float`` accept NaN and Infinity, which would make every comparison
-in the engine silently false.
+float rounded and every iterator a list, plus a final newline. The
+writer streams a report in chunks of at most ``CHUNK_PIECES`` pieces, and
+an iterator (a generator of records) item by item, so no one holds the
+report; only the chunk boundaries depend on that constant, never the
+bytes. The CSV loaders keep no row once read. Every number read must be
+finite: Python's ``json`` and ``float`` accept NaN and Infinity, which
+would make every comparison in the engine silently false.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import math
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 from .model import (
     Criterion,
@@ -299,10 +300,11 @@ def _model_from_json(raw: Any) -> LoadedModel:
     return LoadedModel(criteria, refs, lam, embedded, tuple(warnings))
 
 
-def _read_csv(path: str | Path, what: str) -> list[list[str]]:
+def _csv_rows(path: str | Path, what: str) -> Iterator[list[str]]:
+    """Each row of a CSV file as it is read; a read error is a ParseError."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return list(csv.reader(fh))
+            yield from csv.reader(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -313,17 +315,17 @@ def _read_csv(path: str | Path, what: str) -> list[list[str]]:
 
 def load_performances_csv(path: str | Path, criteria) -> PerformanceTable:
     """Read a performance table: header row of criterion names, id first."""
-    rows = _read_csv(path, "performance file")
-    if not rows:
+    rows = _csv_rows(path, "performance file")
+    header = next(rows, None)
+    if header is None:
         raise ParseError(f"performance file {path} is empty")
-    header = rows[0]
     names = [c.name for c in criteria]
     if header[1:] != names:
         raise ParseError(
             f"performance header {header[1:]} does not match criteria {names}"
         )
     table_rows: dict[str, tuple[float, ...]] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in enumerate(rows, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(names) + 1:
@@ -351,10 +353,11 @@ def load_target_csv(path: str | Path) -> dict[tuple[str, str], str]:
     Cells: ``a`` (action strictly preferred to the profile), ``b``
     (profile strictly preferred to the action), empty (neither).
     """
-    rows = _read_csv(path, "target file")
-    if not rows or len(rows[0]) < 2:
+    rows = _csv_rows(path, "target file")
+    header = next(rows, None)
+    if header is None or len(header) < 2:
         raise ParseError(f"target file {path} needs a header with action columns")
-    actions = [cell.strip() for cell in rows[0][1:]]
+    actions = [cell.strip() for cell in header[1:]]
     # a repeated column or row would silently keep only its last marks
     seen: set[str] = set()
     for action in actions:
@@ -363,7 +366,7 @@ def load_target_csv(path: str | Path) -> dict[tuple[str, str], str]:
         seen.add(action)
     target: dict[tuple[str, str], str] = {}
     profiles: set[str] = set()
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in enumerate(rows, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         profile = row[0].strip()
@@ -384,9 +387,8 @@ def load_target_csv(path: str | Path) -> dict[tuple[str, str], str]:
     return target
 
 
-# the streamed writer passes its pieces on in chunks of at most this many,
-# so the memory it holds does not grow with the report
-CHUNK_PIECES = 4096
+# the streamed writer passes its pieces on in chunks of at most this many
+CHUNK_PIECES = 1024
 
 
 def _encode(value: Any, pieces: list[str], write, newline: str) -> None:
@@ -394,12 +396,13 @@ def _encode(value: Any, pieces: list[str], write, newline: str) -> None:
     floats rounded, passing full chunks on to ``write`` as it goes.
 
     The pieces joined are the bytes of ``json.dumps(value, indent=2,
-    allow_nan=False)`` with every float first rounded to six decimals:
-    strings go through the json module's C quoting, floats and ints
-    through ``float.__repr__`` and ``int.__repr__`` as json does, and
-    keys must be strings. One pass, with no rounded copy of the report
-    and no pure-Python encoder generators. After each item of a list or
-    dict, a buffer of ``CHUNK_PIECES`` pieces or more goes to ``_flush``.
+    allow_nan=False)`` with every float rounded to six decimals and each
+    iterator that is not a str, dict, list or tuple made a list:
+    strings go through the json module's C quoting, numbers through
+    ``float.__repr__`` and ``int.__repr__`` as json does, and keys must
+    be strings. One pass, with no rounded copy of the report and no
+    pure-Python encoder generators. After each item of an array or dict,
+    a buffer of ``CHUNK_PIECES`` pieces or more goes to ``_flush``.
     """
     if isinstance(value, str):
         pieces.append(_quote(value))
@@ -431,10 +434,7 @@ def _encode(value: Any, pieces: list[str], write, newline: str) -> None:
                 _flush(pieces, write)
             sep = "," + inner
         pieces.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            pieces.append("[]")
-            return
+    elif isinstance(value, (list, tuple, Iterator)):
         inner = newline + "  "
         sep = "[" + inner
         for item in value:
@@ -443,7 +443,7 @@ def _encode(value: Any, pieces: list[str], write, newline: str) -> None:
             if len(pieces) >= CHUNK_PIECES:
                 _flush(pieces, write)
             sep = "," + inner
-        pieces.append(newline + "]")
+        pieces.append(newline + "]" if sep[0] == "," else "[]")  # "[]": no item came
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

@@ -212,7 +212,8 @@ class CertifiedFold:
     direction flipped, since ``a - b`` and ``b - a`` round to exact
     negatives. Every other level goes through :func:`profile_relations`,
     one kernel call per profile. :meth:`rows` gives each action's
-    relation to every profile, and :meth:`relations` folds it per level.
+    relation to every profile, and :meth:`relations` folds it per level,
+    taking a certified level's class as it is.
 
     A test no action of the table can pass, since its lowest or highest
     value on some criterion fails it, is dropped, so a level no action
@@ -250,22 +251,30 @@ class CertifiedFold:
             self._p = [p[1:] for _, _, _, _, p, _ in kernel.rows]
 
     def relations(self, action: Sequence[float]) -> tuple[SetClassification, ...]:
-        """Relation of one action to every level, bottom to top."""
-        return tuple(map(classify_relations, self.rows(action)))
+        """Relation of one action to every level, bottom to top; a
+        certified level's class goes through without a fold."""
+        return tuple(
+            classify_relations(row) if cls is None else cls for cls, row in self._rows(action)
+        )
 
     def rows(self, action: Sequence[float]) -> Iterator[Iterable[SetClassification]]:
         """Relation of one action to every profile, level by level, each
         level to be read once; a certified level's profiles all take its
         class."""
+        return (row for _, row in self._rows(action))
+
+    def _rows(self, action: Sequence[float]) -> Iterator[tuple]:
+        """Per level, its certified class and row, or None and the
+        kernel's relations to its profiles."""
         kernel, lam = self.kernel, self.lam
         p_action = [t + slope * x for (t, slope), x in zip(self._p, action)]
         for level, (better, worse) in zip(self.levels, self._tests):
             if better and _clears(better, action, p_action):
-                yield (_ACTION_PREFERRED,) * len(level)
+                yield _ACTION_PREFERRED, (_ACTION_PREFERRED,) * len(level)
             elif worse and _clears(worse, action, p_action):
-                yield (_SET_PREFERRED,) * len(level)
+                yield _SET_PREFERRED, (_SET_PREFERRED,) * len(level)
             else:
-                yield profile_relations(kernel, action, level, lam)
+                yield None, profile_relations(kernel, action, level, lam)
 
 
 def classify_action_vs_levels(

@@ -425,3 +425,71 @@ class TestUnreachableLevels:
         fold, guard_calls = self._fold(monkeypatch, actions)
         assert guard_calls == 1
         assert _kernel_calls(monkeypatch, lambda: [fold.relations(a) for a in actions]) == 9
+
+
+def _fold_calls(monkeypatch, run) -> int:
+    calls = Counter()
+    fold = refsets.classify_relations
+
+    def counting(relations):
+        calls["folds"] += 1
+        return fold(relations)
+
+    monkeypatch.setattr(refsets, "classify_relations", counting)
+    run()
+    monkeypatch.undo()
+    return calls["folds"]
+
+
+class TestCertifiedLevelsSkipTheFold:
+    """A certified level's class goes through as it is: ``relations``
+    folds only the levels that went to the kernel."""
+
+    @pytest.mark.parametrize("mode", ["constant", "variable"])
+    def test_one_fold_per_level_sent_to_the_kernel(self, monkeypatch, mode):
+        certified = 0
+        for seed in range(10):
+            inst = generate_instance(seed, GeneratorConfig(
+                n_criteria=4, n_levels=5, max_profiles_per_level=3, n_actions=10,
+                threshold_mode=mode, strong_dominance=True,
+            ))
+            kernel = compile_criteria(inst.criteria)
+            levels = [ref.profiles for ref in inst.refs.sets]
+            fold = CertifiedFold(kernel, levels, inst.table.rows.values(), 0.65)
+            level_of = {id(b): k for k, level in enumerate(levels) for b in level}
+            real = refsets.sigma_pair
+            for vector in inst.table.rows.values():
+                sent = set()  # the levels that went to the kernel
+
+                def recording(compiled, pa, pb):
+                    sent.add(level_of[id(pb)])
+                    return real(compiled, pa, pb)
+
+                monkeypatch.setattr(refsets, "sigma_pair", recording)
+                folds = _fold_calls(monkeypatch, lambda: fold.relations(vector))
+                assert folds == len(sent)
+                certified += len(levels) - folds
+        assert certified > 0
+
+    def test_evaluate_batch_fold_count_is_pinned(self, monkeypatch, tmp_path):
+        # the benchmark's evaluate-batch seed-1 input: 1,000 actions by 8
+        # levels, of which 5,421 cells are certified
+        import importlib.util
+        import sys
+        from pathlib import Path
+
+        from electre_score.files import load_model, load_performances_csv
+
+        source = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+        spec = importlib.util.spec_from_file_location("perfbench_gen", source)
+        gen = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, gen)  # for its dataclass
+        spec.loader.exec_module(gen)
+        inputs = gen.evaluate_batch(1, tmp_path, None)
+        model = load_model(inputs.files["model"])
+        table = load_performances_csv(inputs.files["performances"], model.criteria)
+        assert len(table.rows) * len(model.refs.sets) == 8000
+        folds = _fold_calls(
+            monkeypatch, lambda: score_ranges(table, model.refs, model.criteria, 0.65)
+        )
+        assert folds == 2579

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -1174,6 +1175,62 @@ class TestNonUtf8Input:
         cfg.write_bytes(self.BAD)
         assert main(["verify", "--config", str(cfg)]) == EXIT_PARSE
         assert str(cfg) in capsys.readouterr().err
+
+    def test_earlier_row_defect_is_reported_first(self, hotel_files, capsys):
+        # the rows are checked as they are read, so a bad cell on line 2
+        # is found before a bad byte more than 64 KB further on
+        model, perf, _ = hotel_files
+        with open(perf, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        rows[0][1] = "x"
+        filler = [[f"f{i}", *rows[1][1:]] for i in range(3000)]
+        with open(perf, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows, *filler])
+        assert perf.stat().st_size > 64 * 1024
+        perf.write_bytes(perf.read_bytes() + self.BAD)
+        assert main(["evaluate", str(model), "--performances", str(perf),
+                     "--lambda", "0.65"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"{perf}:2: column 'ICOST': not a number: 'x'" in err
+        assert "UTF-8" not in err
+
+
+class TestEvaluateMemory:
+    """evaluate holds its table, its ranges and one output chunk: the
+    traced heap's peak grows with the action count by far less than the
+    CSV rows and report records would add if they were held."""
+
+    # bytes of peak per action. Holding every CSV row until the table is
+    # built, and every record until the write, costs about 1,140 here;
+    # streaming both, about 510
+    PER_ACTION = 800
+
+    def _peak(self, model, perf, out):
+        tracemalloc.start()
+        try:
+            code = main(["evaluate", str(model), "--performances", str(perf),
+                         "--lambda", "0.65", "--output", str(out)])
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_growth_per_action_is_bounded(self, hotel_files, tmp_path):
+        model, perf, _ = hotel_files
+        with open(perf, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        sizes = (500, 2000)
+        for n in sizes:
+            with open(tmp_path / f"{n}.csv", "w", newline="") as fh:
+                csv.writer(fh).writerows(
+                    [header, *([f"x{i}", *rows[i % len(rows)][1:]] for i in range(n))]
+                )
+        out = tmp_path / "r.json"
+        self._peak(model, tmp_path / "500.csv", out)  # first-call caches
+        (small_code, small), (large_code, large) = (
+            self._peak(model, tmp_path / f"{n}.csv", out) for n in sizes
+        )
+        assert small_code == large_code == EXIT_OK
+        assert (large - small) / (sizes[1] - sizes[0]) < self.PER_ACTION
 
 
 class TestLazyImports:

@@ -2,11 +2,12 @@
 reports are written with the bytes of the json module, and the bundled
 hotel example in data/ agrees with its independent copies."""
 
+import csv
 import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from electre_score import files
@@ -188,3 +189,83 @@ def test_report_writer_refuses_non_finite(value):
         _reference_report(report)
     with pytest.raises(ValueError):
         write_report(report)
+
+
+def _as_iterators(value):
+    """``value`` with every list and tuple a one-pass generator."""
+    if isinstance(value, dict):
+        return {k: _as_iterators(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return (_as_iterators(v) for v in value)
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORTS)
+@example([])
+@example({"actions": [], "nested": [[], {}]})
+def test_iterators_are_written_as_their_lists(report):
+    assert write_report(_as_iterators(report)) == _reference_report(report)
+    chunks = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(files, "CHUNK_PIECES", 8)
+        write_report(_as_iterators(report), chunks.append)
+    assert "".join("".join(chunk) for chunk in chunks) == _reference_report(report)
+    assert all(len(chunk) == 8 for chunk in chunks[:-1])
+
+
+def _past_the_read_buffer(path, header: str, row: str, tail: bytes) -> int:
+    """Write ``header``, numbered copies of ``row`` to more than 64 KB,
+    then ``tail``; return the line number of ``tail``."""
+    rows = [header] + [row.format(i) for i in range(65 * 1024 // len(row) + 1)]
+    path.write_bytes("".join(rows).encode() + tail)
+    return len(rows) + 1
+
+
+PERF_HEADER = ",".join(["id"] + [c.name for c in HOTEL_CRITERIA]) + "\n"
+PERF_ROW = "a{}," + ",".join(["1"] * len(HOTEL_CRITERIA)) + "\n"
+
+
+def _utf8_error(path, what) -> str:
+    """The message of a loader that reads every row before it checks one."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            return f"{what} {path} is not valid UTF-8: {exc}"
+    raise AssertionError(f"{path} is valid UTF-8")
+
+
+class TestLoadersPastTheReadBuffer:
+    """A bad byte after more than 64 KB of valid rows, beyond the first
+    reads of the file, fails with the message it gave when every row was
+    read before the first was checked."""
+
+    def test_performance_file_bad_utf8(self, tmp_path):
+        path = tmp_path / "perf.csv"
+        _past_the_read_buffer(path, PERF_HEADER, PERF_ROW, b"z,1,1,1\xff,1,1\n")
+        with pytest.raises(ParseError) as info:
+            load_performances_csv(path, HOTEL_CRITERIA)
+        assert str(info.value) == _utf8_error(path, "performance file")
+
+    def test_performance_file_nul_byte(self, tmp_path):
+        # csv reads a NUL as text, so the cell is not a number
+        path = tmp_path / "perf.csv"
+        line = _past_the_read_buffer(path, PERF_HEADER, PERF_ROW, b"z,1,1,1\x00,1,1\n")
+        with pytest.raises(ParseError) as info:
+            load_performances_csv(path, HOTEL_CRITERIA)
+        assert str(info.value) == f"{path}:{line}: column 'RECRU': not a number: '1\\x00'"
+
+    def test_target_file_bad_utf8(self, tmp_path):
+        path = tmp_path / "target.csv"
+        _past_the_read_buffer(path, "profile,a1,a2\n", "b{},a,\n", b"z,\xff,\n")
+        with pytest.raises(ParseError) as info:
+            load_target_csv(path)
+        assert str(info.value) == _utf8_error(path, "target file")
+
+    def test_target_file_nul_byte(self, tmp_path):
+        path = tmp_path / "target.csv"
+        line = _past_the_read_buffer(path, "profile,a1,a2\n", "b{},a,\n", b"z,\x00,\n")
+        with pytest.raises(ParseError) as info:
+            load_target_csv(path)
+        assert str(info.value) == f"{path}:{line}: cell must be 'a', 'b' or empty, got '\\x00'"
