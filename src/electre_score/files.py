@@ -300,11 +300,14 @@ def _model_from_json(raw: Any) -> LoadedModel:
     return LoadedModel(criteria, refs, lam, embedded, tuple(warnings))
 
 
-def _csv_rows(path: str | Path, what: str) -> Iterator[list[str]]:
-    """Each row of a CSV file as it is read; a read error is a ParseError."""
+def _csv_rows(path: str | Path, what: str) -> Iterator[tuple[int, list[str]]]:
+    """Each row of a CSV file with the line it starts on; a read error is a ParseError."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            yield from csv.reader(fh)
+            reader, line = csv.reader(fh), 1
+            for row in reader:  # a quoted cell may span lines
+                yield line, row
+                line = reader.line_num + 1
     except OSError as exc:
         raise ParseError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -316,7 +319,7 @@ def _csv_rows(path: str | Path, what: str) -> Iterator[list[str]]:
 def load_performances_csv(path: str | Path, criteria) -> PerformanceTable:
     """Read a performance table: header row of criterion names, id first."""
     rows = _csv_rows(path, "performance file")
-    header = next(rows, None)
+    _, header = next(rows, (1, None))
     if header is None:
         raise ParseError(f"performance file {path} is empty")
     names = [c.name for c in criteria]
@@ -325,7 +328,7 @@ def load_performances_csv(path: str | Path, criteria) -> PerformanceTable:
             f"performance header {header[1:]} does not match criteria {names}"
         )
     table_rows: dict[str, tuple[float, ...]] = {}
-    for line_no, row in enumerate(rows, start=2):
+    for line_no, row in rows:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(names) + 1:
@@ -354,7 +357,7 @@ def load_target_csv(path: str | Path) -> dict[tuple[str, str], str]:
     (profile strictly preferred to the action), empty (neither).
     """
     rows = _csv_rows(path, "target file")
-    header = next(rows, None)
+    _, header = next(rows, (1, None))
     if header is None or len(header) < 2:
         raise ParseError(f"target file {path} needs a header with action columns")
     actions = [cell.strip() for cell in header[1:]]
@@ -366,7 +369,7 @@ def load_target_csv(path: str | Path) -> dict[tuple[str, str], str]:
         seen.add(action)
     target: dict[tuple[str, str], str] = {}
     profiles: set[str] = set()
-    for line_no, row in enumerate(rows, start=2):
+    for line_no, row in rows:
         if not row or all(not cell.strip() for cell in row):
             continue
         profile = row[0].strip()

@@ -355,18 +355,20 @@ class Trial:
         )
 
     @cached_property
-    def rows(self) -> dict[str, tuple[tuple[SetClassification, ...], ...]]:
-        """Per action, its relation to every profile, level by level."""
+    def rows(self) -> dict[str, tuple[tuple, ...]]:
+        """Per action and level, bottom to top, the level's certified class
+        or None, and the action's relation to every profile of the level."""
         levels = (ref.profiles for ref in self.refs.sets)
         fold = CertifiedFold(self.kernel, levels, self.actions.values(), self.lam)
-        return {name: tuple(map(tuple, fold.rows(vec))) for name, vec in self.actions.items()}
+        return {name: tuple((cls, tuple(row)) for cls, row in fold.rows(vec))
+                for name, vec in self.actions.items()}
 
     @cached_property
     def relations(self) -> dict[str, tuple[SetClassification, ...]]:
-        """Per action, its relation to every level, bottom to top."""
-        return {
-            name: tuple(map(classify_relations, rows)) for name, rows in self.rows.items()
-        }
+        """Per action, its relation to every level, bottom to top; a
+        certified level's class goes through without a fold."""
+        return {name: tuple(cls or classify_relations(row) for cls, row in rows)
+                for name, rows in self.rows.items()}
 
 
 def check_conformity(trial: Trial) -> PropertyReport:
@@ -636,7 +638,8 @@ def check_stability(trial: Trial, edits: Sequence[EditOperation]) -> PropertyRep
     for name, relations in trial.relations.items():
         lo, hi = scan_bounds(relations, scores)
         if lo is not None and hi is not None:
-            bounded.append((name, trial.actions[name], relations, trial.rows[name], lo[1], hi[1]))
+            rows = [row for _, row in trial.rows[name]]
+            bounded.append((name, trial.actions[name], relations, rows, lo[1], hi[1]))
 
     failures: list[PropertyFailure] = []
     trials = 0

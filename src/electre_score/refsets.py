@@ -211,9 +211,9 @@ class CertifiedFold:
     A MIN criterion takes ``min b``, and losing is winning with the
     direction flipped, since ``a - b`` and ``b - a`` round to exact
     negatives. Every other level goes through :func:`profile_relations`,
-    one kernel call per profile. :meth:`rows` gives each action's
-    relation to every profile, and :meth:`relations` folds it per level,
-    taking a certified level's class as it is.
+    one kernel call per profile. :meth:`rows` gives, per level, a
+    certified class or None with the action's relation to every profile,
+    and :meth:`relations` folds only the rows with no class.
 
     A test no action of the table can pass, since its lowest or highest
     value on some criterion fails it, is dropped, so a level no action
@@ -253,19 +253,12 @@ class CertifiedFold:
     def relations(self, action: Sequence[float]) -> tuple[SetClassification, ...]:
         """Relation of one action to every level, bottom to top; a
         certified level's class goes through without a fold."""
-        return tuple(
-            classify_relations(row) if cls is None else cls for cls, row in self._rows(action)
-        )
+        return tuple(cls or classify_relations(row) for cls, row in self.rows(action))
 
-    def rows(self, action: Sequence[float]) -> Iterator[Iterable[SetClassification]]:
-        """Relation of one action to every profile, level by level, each
-        level to be read once; a certified level's profiles all take its
-        class."""
-        return (row for _, row in self._rows(action))
-
-    def _rows(self, action: Sequence[float]) -> Iterator[tuple]:
-        """Per level, its certified class and row, or None and the
-        kernel's relations to its profiles."""
+    def rows(self, action: Sequence[float]) -> Iterator[tuple]:
+        """Per level, bottom to top, its certified class and row, in which
+        every profile takes that class; or None and the kernel's relations
+        to its profiles, to be read once."""
         kernel, lam = self.kernel, self.lam
         p_action = [t + slope * x for (t, slope), x in zip(self._p, action)]
         for level, (better, worse) in zip(self.levels, self._tests):

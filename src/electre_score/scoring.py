@@ -96,9 +96,6 @@ class ScoringResult(NamedTuple):
     relations: tuple[tuple[SetClassification, ...], ...]
     violations: tuple[str, ...] = ()
 
-    def by_action(self) -> dict[str, ScoreRange]:
-        return {r.action: r for r in self.ranges}
-
 
 def _range_findings(
     action: str, relations: Sequence[SetClassification], scores: Sequence[float],

@@ -336,18 +336,6 @@ def run_suites(names: Sequence[str], trials: int, seed: int) -> Iterator[Propert
         yield joint[name] if name in CHECKED else SUITES[name](trials, seed)
 
 
-def run_propositions_suite(trials: int, seed: int) -> PropertyReport:
-    return run_checked_suites(["propositions"], trials, seed)["propositions"]
-
-
-def run_conformity_suite(trials: int, seed: int) -> PropertyReport:
-    return run_checked_suites(["conformity"], trials, seed)["conformity"]
-
-
-def run_stability_suite(trials: int, seed: int) -> PropertyReport:
-    return run_checked_suites(["stability"], trials, seed)["stability"]
-
-
 # the bundled hotel example's recorded blank cards and its elicited
 # score list, as in data/hotel_model.json
 HOTEL_DECK = DeckOfCards(blank_cards=(1, 2, 0, 1, 0, 2), anchors=(0.0, 100.0))
@@ -372,13 +360,11 @@ def run_deck_example(trials: int, seed: int) -> PropertyReport:
     ))
 
 
+# the suites with a runner of their own; the checked suites are in CHECKED
 SUITES: dict[str, Callable[[int, int], PropertyReport]] = {
     "dominance-implications": run_dominance_implication_suite,
     "sigma-invariants": run_sigma_invariants_suite,
     "sigma-invariants-veto": run_veto_invariants_suite,
     "variable-thresholds": run_variable_threshold_suite,
-    "propositions": run_propositions_suite,
-    "conformity": run_conformity_suite,
-    "stability": run_stability_suite,
     "deck-example": run_deck_example,
 }

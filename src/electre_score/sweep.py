@@ -24,12 +24,6 @@ class LambdaInterval(NamedTuple):
     lower: float
     upper: float
 
-    def contains(self, lam: float) -> bool:
-        return self.lower < lam <= self.upper
-
-    def midpoint(self) -> float:
-        return (self.lower + self.upper) / 2
-
 
 class SweepResult(NamedTuple):
     intervals: tuple[LambdaInterval, ...]

@@ -19,15 +19,18 @@ import time
 import pytest
 
 from electre_score.cli import main
-from electre_score.credibility import credibility
+from electre_score.credibility import compile_criteria, credibility, sigma_pair
 from electre_score.model import deck_of_cards_scores
-from electre_score.refsets import check_separability, validate_basic_assumptions
+from electre_score.refsets import (
+    ProfileTable,
+    check_separability,
+    validate_basic_assumptions,
+)
+from electre_score.scoring import score_ranges
 from electre_score.suites import (
-    run_conformity_suite,
-    run_propositions_suite,
+    run_checked_suites,
     run_dominance_implication_suite,
     run_sigma_invariants_suite,
-    run_stability_suite,
 )
 from electre_score.sweep import sweep_lambda
 
@@ -102,7 +105,7 @@ def test_criterion_2_score_ranges(hotel_sweep, hotel, data_dir, tmp_path):
         "criterion 1 produced no admissible cutting level to evaluate at; "
         "no single level reproduces all five recorded ranges either"
     )
-    lam = result.intervals[0].midpoint()
+    lam = (result.intervals[0].lower + result.intervals[0].upper) / 2
     out = tmp_path / "report.json"
     code = main([
         "evaluate", str(data_dir / "hotel_model.json"),
@@ -155,9 +158,9 @@ def test_criterion_5_property_suites():
     reports = [
         run_dominance_implication_suite(500, 1),
         run_sigma_invariants_suite(500, 2),
-        run_propositions_suite(500, 3),
-        run_conformity_suite(500, 4),
-        run_stability_suite(500, 5),
+        run_checked_suites(["propositions"], 500, 3)["propositions"],
+        run_checked_suites(["conformity"], 500, 4)["conformity"],
+        run_checked_suites(["stability"], 500, 5)["stability"],
     ]
     elapsed = time.perf_counter() - started
     for report in reports:
@@ -183,8 +186,56 @@ def test_criterion_6_validator(hotel, hotel_sweep):
     # set (empty here, see criterion 1) plus representative levels of the
     # band where the recorded comparisons are closest to consistent
     result, _ = hotel_sweep
-    probes = [iv.midpoint() for iv in result.intervals]
+    probes = [(iv.lower + iv.upper) / 2 for iv in result.intervals]
     probes += [iv.upper for iv in result.intervals]
     probes += [0.65, 0.70, result.best_band.upper]
     for lam in probes:
         assert validate_basic_assumptions(hotel["refs"], hotel["criteria"], lam) == []
+
+
+# per sweep band, bottom to top, how many of the five recorded ranges
+# score_ranges gives at the band's right end
+BAND_AGREEMENT = [2, 3, 2, 4, 4, 3, 2, 1, 1, 1, 0, 0, 0, 0]
+
+
+def test_hotel_bands_show_why_criteria_1_and_2_fail(hotel, hotel_sweep, hotel_vectors):
+    """The evidence behind the module docstring, band by band.
+
+    Every sweep band is scored at its right end, past any basic
+    assumption violation: no band gives more than four of the five
+    recorded ranges, and the assumptions hold on the first eight bands
+    only. The six credibilities that make the relation target conflict
+    are the engine's and the oracle's alike.
+    """
+    result, _ = hotel_sweep
+    criteria, refs = hotel["criteria"], hotel["refs"]
+    ends = result.breakpoints
+    assert len(ends) == len(BAND_AGREEMENT)
+    agreement = []
+    for upper in ends:
+        ranges = score_ranges(hotel["table"], refs, criteria, upper, force=True).ranges
+        agreement.append(sum(
+            r.defined
+            and r.lower == pytest.approx(EXPECTED_RANGES[r.action][0], abs=1e-9)
+            and r.upper == pytest.approx(EXPECTED_RANGES[r.action][1], abs=1e-9)
+            for r in ranges
+        ))
+    assert agreement == BAND_AGREEMENT
+
+    kernel = compile_criteria(criteria)
+    violations = ProfileTable(kernel, refs).basic_assumption_violations(ends)
+    assert [not v for v in violations] == [True] * 8 + [False] * 6
+
+    # a4 > b41 needs lam <= s(a4,b41) while a5 > b41 needs lam > s(b41,a5);
+    # a5 > b31 needs lam > s(b31,a5) while b51 > a4 needs lam <= s(b51,a4);
+    # the blank (b51, a2) needs lam outside ]s(a2,b51), s(b51,a2)]
+    conflicts = {
+        ("a4", "b41"): 0.512400794, ("b41", "a5"): 0.713914849,
+        ("b31", "a5"): 11 / 18, ("b51", "a4"): 12 / 18,
+        ("a2", "b51"): 10 / 18, ("b51", "a2"): 12 / 18,
+    }
+    for (a, b), value in conflicts.items():
+        pa, pb = hotel_vectors[a], hotel_vectors[b]
+        sigma = sigma_pair(kernel, pa, pb)[0]
+        assert sigma == pytest.approx(value, abs=1e-9), (a, b)
+        assert sigma == pytest.approx(sigma_oracle(HOTEL_ORACLE_CRITERIA, pa, pb), abs=1e-12)

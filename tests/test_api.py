@@ -5,7 +5,9 @@ class in ``repr`` and checks its invariants when it is built.
 """
 
 import importlib
+import importlib.util
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +79,22 @@ def test_credibility_is_the_function():
 def test_unknown_name_is_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         electre_score.no_such_name
+
+
+def test_traced_names_resolve():
+    # perfbench/trace_cli.py wraps these by name, so a deleted one would
+    # break `perfbench/run.py --trace 1`; the file is loaded read-only and
+    # its install(), which patches modules, is not called
+    source = Path(__file__).resolve().parent.parent / "perfbench" / "trace_cli.py"
+    spec = importlib.util.spec_from_file_location("perfbench_trace_cli", source)
+    trace_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_cli)
+    for module, name in [*trace_cli.SPANS, trace_cli.KERNEL]:
+        target = getattr(importlib.import_module(f"electre_score.{module}"), name, None)
+        assert callable(target), (module, name)
+    suites = importlib.import_module("electre_score.suites")
+    assert suites.SUITES
+    assert all(isinstance(name, str) and callable(run) for name, run in suites.SUITES.items())
 
 
 def _criterion(name="g", weight=1.0):

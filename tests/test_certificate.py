@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from electre_score import refsets
+from electre_score import properties, refsets, suites
 from electre_score.credibility import (
     InvalidVetoError,
     InvertedThresholdsError,
@@ -59,6 +59,11 @@ def _plain_rows(kernel, action, refs, lam):
     return tuple(
         tuple(refsets.profile_relations(kernel, action, ref.profiles, lam)) for ref in refs.sets
     )
+
+
+def _fold_rows(fold, vector):
+    """The fold's rows without their certified classes."""
+    return tuple(tuple(row) for _, row in fold.rows(vector))
 
 
 def _assert_fold_equals_kernel(criteria, table, refs, lam):
@@ -192,7 +197,7 @@ class TestSoundness:
         kernel = compile_criteria(criteria)
         fold = CertifiedFold(kernel, (ref.profiles for ref in refs.sets), table.rows.values(), lam)
         for vector in table.rows.values():
-            assert _outcome(lambda: tuple(map(tuple, fold.rows(vector)))) == _outcome(
+            assert _outcome(lambda: _fold_rows(fold, vector)) == _outcome(
                 lambda: _plain_rows(kernel, vector, refs, lam)
             ), vector
 
@@ -213,8 +218,11 @@ class TestSoundness:
                 kernel, (ref.profiles for ref in inst.refs.sets), inst.table.rows.values(), lam
             )
             for vector in inst.table.rows.values():
-                rows = tuple(map(tuple, fold.rows(vector)))
+                rows = _fold_rows(fold, vector)
                 assert rows == _plain_rows(kernel, vector, inst.refs, lam)
+                # a certified level's class is every relation of its row
+                for cls, row in fold.rows(vector):
+                    assert cls is None or set(row) == {cls}
                 assert fold.relations(vector) == tuple(map(refsets.classify_relations, rows))
             calls = _kernel_calls(
                 monkeypatch, lambda: [fold.relations(v) for v in inst.table.rows.values()]
@@ -436,6 +444,7 @@ def _fold_calls(monkeypatch, run) -> int:
         return fold(relations)
 
     monkeypatch.setattr(refsets, "classify_relations", counting)
+    monkeypatch.setattr(properties, "classify_relations", counting)
     run()
     monkeypatch.undo()
     return calls["folds"]
@@ -493,3 +502,11 @@ class TestCertifiedLevelsSkipTheFold:
             monkeypatch, lambda: score_ranges(table, model.refs, model.criteria, 0.65)
         )
         assert folds == 2579
+
+    @pytest.mark.parametrize("names, folds", [
+        (["propositions"], 7157),  # 10,065 when every stored row was folded
+        (["propositions", "conformity", "stability"], 11044),  # 13,952 likewise
+    ], ids=["propositions", "checked"])
+    def test_checked_suites_fold_count_is_pinned(self, monkeypatch, names, folds):
+        # a trial's relations take a certified level's class as it is
+        assert _fold_calls(monkeypatch, lambda: suites.run_checked_suites(names, 100, 1)) == folds

@@ -763,23 +763,6 @@ class TestVerifyUnchanged:
             ).read_bytes(), name
 
 
-class TestScriptsUnchanged:
-    """The script runs as written in the README and prints what it printed
-    when its golden was written; nothing else exercises it."""
-
-    ROOT = Path(__file__).resolve().parent.parent
-
-    @pytest.mark.parametrize("script", ["lambda_band_analysis"])
-    def test_stdout(self, script, tmp_path):
-        env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}
-        proc = subprocess.run(
-            [sys.executable, str(self.ROOT / "scripts" / f"{script}.py")],
-            cwd=tmp_path, env=env, capture_output=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
-        assert proc.stdout == (GOLDEN / f"{script}.txt").read_bytes()
-
-
 def _pair(pa, pb):
     return tuple(sorted((tuple(pa), tuple(pb))))
 
@@ -1027,6 +1010,54 @@ class TestThresholdFailsAtPair:
         assert proc.returncode == EXIT_VALIDATION, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr == "error: criterion g2: q=3.5 > p=3.0 for pair (0.0, 7.0)\n"
+
+
+class TestCredibilityTie:
+    """sigma(a7, b2) is exactly 3/4 in this integer model: concordance
+    15/19, and g3's discordance 4/5 exceeds it, so sigma = (15/19)(1/5) /
+    (4/19), and sigma(b2, a7) = 8/19. The exact cut at lambda 0.75 makes
+    a7 preferred to b2, which gives ]50, 100[; the kernel computes
+    0.7499999999999999, leaves a7 and b2 incomparable and gives ]0, 100[."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        def criterion(name, direction, weight, q, p, v=None):
+            veto = None if v is None else {"intercept": v}
+            return {"name": name, "direction": direction, "weight": weight,
+                    "indifference": {"intercept": q}, "preference": {"intercept": p},
+                    "veto": veto}
+
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "criteria": [
+                criterion("g0", "min", 4, 1, 2, 11), criterion("g1", "min", 4, 3, 5, 7),
+                criterion("g2", "max", 3, 0, 4, 9), criterion("g3", "max", 4, 0, 1, 11),
+                criterion("g4", "max", 4, 1, 5),
+            ],
+            "reference_sets": [
+                {"score": 0, "profiles": [[40, 40, -20, -20, -20]]},
+                {"score": 50, "profiles": [[15, 17, 7, 11, 7]]},
+                {"score": 100, "profiles": [[-20, -20, 40, 40, 40]]},
+            ],
+        }))
+        perf = tmp_path / "perf.csv"
+        perf.write_text("action,g0,g1,g2,g3,g4\na7,11,17,11,2,14\n")
+        return model, perf
+
+    def _range(self, files, tmp_path, lam):
+        model, perf = files
+        out = tmp_path / "report.json"
+        assert main(["evaluate", str(model), "--performances", str(perf),
+                     "--lambda", lam, "--output", str(out)]) == EXIT_OK
+        (action,) = json.loads(out.read_text())["actions"]
+        return action["lower"], action["upper"]
+
+    def test_just_below_the_tie(self, files, tmp_path):
+        assert self._range(files, tmp_path, "0.7499") == (50.0, 100.0)
+
+    @pytest.mark.xfail(strict=True, reason="the float kernel puts sigma = 3/4 below 0.75")
+    def test_at_the_tie(self, files, tmp_path):
+        assert self._range(files, tmp_path, "0.75") == (50.0, 100.0)
 
 
 class TestVerifyConfigValues:

@@ -269,3 +269,22 @@ class TestLoadersPastTheReadBuffer:
         with pytest.raises(ParseError) as info:
             load_target_csv(path)
         assert str(info.value) == f"{path}:{line}: cell must be 'a', 'b' or empty, got '\\x00'"
+
+
+class TestErrorsNamePhysicalLines:
+    """A quoted cell may hold a newline; an error names the line its row
+    starts on in the file, not the row's count."""
+
+    def test_performance_file(self, tmp_path):
+        path = tmp_path / "perf.csv"
+        path.write_text(PERF_HEADER + '"a\n1",1,1,1,1,1\na2,1,1,1,1,x\n', encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_performances_csv(path, HOTEL_CRITERIA)
+        assert str(info.value) == f"{path}:4: column 'ACCES': not a number: 'x'"
+
+    def test_target_file(self, tmp_path):
+        path = tmp_path / "target.csv"
+        path.write_text('profile,a1,a2\n"b\n1",a,\n\nb2,a,c\n', encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_target_csv(path)
+        assert str(info.value) == f"{path}:5: cell must be 'a', 'b' or empty, got 'c'"

@@ -352,8 +352,8 @@ class TestStabilityChecker:
             assert credibility(crit, vec, alien) == 0.5 < lam
             assert credibility(crit, alien, vec) == 0.5 < lam
         edited = apply_edit(refs, InsertProfile(1, alien))
-        before = score_ranges(table, refs, crit, lam).by_action()["mid"]
-        after = score_ranges(table, edited, crit, lam, force=True).by_action()["mid"]
+        (before,) = score_ranges(table, refs, crit, lam).ranges
+        (after,) = score_ranges(table, edited, crit, lam, force=True).ranges
         assert (before.lower, before.upper) == (after.lower, after.upper)
         assert (before.lower, before.upper) == (50.0, 100.0)
 
@@ -495,10 +495,14 @@ class TestShrinker:
 
 class TestSuiteReproducibility:
     def test_same_seed_same_report(self):
-        from electre_score.suites import run_conformity_suite, run_stability_suite
+        from electre_score.suites import run_checked_suites
 
-        assert run_conformity_suite(10, 77) == run_conformity_suite(10, 77)
-        assert run_stability_suite(8, 99) == run_stability_suite(8, 99)
+        assert run_checked_suites(["conformity"], 10, 77) == run_checked_suites(
+            ["conformity"], 10, 77
+        )
+        assert run_checked_suites(["stability"], 8, 99) == run_checked_suites(
+            ["stability"], 8, 99
+        )
 
     def test_different_seed_changes_instances(self):
         a = generate_instance(100)

@@ -114,7 +114,7 @@ class TestHotelBounds:
 class TestScoreRanges:
     def test_hotel_ranges_at_065(self, hotel):
         result = score_ranges(hotel["table"], hotel["refs"], hotel["criteria"], 0.65)
-        ranges = result.by_action()
+        ranges = {r.action: r for r in result.ranges}
         assert not result.used_fast_path  # soft dominance fails at one pair
         assert (ranges["a1"].lower, ranges["a1"].upper) == (THIRD, 250 / 3)
         assert (ranges["a2"].lower, ranges["a2"].upper) == (50.0, 175 / 3)
@@ -124,9 +124,8 @@ class TestScoreRanges:
         assert result.findings == ()
 
     def test_hotel_ranges_at_070(self, hotel):
-        ranges = score_ranges(
-            hotel["table"], hotel["refs"], hotel["criteria"], 0.70
-        ).by_action()
+        result = score_ranges(hotel["table"], hotel["refs"], hotel["criteria"], 0.70)
+        ranges = {r.action: r for r in result.ranges}
         assert (ranges["a2"].lower, ranges["a2"].upper) == (50.0, 250 / 3)
         assert (ranges["a4"].lower, ranges["a4"].upper) == (THIRD, 250 / 3)
 
@@ -185,13 +184,15 @@ class TestStructuralRequirements:
         inst = generate_instance(seed, GeneratorConfig(
             n_criteria=4, n_levels=4, max_profiles_per_level=2, n_actions=8))
         lam = rng.choice((0.6, 0.75, 0.9))
-        full = score_ranges(inst.table, inst.refs, inst.criteria, lam).by_action()
+        result = score_ranges(inst.table, inst.refs, inst.criteria, lam)
+        full = {r.action: r for r in result.ranges}
         actions = list(inst.table.actions)
         keep = rng.sample(actions, k=max(1, len(actions) // 2))
         sub_table = PerformanceTable.from_rows(
             inst.criteria, {a: inst.table.vector(a) for a in keep}
         )
-        sub = score_ranges(sub_table, inst.refs, inst.criteria, lam).by_action()
+        result = score_ranges(sub_table, inst.refs, inst.criteria, lam)
+        sub = {r.action: r for r in result.ranges}
         for a in keep:
             assert (sub[a].lower, sub[a].upper) == (full[a].lower, full[a].upper)
 
@@ -213,7 +214,7 @@ class TestStructuralRequirements:
         def ranges(table_rows):
             table = PerformanceTable.from_rows(inst.criteria, table_rows)
             result = score_ranges(table, inst.refs, inst.criteria, lam, force=True)
-            return result.by_action()
+            return {r.action: r for r in result.ranges}
 
         full = ranges(rows)
         names = list(rows)
@@ -285,7 +286,8 @@ class TestStructuralRequirements:
         rows = {a: hotel["table"].vector(a) for a in hotel["table"].actions}
         rows["a1_copy"] = rows["a1"]
         table = PerformanceTable.from_rows(hotel["criteria"], rows)
-        ranges = score_ranges(table, hotel["refs"], hotel["criteria"], 0.65).by_action()
+        result = score_ranges(table, hotel["refs"], hotel["criteria"], 0.65)
+        ranges = {r.action: r for r in result.ranges}
         assert (ranges["a1_copy"].lower, ranges["a1_copy"].upper) == (
             ranges["a1"].lower, ranges["a1"].upper,
         )
@@ -320,7 +322,7 @@ class TestStructuralRequirements:
             table = PerformanceTable.from_rows(
                 inst.criteria, {f"{a}/{how}": vec for (a, how), vec in rows.items()})
             ranges = score_ranges(table, inst.refs, inst.criteria, lam, force=not strong)
-            got = ranges.by_action()
+            got = {r.action: r for r in ranges.ranges}
             for action, how in rows:
                 base, improved = got[f"{action}/None"], got[f"{action}/{how}"]
                 case = (mode, veto, strong, lam, action, how)
@@ -365,11 +367,10 @@ class TestFastPathAgreement:
             n_criteria=3, n_levels=4, max_profiles_per_level=2, n_actions=6))
         result = score_ranges(inst.table, inst.refs, inst.criteria, 0.75)
         assert result.used_fast_path
-        for action, relations in zip(inst.table.actions, result.relations):
-            rng = result.by_action()[action]
+        for rng, relations in zip(result.ranges, result.relations):
             if not rng.defined:
                 continue
-            vec = inst.table.vector(action)
+            vec = inst.table.vector(rng.action)
             lower, upper = bounds(vec, inst.refs, inst.criteria, 0.75)
             ap = [k for k, r in enumerate(relations) if r is SetClassification.ACTION_PREFERRED]
             sp = [k for k, r in enumerate(relations) if r is SetClassification.SET_PREFERRED]
@@ -388,7 +389,7 @@ class TestProfileCloneRange:
         table = PerformanceTable.from_rows(inst.criteria, {"clone": clone})
         result = score_ranges(table, inst.refs, inst.criteria, 0.75)
         assert result.used_fast_path
-        rng = result.by_action()["clone"]
+        (rng,) = result.ranges
         assert (rng.lower, rng.upper) == (
             inst.refs.scores[k - 1], inst.refs.scores[k + 1],
         )

@@ -110,7 +110,7 @@ def test_failing_trials_are_pinned(monkeypatch, suite, failures, sha256):
     # low makes these suites fail, and their reports pin the shrinking and
     # the seed and digest stamped on every failure
     monkeypatch.setattr(properties, "scan_bounds", _lower_one_level_down(properties.scan_bounds))
-    report = suites.SUITES[suite](25, 4)
+    report = suites.run_checked_suites([suite], 25, 4)[suite]
     assert len(report.failures) == failures
     assert all(f.seed is not None and f.digest for f in report.failures)
     blob = json.dumps(report.as_dict(), sort_keys=True).encode()
@@ -128,7 +128,7 @@ def test_joint_pass_equals_each_suite_alone(names, seed):
     joint = suites.run_checked_suites(names, 30, seed)
     assert list(joint) == names
     for name in names:
-        assert joint[name] == suites.SUITES[name](30, seed)
+        assert joint[name] == suites.run_checked_suites([name], 30, seed)[name]
 
 
 def test_joint_pass_shrinks_as_each_suite_alone(monkeypatch):
@@ -137,7 +137,7 @@ def test_joint_pass_shrinks_as_each_suite_alone(monkeypatch):
     joint = suites.run_checked_suites(list(CHECKED), 12, 4)
     for name in CHECKED:
         assert joint[name].failures
-        assert joint[name] == suites.SUITES[name](12, 4)
+        assert joint[name] == suites.run_checked_suites([name], 12, 4)[name]
 
 
 def test_run_suites_keeps_the_order_and_repeats(monkeypatch):
@@ -150,7 +150,11 @@ def test_run_suites_keeps_the_order_and_repeats(monkeypatch):
         drawn.append(args)
         return generate(*args)
 
-    alone = [suites.SUITES[name](10, 1) for name in names]
+    alone = [
+        suites.run_checked_suites([name], 10, 1)[name] if name in CHECKED
+        else suites.SUITES[name](10, 1)
+        for name in names
+    ]
     monkeypatch.setattr(suites, "generate_instance", generating)
     assert list(suites.run_suites(names, 10, 1)) == alone
     assert len(drawn) == 20  # ten for the checked pass, ten for sigma-invariants
