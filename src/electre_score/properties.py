@@ -14,6 +14,7 @@ reduces a failing instance to a smaller one that still fails.
 from __future__ import annotations
 
 import json
+import math
 import random
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -34,6 +35,7 @@ from .refsets import (
     CertifiedFold,
     ProfileTable,
     SetClassification,
+    adjacent_dominance,
     classify_relations,
     profile_relations,
     soft_dominance,
@@ -107,12 +109,6 @@ _RAW_OFFSET_MAX = 1_000.0
 _RAW_OFFSET_MIN = 10_000.0
 
 
-def _raw(direction: Direction, u: float) -> float:
-    if direction is Direction.MAX:
-        return _RAW_OFFSET_MAX + u
-    return _RAW_OFFSET_MIN - u
-
-
 def generate_instance(seed: int, config: GeneratorConfig = GeneratorConfig()) -> Instance:
     """Deterministically generate (criteria, performance table, reference sets).
 
@@ -121,17 +117,22 @@ def generate_instance(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
     threshold, which makes all separability flags and the basic
     assumptions hold by construction; free mode draws smaller level gaps
     so any of them may fail.
+
+    ``random.uniform(a, b)`` is ``a + (b - a) * random()``; each draw
+    below is written out that way (``a`` dropped where it is 0.0), so it
+    gives the same float from the same state without the method call.
     """
     rng = random.Random(seed)
+    draw = rng.random
     criteria: list[Criterion] = []
     p_caps: list[float] = []
     for j in range(config.n_criteria):
         direction = rng.choice((Direction.MAX, Direction.MIN))
-        q0 = rng.uniform(0.4, 1.2)
-        p0 = q0 + rng.uniform(0.4, 1.2)
+        q0 = 0.4 + (1.2 - 0.4) * draw()
+        p0 = q0 + (0.4 + (1.2 - 0.4) * draw())
         if config.threshold_mode == "variable":
-            sq = rng.uniform(0.0, 5e-5)
-            sp = sq + rng.uniform(0.0, 5e-5)
+            sq = 5e-5 * draw()
+            sp = sq + 5e-5 * draw()
             mode = rng.choice((ThresholdMode.DIRECT, ThresholdMode.INVERSE))
             ind = ThresholdSpec(q0, sq, mode)
             pref = ThresholdSpec(p0, sp, mode)
@@ -142,54 +143,55 @@ def generate_instance(seed: int, config: GeneratorConfig = GeneratorConfig()) ->
             p_cap = p0
         veto = None
         if config.veto:
-            veto = ThresholdSpec(p0 + rng.uniform(1.0, 3.0), pref.slope, pref.mode)
-        criteria.append(
-            Criterion(f"g{j + 1}", direction, rng.uniform(1.0, 5.0), ind, pref, veto)
-        )
+            veto = ThresholdSpec(p0 + (1.0 + (3.0 - 1.0) * draw()), pref.slope, pref.mode)
+        weight = 1.0 + (5.0 - 1.0) * draw()
+        criteria.append(Criterion(f"g{j + 1}", direction, weight, ind, pref, veto))
         p_caps.append(p_cap)
 
     # per-criterion level base values in "bigger is better" space
     bases: list[list[float]] = []
     for j in range(config.n_criteria):
         if config.strong_dominance:
-            gaps = [rng.uniform(2.2, 3.2) * p_caps[j] for _ in range(config.n_levels - 1)]
+            gaps = [(2.2 + (3.2 - 2.2) * draw()) * p_caps[j] for _ in range(config.n_levels - 1)]
         else:
-            gaps = [rng.uniform(0.0, 2.5 * p_caps[j]) for _ in range(config.n_levels - 1)]
+            gaps = [2.5 * p_caps[j] * draw() for _ in range(config.n_levels - 1)]
         level_values = [0.0]
         for g in gaps:
             level_values.append(level_values[-1] + g)
         bases.append(level_values)
 
-    def jitter(j: int) -> float:
-        q = criteria[j].indifference.intercept
+    # per criterion: whether bigger raw values are better, the low end and
+    # width of a profile's jitter around its level's base value and of the
+    # span an action is drawn from, and the mid-scale value an action is
+    # parked at instead when that span is degenerate, else None
+    shapes = []
+    for c, base, p_cap in zip(criteria, bases, p_caps):
+        q = c.indifference.intercept
         span = q / 2 if config.strong_dominance else q
-        return rng.uniform(-span / 2, span / 2)
+        lo, hi = -span / 2, span / 2
+        lo_u, hi_u = base[0] + 1.3 * p_cap, base[-1] - 1.3 * p_cap
+        parked = (base[0] + base[-1]) / 2 if hi_u <= lo_u else None
+        shapes.append((c.direction is Direction.MAX, lo, hi - lo, lo_u, hi_u - lo_u, parked))
 
     sets = []
     for k in range(config.n_levels):
         count = rng.randint(1, config.max_profiles_per_level)
-        profiles = tuple(
-            tuple(
-                _raw(criteria[j].direction, bases[j][k] + jitter(j))
-                for j in range(config.n_criteria)
-            )
-            for _ in range(count)
-        )
-        sets.append(ReferenceSet(score=float(10 * (k + 1)), profiles=profiles))
+        profiles = []
+        for _ in range(count):
+            profile = []
+            for (is_max, lo, width, *_), base in zip(shapes, bases):
+                u = base[k] + (lo + width * draw())
+                profile.append(_RAW_OFFSET_MAX + u if is_max else _RAW_OFFSET_MIN - u)
+            profiles.append(tuple(profile))
+        sets.append(ReferenceSet(score=float(10 * (k + 1)), profiles=tuple(profiles)))
     refs = ReferenceStructure(tuple(sets))
 
     rows = {}
     for i in range(config.n_actions):
         vec = []
-        for j in range(config.n_criteria):
-            margin = 1.3 * p_caps[j]
-            lo_u = bases[j][0] + margin
-            hi_u = bases[j][-1] - margin
-            if hi_u <= lo_u:  # degenerate span; park the action mid-scale
-                u = (bases[j][0] + bases[j][-1]) / 2
-            else:
-                u = rng.uniform(lo_u, hi_u)
-            vec.append(_raw(criteria[j].direction, u))
+        for is_max, _, _, lo_u, width, parked in shapes:
+            u = lo_u + width * draw() if parked is None else parked
+            vec.append(_RAW_OFFSET_MAX + u if is_max else _RAW_OFFSET_MIN - u)
         rows[f"a{i + 1}"] = tuple(vec)
     table = PerformanceTable.from_rows(criteria, rows)
     return Instance(tuple(criteria), table, refs)
@@ -524,85 +526,109 @@ def check_propositions(trial: Trial) -> PropertyReport:
     )
 
 
-def _expected_after_edit(
-    rows: Sequence[Sequence[SetClassification]],
-    scores: Sequence[float],
-    lo_idx: int,
-    hi_idx: int,
-    edit: EditOperation,
-    added: Sequence[SetClassification],
-) -> tuple[float | None, float | None]:
-    """Bound values the single-edit case analysis predicts (None = no bound).
+def _edited_level(refs: ReferenceStructure, edit: EditOperation) -> int:
+    """The level the edit touches: an inserted set's index once inserted,
+    else the edit's own level."""
+    if isinstance(edit, InsertSet):
+        return sum(1 for s in refs.sets if s.score < edit.score)
+    return edit.level
 
-    ``rows`` holds the action's relation to every profile before the
-    edit, level by level; ``added`` its relation to the inserted profiles.
+
+def _keeps_dominance(
+    criteria: Sequence[Criterion],
+    new_refs: ReferenceStructure,
+    edit: EditOperation,
+    at: int,
+) -> bool:
+    """Whether the edited structure ``new_refs`` holds both soft-dominance
+    flags, given that the structure before the edit held them.
+
+    :func:`~.refsets.soft_dominance` is both flags of every adjacent pair.
+    An adjacent pair the edit does not touch is the same two
+    :class:`~.model.ReferenceSet` objects as before, so it still holds
+    them, and the rule over ``new_refs`` is the flags of the touched
+    pairs. Deleting a set makes one new pair, its two neighbours, or none
+    at either end; any other edit touches the pairs on either side of
+    level ``at``.
     """
-    x = list(scores)
-    r, t = lo_idx, hi_idx
-    # the action over the profile, and the profile over the action
-    ap, sp = SetClassification.ACTION_PREFERRED, SetClassification.SET_PREFERRED
-    exp_lower: float | None = x[r]
-    exp_upper: float | None = x[t]
-
-    if isinstance(edit, InsertSet):
-        cls = classify_relations(added)
-        upper_neigh = x[r + 1] if r + 1 < len(x) else float("inf")
-        if x[r] < edit.score < upper_neigh and cls is ap:
-            exp_lower = edit.score
-        lower_neigh = x[t - 1] if t >= 1 else float("-inf")
-        if lower_neigh < edit.score < x[t] and cls is sp:
-            exp_upper = edit.score
-    elif isinstance(edit, DeleteSet):
-        if edit.level == r:
-            exp_lower = x[r - 1] if r >= 1 else None
-        if edit.level == t:
-            exp_upper = x[t + 1] if t + 1 < len(x) else None
-    elif isinstance(edit, InsertProfile):
-        k = edit.level
-        new = added[0]
-        if new is sp and k == r:
-            exp_lower = x[r - 1] if r >= 1 else None
-        elif new is ap and k == r + 1 and sp not in rows[k]:
-            exp_lower = x[r + 1]
-        if new is ap and k == t:
-            exp_upper = x[t + 1] if t + 1 < len(x) else None
-        elif new is sp and k == t - 1 and ap not in rows[k]:
-            exp_upper = x[t - 1]
-    elif isinstance(edit, DeleteProfile):
-        k, i = edit.level, edit.profile_index
-        gone = rows[k][i]
-        others = rows[k][:i] + rows[k][i + 1 :]
-        if k == r and gone is ap and ap not in others:
-            exp_lower = x[r - 1] if r >= 1 else None
-        elif k == r + 1 and gone is sp and sp not in others and ap in others:
-            exp_lower = x[r + 1]
-        if k == t and gone is sp and sp not in others:
-            exp_upper = x[t + 1] if t + 1 < len(x) else None
-        elif k == t - 1 and gone is ap and ap not in others and sp in others:
-            exp_upper = x[t - 1]
-    return exp_lower, exp_upper
+    sets = new_refs.sets
+    pairs = ((at - 1, at),) if isinstance(edit, DeleteSet) else ((at - 1, at), (at, at + 1))
+    return all(
+        all(adjacent_dominance(criteria, sets[lo], sets[hi]))
+        for lo, hi in pairs if lo >= 0 and hi < len(sets)
+    )
 
 
-def _edited_relations(
-    relations: Sequence[SetClassification],
-    rows: Sequence[tuple[SetClassification, ...]],
-    refs: ReferenceStructure,
-    edit: EditOperation,
-    added: tuple[SetClassification, ...],
-) -> list[SetClassification]:
-    """The action's relation to every level after the edit; only the
-    level the edit touches is classified again."""
+# Per edit type, the bounds the single-edit case analysis predicts (None =
+# no bound) and the action's relation to every level after the edit, from
+# ``relations`` and ``rows``, its relation to every level and to every
+# profile before the edit, the scores ``x``, its bound levels ``r`` and
+# ``t``, and ``added``, its relation to the inserted profiles. ``at`` is
+# the level the edit touches; only that level is classified again.
+
+_AP, _SP = SetClassification.ACTION_PREFERRED, SetClassification.SET_PREFERRED
+
+
+def _after_insert_set(edit, at, relations, rows, x, r, t, added):
+    cls = classify_relations(added)
+    lower, upper = x[r], x[t]
+    if cls is _AP and x[r] < edit.score < (x[r + 1] if r + 1 < len(x) else math.inf):
+        lower = edit.score
+    if cls is _SP and (x[t - 1] if t >= 1 else -math.inf) < edit.score < x[t]:
+        upper = edit.score
+    # the edited relations fold the new set apart from the prediction
     out = list(relations)
-    if isinstance(edit, InsertSet):
-        out.insert(sum(1 for s in refs.sets if s.score < edit.score), classify_relations(added))
-    elif isinstance(edit, DeleteSet):
-        del out[edit.level]
-    elif isinstance(edit, InsertProfile):
-        out[edit.level] = classify_relations(rows[edit.level] + added)
-    else:
-        row, i = rows[edit.level], edit.profile_index
-        out[edit.level] = classify_relations(row[:i] + row[i + 1 :])
-    return out
+    out.insert(at, classify_relations(added))
+    return lower, upper, out
+
+
+def _after_delete_set(edit, at, relations, rows, x, r, t, added):
+    lower = (x[r - 1] if r >= 1 else None) if at == r else x[r]
+    upper = (x[t + 1] if t + 1 < len(x) else None) if at == t else x[t]
+    out = list(relations)
+    del out[at]
+    return lower, upper, out
+
+
+def _after_insert_profile(edit, at, relations, rows, x, r, t, added):
+    row, (new,) = rows[at], added
+    lower, upper = x[r], x[t]
+    if new is _SP and at == r:
+        lower = x[r - 1] if r >= 1 else None
+    elif new is _AP and at == r + 1 and _SP not in row:
+        lower = x[r + 1]
+    if new is _AP and at == t:
+        upper = x[t + 1] if t + 1 < len(x) else None
+    elif new is _SP and at == t - 1 and _AP not in row:
+        upper = x[t - 1]
+    out = list(relations)
+    out[at] = classify_relations(row + added)
+    return lower, upper, out
+
+
+def _after_delete_profile(edit, at, relations, rows, x, r, t, added):
+    row, i = rows[at], edit.profile_index
+    gone, others = row[i], row[:i] + row[i + 1 :]
+    lower, upper = x[r], x[t]
+    if at == r and gone is _AP and _AP not in others:
+        lower = x[r - 1] if r >= 1 else None
+    elif at == r + 1 and gone is _SP and _SP not in others and _AP in others:
+        lower = x[r + 1]
+    if at == t and gone is _SP and _SP not in others:
+        upper = x[t + 1] if t + 1 < len(x) else None
+    elif at == t - 1 and gone is _AP and _AP not in others and _SP in others:
+        upper = x[t - 1]
+    out = list(relations)
+    out[at] = classify_relations(others)
+    return lower, upper, out
+
+
+_AFTER_EDIT: dict[type, Callable[..., tuple]] = {
+    InsertSet: _after_insert_set,
+    DeleteSet: _after_delete_set,
+    InsertProfile: _after_insert_profile,
+    DeleteProfile: _after_delete_profile,
+}
 
 
 def check_stability(trial: Trial, edits: Sequence[EditOperation]) -> PropertyReport:
@@ -613,9 +639,13 @@ def check_stability(trial: Trial, edits: Sequence[EditOperation]) -> PropertyRep
     break the soft-dominance hypothesis (before or after) are skipped
     and counted, not failed. The hypothesis is read from dominance
     alone, so the only credibilities computed, and the only threshold
-    errors raised, are those of the action-profile pairs checked. The
-    pre-edit relations are the trial's; after an edit only the level it
-    touches is classified again.
+    errors raised, are those of the action-profile pairs checked. Once
+    the structure holds it, an edited structure's hypothesis is read
+    from the one or two adjacent level pairs the edit touches (see
+    :func:`_keeps_dominance`), which equals :func:`soft_dominance` over
+    the whole edited structure. The pre-edit relations are the trial's;
+    after an edit only the level it touches is classified again, and
+    every (edit, action) pair runs the bound scan on its edited relations.
     """
     criteria, refs, lam = trial.criteria, trial.refs, trial.lam
     if not all(trial.dominance):
@@ -626,48 +656,47 @@ def check_stability(trial: Trial, edits: Sequence[EditOperation]) -> PropertyRep
     kept = []
     for edit in edits:
         new_refs = apply_edit(refs, edit)
-        if all(soft_dominance(criteria, new_refs)):
-            kept.append((edit, new_refs.scores))
+        at = _edited_level(refs, edit)
+        if _keeps_dominance(criteria, new_refs, edit, at):
+            kept.append((edit, at, new_refs.scores))
     if not kept:  # nothing to check, so no action-profile pair is computed
         return PropertyReport("stability", 0, (), len(edits), True)
 
-    # each action's relations and bounds before any edit, for the
-    # actions that have both bounds
-    scores = refs.scores
+    # each action's relations, bounds and one-level windows before any
+    # edit, for the actions that have both bounds
+    x, inf = refs.scores, math.inf
     bounded = []
     for name, relations in trial.relations.items():
-        lo, hi = scan_bounds(relations, scores)
+        lo, hi = scan_bounds(relations, x)
         if lo is not None and hi is not None:
+            r, t = lo[1], hi[1]
             rows = [row for _, row in trial.rows[name]]
-            bounded.append((name, trial.actions[name], relations, rows, lo[1], hi[1]))
+            windows = (x[r - 1] if r >= 1 else -inf, x[r + 1] if r + 1 < len(x) else inf,
+                       x[t - 1] if t >= 1 else -inf, x[t + 1] if t + 1 < len(x) else inf)
+            bounded.append((name, trial.actions[name], relations, rows, r, t, windows))
 
+    kernel = trial.kernel
     failures: list[PropertyFailure] = []
-    trials = 0
-    for edit, new_scores in kept:
+    for edit, at, new_scores in kept:
+        after = _AFTER_EDIT[type(edit)]
         inserted = (
             edit.profiles if isinstance(edit, InsertSet)
             else (edit.profile,) if isinstance(edit, InsertProfile)
             else ()
         )
-        for name, vec, relations, rows, r, t in bounded:
-            trials += 1
-            added = tuple(profile_relations(trial.kernel, vec, inserted, lam))
-            exp_lower, exp_upper = _expected_after_edit(rows, scores, r, t, edit, added)
-            new_lo, new_hi = scan_bounds(
-                _edited_relations(relations, rows, refs, edit, added), new_scores
-            )
+        for name, vec, relations, rows, r, t, windows in bounded:
+            added = tuple(profile_relations(kernel, vec, inserted, lam)) if inserted else ()
+            exp_lower, exp_upper, edited = after(edit, at, relations, rows, x, r, t, added)
+            new_lo, new_hi = scan_bounds(edited, new_scores)
             got_lower = None if new_lo is None else new_lo[0]
             got_upper = None if new_hi is None else new_hi[0]
 
-            lo_floor = scores[r - 1] if r >= 1 else float("-inf")
-            lo_ceil = scores[r + 1] if r + 1 < len(scores) else float("inf")
+            lo_floor, lo_ceil, hi_floor, hi_ceil = windows
             if got_lower is not None and not lo_floor <= got_lower <= lo_ceil:
                 failures.append(PropertyFailure(
                     None, "", f"{name} lower window after {edit!r}",
                     f"[{lo_floor}, {lo_ceil}]", f"{got_lower}",
                 ))
-            hi_floor = scores[t - 1] if t >= 1 else float("-inf")
-            hi_ceil = scores[t + 1] if t + 1 < len(scores) else float("inf")
             if got_upper is not None and not hi_floor <= got_upper <= hi_ceil:
                 failures.append(PropertyFailure(
                     None, "", f"{name} upper window after {edit!r}",
@@ -681,6 +710,7 @@ def check_stability(trial: Trial, edits: Sequence[EditOperation]) -> PropertyRep
                     f"bounds ({got_lower}, {got_upper})",
                 ))
 
+    trials = len(kept) * len(bounded)
     return PropertyReport("stability", trials, tuple(failures), len(edits) - len(kept), True)
 
 

@@ -52,7 +52,13 @@ from .credibility import (
     preferred_bands,
     sigma_pair,
 )
-from .model import Criterion, PerformanceTable, ReferenceStructure, check_cutting_level
+from .model import (
+    Criterion,
+    PerformanceTable,
+    ReferenceSet,
+    ReferenceStructure,
+    check_cutting_level,
+)
 
 
 class SetClassification(enum.Enum):
@@ -307,6 +313,20 @@ def _flags(matrix: Sequence[Sequence[bool]]) -> tuple[bool, bool, bool]:
     return (all(map(all, matrix)), all(map(any, matrix)), all(map(any, zip(*matrix))))
 
 
+def adjacent_dominance(
+    criteria: Sequence[Criterion], low: ReferenceSet, high: ReferenceSet
+) -> tuple[bool, bool]:
+    """(primal, dual) soft dominance of level ``high`` over level ``low``.
+
+    Primal: each profile of ``low`` is dominated by some profile of
+    ``high``. Dual: each profile of ``high`` dominates some profile of
+    ``low``. It needs no credibility, so no threshold is evaluated.
+    """
+    dom = [[dominates(criteria, up, down) for up in high.profiles] for down in low.profiles]
+    _, primal, dual = _flags(dom)
+    return primal, dual
+
+
 def soft_dominance(
     criteria: Sequence[Criterion], refs: ReferenceStructure
 ) -> tuple[bool, bool]:
@@ -315,7 +335,7 @@ def soft_dominance(
     Primal: each profile of a lower level is dominated by some profile of
     every higher level. Dual: each profile of a higher level dominates
     some profile of every lower level. This is the one soft-dominance
-    rule: it needs no credibility, so no threshold is evaluated.
+    rule, :func:`adjacent_dominance` over each two neighbouring levels.
 
     Only adjacent levels are compared. Dominance is componentwise ``>=``
     with one strict ``>``, and on finite values the sign of each
@@ -326,8 +346,7 @@ def soft_dominance(
     """
     primal = dual = True
     for low, high in zip(refs.sets, refs.sets[1:]):
-        dom = [[dominates(criteria, up, down) for up in high.profiles] for down in low.profiles]
-        _, p, d = _flags(dom)
+        p, d = adjacent_dominance(criteria, low, high)
         primal, dual = primal and p, dual and d
     return primal, dual
 
@@ -365,10 +384,10 @@ class ProfileTable:
         for i, j in self._within + self._across:
             self._sigma[i][j], self._sigma[j][i] = sigma_pair(kernel, vectors[i], vectors[j])
 
-    def relation(self, k: int, p: int, h: int, q: int, lam: float) -> SetClassification:
-        """Relation of profile p of level k to profile q of level h."""
-        i, j = self._start[k] + p, self._start[h] + q
-        return derived_relation(self._sigma[i][j] >= lam, self._sigma[j][i] >= lam)
+    def _levels(self) -> Iterator[range]:
+        """Each level's rows of the table, bottom to top."""
+        for start, ref in zip(self._start, self.refs.sets):
+            yield range(start, start + len(ref.profiles))
 
     def profile_levels(self, k: int, p: int, lam: float) -> tuple[SetClassification, ...]:
         """Relation of profile p of level k to every level, bottom to top.
@@ -376,13 +395,14 @@ class ProfileTable:
         The profile scored as an action; its own cell reads as indifferent,
         since the credibility of a vector over itself is 1.
         """
+        i = self._start[k] + p
+        out, back = self._sigma[i], [row[i] for row in self._sigma]
         return tuple(
             classify_relations(
-                _INDIFFERENT if (h, q) == (k, p)
-                else self.relation(k, p, h, q, lam)
-                for q in range(len(ref.profiles))
+                _INDIFFERENT if j == i else derived_relation(out[j] >= lam, back[j] >= lam)
+                for j in level
             )
-            for h, ref in enumerate(self.refs.sets)
+            for level in self._levels()
         )
 
     def breakpoints(self) -> list[float]:
@@ -414,12 +434,12 @@ class ProfileTable:
                 bands[band].append(message)
         return bands
 
-    def _preferred(self, lo: int, hi: int, lam: float) -> list[list[bool]]:
-        """Whether each profile of level ``hi`` (columns) is strictly
-        preferred to each profile of level ``lo`` (rows)."""
-        return [[self.relation(hi, j, lo, i, lam) is _ACTION_PREFERRED
-                 for j in range(len(self.refs.sets[hi].profiles))]
-                for i in range(len(self.refs.sets[lo].profiles))]
+    def _preferred(self, lo: range, hi: range, lam: float) -> list[list[bool]]:
+        """Whether each profile of the higher level ``hi`` (columns) is
+        strictly preferred to each profile of the lower level ``lo`` (rows),
+        both given as their rows of the table."""
+        sigma = self._sigma
+        return [[sigma[j][i] >= lam and not sigma[i][j] >= lam for j in hi] for i in lo]
 
     def soft_preference(self, lam: float) -> tuple[bool, bool]:
         """(primal, dual) soft preference over every pair of levels.
@@ -429,7 +449,7 @@ class ProfileTable:
         of levels is compared.
         """
         primal = dual = True
-        for lo, hi in combinations(range(len(self.refs.sets)), 2):
+        for lo, hi in combinations(self._levels(), 2):
             _, p, d = _flags(self._preferred(lo, hi, lam))
             primal, dual = primal and p, dual and d
         return primal, dual
@@ -441,13 +461,13 @@ class ProfileTable:
         The hypotheses over all pairs are :func:`soft_dominance` and
         :meth:`soft_preference`.
         """
-        sets = self.refs.sets
+        sets, levels = self.refs.sets, list(self._levels())
         pairs = {}
         for lo, hi in combinations(range(len(sets)), 2):
             # rows: the lower level's profiles; columns: the higher level's
             dom = [[dominates(self.criteria, high, low) for high in sets[hi].profiles]
                    for low in sets[lo].profiles]
-            pref = self._preferred(lo, hi, lam)
+            pref = self._preferred(levels[lo], levels[hi], lam)
             pairs[(lo, hi)] = LevelPairFlags(*_flags(dom), *_flags(pref))
         return pairs
 

@@ -49,6 +49,12 @@ class ScoreRange(NamedTuple):
         return self.lower is not None and self.upper is not None
 
 
+# the scan tests by identity; a global is cheaper than an enum attribute
+_ACTION_PREFERRED = SetClassification.ACTION_PREFERRED
+_SET_PREFERRED = SetClassification.SET_PREFERRED
+_INCOMPARABLE = SetClassification.INCOMPARABLE
+
+
 def scan_bounds(
     relations: Sequence[SetClassification], scores: Sequence[float]
 ) -> tuple[tuple[float, int] | None, tuple[float, int] | None]:
@@ -64,15 +70,15 @@ def scan_bounds(
     """
     lower = upper = None
     for k, r in enumerate(relations):
-        if r is SetClassification.ACTION_PREFERRED:
+        if r is _ACTION_PREFERRED:
             lower = scores[k], k
-        elif r is not SetClassification.INCOMPARABLE:
+        elif r is not _INCOMPARABLE:
             break
     for k in reversed(range(len(relations))):
         r = relations[k]
-        if r is SetClassification.SET_PREFERRED:
+        if r is _SET_PREFERRED:
             upper = scores[k], k
-        elif r is not SetClassification.INCOMPARABLE:
+        elif r is not _INCOMPARABLE:
             break
     return lower, upper
 

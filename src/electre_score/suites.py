@@ -93,7 +93,9 @@ def _dominated_variant(
     rng: random.Random, criteria: Sequence[Criterion], vec: Sequence[float]
 ) -> tuple[float, ...]:
     """A vector the input dominates: every advantage nonnegative, one positive."""
-    shifts = [rng.uniform(0.0, 2.0) for _ in criteria]
+    # rng.uniform(0.0, 2.0) written out: the same float, no method call
+    draw = rng.random
+    shifts = [2.0 * draw() for _ in criteria]
     if all(s == 0.0 for s in shifts):  # pragma: no cover - measure zero
         shifts[0] = 1.0
     out = []

@@ -400,6 +400,110 @@ class TestStabilityChecker:
         assert calls == []
 
 
+def _dominance_instances():
+    """Strong- and free-dominance instances whose structure holds both
+    soft-dominance flags."""
+    found = []
+    for strong in (True, False):
+        seed = 0
+        while sum(s == strong for s, _ in found) < 12:
+            seed += 1
+            inst = generate_instance(seed, GeneratorConfig(
+                n_criteria=1 + seed % 4, n_levels=2 + seed % 5,
+                max_profiles_per_level=3, n_actions=5, strong_dominance=strong))
+            if all(soft_dominance(inst.criteria, inst.refs)):
+                found.append((strong, inst))
+    return [inst for _, inst in found]
+
+
+def _end_edits(refs):
+    """Hand-made edits at both ends, some of which break dominance: a set
+    below the bottom and above the top (a copy of the far end's first
+    profile, then of the near end's), a deleted end set, a profile
+    inserted at and deleted from each end level."""
+    sets, top = refs.sets, len(refs.sets) - 1
+    bottom, high = sets[0].profiles[0], sets[-1].profiles[0]
+    edits = [
+        InsertSet(sets[0].score - 1.0, (high,)), InsertSet(sets[0].score - 2.0, (bottom,)),
+        InsertSet(sets[-1].score + 1.0, (bottom,)), InsertSet(sets[-1].score + 2.0, (high,)),
+        InsertProfile(0, high), InsertProfile(0, bottom),
+        InsertProfile(top, bottom), InsertProfile(top, high),
+    ]
+    if top > 1:
+        edits += [DeleteSet(0), DeleteSet(top)]
+    for level in (0, top):
+        edits += [DeleteProfile(level, i) for i in range(len(sets[level].profiles))
+                  if len(sets[level].profiles) > 1]
+    return edits
+
+
+class TestStabilityEditGate:
+    """An edited structure's soft dominance is read from the level pairs
+    the edit touches; it must equal the one rule over the whole edited
+    structure whenever the structure before the edit holds both flags."""
+
+    def test_touched_pairs_equal_the_full_rule(self):
+        kept = broken = 0
+        for i, inst in enumerate(_dominance_instances()):
+            refs = inst.refs
+            for edit in make_edits(inst, random.Random(i), count=8) + _end_edits(refs):
+                new_refs = apply_edit(refs, edit)
+                full = all(soft_dominance(inst.criteria, new_refs))
+                at = props._edited_level(refs, edit)
+                assert props._keeps_dominance(inst.criteria, new_refs, edit, at) == full, edit
+                kept, broken = kept + full, broken + (not full)
+        assert kept > 300 and broken > 100
+
+    def test_deleted_set_joins_its_neighbours(self):
+        # on finite values dominance is transitive, so the pair a deletion
+        # makes holds whenever the two it replaces did; a NaN compares as
+        # equal in ``dominates`` and breaks the chain: the middle level
+        # dominates the bottom and the top dominates the middle, but the
+        # top does not dominate the bottom
+        from electre_score.model import Criterion, Direction, ThresholdSpec
+
+        crit = tuple(Criterion(f"g{j}", Direction.MAX, 1.0, ThresholdSpec(1.0),
+                               ThresholdSpec(2.0)) for j in (1, 2))
+        refs = ReferenceStructure((
+            ReferenceSet(10.0, ((5.0, 0.0),)),
+            ReferenceSet(20.0, ((float("nan"), 1.0),)),
+            ReferenceSet(30.0, ((0.0, 2.0),)),
+        ))
+        assert all(soft_dominance(crit, refs))
+        edit = DeleteSet(1)
+        new_refs = apply_edit(refs, edit)
+        assert not all(soft_dominance(crit, new_refs))
+        assert not props._keeps_dominance(crit, new_refs, edit, props._edited_level(refs, edit))
+        report = check_stability(Trial(crit, refs, 0.75, {"a": (1.0, 1.0)}), [edit])
+        assert (report.trials, report.skipped, report.hypothesis_met) == (0, 1, True)
+
+    def test_report_equals_the_full_rule(self, monkeypatch):
+        # a scan one level off makes failures, which list the kept edits
+        # in order; the gate read from the full rule gives the same report
+        real = props.scan_bounds
+
+        def corrupted(relations, scores):
+            lower, upper = real(relations, scores)
+            if upper is not None and upper[1] + 1 < len(scores):
+                upper = scores[upper[1] + 1], upper[1] + 1
+            return lower, upper
+
+        def full_rule(criteria, new_refs, edit, at):
+            return all(soft_dominance(criteria, new_refs))
+
+        monkeypatch.setattr(props, "scan_bounds", corrupted)
+        reports = []
+        for i, inst in enumerate(_dominance_instances()):
+            edits = make_edits(inst, random.Random(i), count=8) + _end_edits(inst.refs)
+            trial = Trial(inst.criteria, inst.refs, 0.75, inst.table.rows)
+            reports.append(check_stability(trial, edits))
+            with monkeypatch.context() as m:
+                m.setattr(props, "_keeps_dominance", full_rule)
+                assert check_stability(trial, edits) == reports[-1]
+        assert all(r.skipped for r in reports)
+        assert sum(bool(r.failures) for r in reports) > len(reports) // 2
+
+
 def _negative_threshold_chain(levels):
     # q = 1 - 0.1 w and p = 2 - 0.1 w at the worse value w of a pair: a
     # pair whose worse value exceeds 10 raises NegativeThresholdError, so

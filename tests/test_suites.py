@@ -184,3 +184,61 @@ def test_checked_kernel_calls_are_pinned(monkeypatch, names, calls):
     monkeypatch.setattr(suites, "generate_instance", generating)
     assert all(r.passed for r in suites.run_checked_suites(names, 20, 1).values())
     assert seen == {"generate_instance": 20, "sigma_pair": calls}
+
+
+@pytest.mark.parametrize("overrides, sha256", [
+    ({}, "786054f60e066dec405d586c0d0290144de3cba730701b8c41958535204e3eed"),
+    (dict(actions=(3, 8), strong_dominance=False),
+     "484bbd7d5088d7c61a7ed137d9e497d48a025563bd9b6218147fbbacf07abc27"),
+    (dict(actions=(2, 8), veto=False, threshold_mode="constant", strong_dominance=False),
+     "adb96d94a12a2e9e35bc5d8d0fa471bbb2b87d5cc056c45a5be774863d50f246"),
+    (dict(actions=(2, 8), veto=True, threshold_mode="constant", strong_dominance=False),
+     "bc380b8caa990544dafcff07878aeae34c9bc32225f778248ff34dac509c458f"),
+    (dict(actions=(3, 6), salt=0x7A11, threshold_mode="variable", strong_dominance=False),
+     "41f68799bab93bd2421e9c991dda6c3381f7e61e91c88f1e3b5e6c0835fc9a5e"),
+], ids=["checked", "dominance-implications", "sigma-invariants", "sigma-invariants-veto",
+        "variable-thresholds"])
+def test_trial_draws_are_pinned(overrides, sha256):
+    # a passing suite prints only counts, so an instance drawn differently
+    # that still passes would match every golden; each trial's instance and
+    # the draw that follows it are pinned bit for bit instead
+    digest = hashlib.sha256()
+    for trial_seed, rng, inst in suites._trials(30, 1, **overrides):
+        digest.update(f"{trial_seed} {inst!r} {rng.random()!r}\n".encode())
+    assert digest.hexdigest() == sha256
+
+
+def test_dominated_variants_are_pinned():
+    digest = hashlib.sha256()
+    for _, rng, inst in suites._trials(30, 1, actions=(3, 8), strong_dominance=False):
+        for vec in inst.table.rows.values():
+            digest.update(repr(suites._dominated_variant(rng, inst.criteria, vec)).encode())
+        digest.update(repr(rng.random()).encode())
+    assert digest.hexdigest() == (
+        "07716c1d4d020f2b8642c8aee386cba257002a43e3bd0ea08d0f1c9f06233daf"
+    )
+
+
+def test_checked_pass_calls_are_pinned(monkeypatch):
+    # the 100-trial seed-1 joint pass: an edited structure's soft dominance
+    # reads only the level pairs the edit touches (6,223 dominates and 457
+    # soft_dominance calls when every edited structure was read whole),
+    # while every pair and every bound scan the checkers ran is still run
+    seen = Counter()
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            seen[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(refsets, "dominates")
+    counting(refsets, "sigma_pair")
+    counting(properties, "soft_dominance")
+    counting(properties, "scan_bounds")
+    assert all(r.passed for r in suites.run_checked_suites(list(CHECKED), 100, 1).values())
+    assert seen == {"dominates": 2891, "soft_dominance": 100,
+                    "sigma_pair": 10256, "scan_bounds": 6323}
