@@ -576,9 +576,8 @@ def _after_insert_set(edit, at, relations, rows, x, r, t, added):
         lower = edit.score
     if cls is _SP and (x[t - 1] if t >= 1 else -math.inf) < edit.score < x[t]:
         upper = edit.score
-    # the edited relations fold the new set apart from the prediction
     out = list(relations)
-    out.insert(at, classify_relations(added))
+    out.insert(at, cls)
     return lower, upper, out
 
 

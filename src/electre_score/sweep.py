@@ -50,6 +50,11 @@ def sweep_lambda(
     demands indifference-or-incomparability unless ``dont_care_blanks``
     relaxes it to no constraint, and then its credibilities cut no band;
     any other mark raises KeyError.
+
+    Per constrained pair the sweep keeps only its two credibilities, in
+    two lists in target order. The miss runs go straight into one
+    difference array, and the closest band is judged as the single
+    level ``ends[best]``.
     """
     profiles = {name: vec for name, _, _, vec in refs.flat_profiles()}
     unknown = [
@@ -60,32 +65,35 @@ def sweep_lambda(
         raise KeyError(f"target refers to unknown pairs: {unknown[:5]}")
 
     # a blank under dont_care_blanks constrains nothing, so its
-    # credibilities cut no band either
-    constrained = {
-        key: mark for key, mark in target.items() if mark or not dont_care_blanks
-    }
+    # credibilities cut no band either; each pass walks the target in order
+    def constrained():
+        return (
+            (key, mark) for key, mark in target.items()
+            if mark or not dont_care_blanks
+        )
+
     kernel = compile_criteria(criteria)
-    # (profile, action) -> (sigma(action, profile), sigma(profile, action))
-    sigma = {
-        (pname, action): sigma_pair(kernel, table.rows[action], profiles[pname])
-        for (pname, action) in constrained
-    }
-    ends = band_ends(v for pair in sigma.values() for v in pair)
+    saps, spas = [], []  # sigma(action, profile), sigma(profile, action)
+    for (pname, action), _ in constrained():
+        sap, spa = sigma_pair(kernel, table.rows[action], profiles[pname])
+        saps.append(sap)
+        spas.append(spa)
+    ends = band_ends(itertools.chain(saps, spas))
     lowers = [0.5, *ends[:-1]]
     n = len(ends)
-    # constrained pair -> the runs of bands on which its mark fails
-    misses: dict[tuple[str, str], tuple[range, range]] = {}
-    for key, mark in constrained.items():
-        sap, spa = sigma[key]
+    # every pair's mark fails on at most two runs of bands
+    diff = [0] * (n + 1)
+    for (_, mark), sap, spa in zip(constrained(), saps, spas):
         a = preferred_bands(ends, sap, spa)
         b = preferred_bands(ends, spa, sap)
-        misses[key] = {
-            "a": (range(a.start), range(a.stop, n)),
-            "b": (range(b.start), range(b.stop, n)),
-            "": (a, b),
-        }[mark]
-    diff = [0] * (n + 1)
-    for runs in misses.values():
+        if mark == "a":
+            runs = (range(a.start), range(a.stop, n))
+        elif mark == "b":
+            runs = (range(b.start), range(b.stop, n))
+        elif mark == "":
+            runs = (a, b)
+        else:
+            raise KeyError(mark)
         for run in runs:
             diff[run.start] += 1
             diff[run.stop] -= 1
@@ -101,11 +109,16 @@ def sweep_lambda(
             intervals.append(LambdaInterval(lower, upper))
 
     best = counts.index(min(counts))
+    level = ends[best:best + 1]
+    mismatches = []
+    for (key, mark), sap, spa in zip(constrained(), saps, spas):
+        a = bool(preferred_bands(level, sap, spa))
+        b = bool(preferred_bands(level, spa, sap))
+        if (a, b) != (mark == "a", mark == "b"):
+            mismatches.append(key)
     return SweepResult(
         intervals=tuple(intervals),
         breakpoints=tuple(ends),
-        mismatches_best=tuple(
-            key for key, runs in misses.items() if any(best in run for run in runs)
-        ),
+        mismatches_best=tuple(mismatches),
         best_band=LambdaInterval(lowers[best], ends[best]),
     )

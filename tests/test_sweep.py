@@ -1,5 +1,11 @@
+import gc
+import tracemalloc
+
 import pytest
 
+from electre_score import sweep
+from electre_score.cli import EXIT_VERIFY, main
+from electre_score.credibility import sigma_pair
 from electre_score.properties import GeneratorConfig, generate_instance
 from electre_score.sweep import sweep_lambda
 
@@ -150,3 +156,47 @@ class TestAgainstOracleBands:
                 for (pname, action), mark in target.items()
             )
             assert mismatch
+
+
+class TestOneKernelCallPerPair:
+    @pytest.mark.parametrize("flags", [[], ["--dont-care-blanks"]],
+                             ids=["strict", "blanks"])
+    def test_hotel(self, hotel, data_dir, monkeypatch, tmp_path, flags):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sigma_pair(*args)
+
+        monkeypatch.setattr(sweep, "sigma_pair", counted)
+        assert main([
+            "sweep-lambda", str(data_dir / "hotel_model.json"),
+            str(data_dir / "hotel_target_relations.csv"),
+            "--performances", str(data_dir / "hotel_performances.csv"),
+            "--output", str(tmp_path / "s.json"), *flags,
+        ]) == EXIT_VERIFY
+        marks = hotel["target"].values()
+        assert len(calls) == sum(1 for m in marks if m or not flags)
+
+
+class TestMemory:
+    # a copy of the target, a 2-tuple of sigmas and two miss runs held per
+    # pair cost about 450 bytes each; two floats in two lists, under 90
+    PER_PAIR = 200
+
+    def test_peak_per_constrained_pair_is_bounded(self):
+        inst = generate_instance(1, GeneratorConfig(
+            n_criteria=4, n_levels=10, max_profiles_per_level=5, n_actions=80,
+            strong_dominance=False))
+        target = _computed_target(inst, 0.7)
+        assert len(target) >= 2000
+        sweep_lambda(inst.table, inst.refs, inst.criteria, target)  # first-call caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sweep_lambda(inst.table, inst.refs, inst.criteria, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / len(target) < self.PER_PAIR
