@@ -127,7 +127,7 @@ def _require_valid_model(model: LoadedModel, table) -> ValidationReport:
 
 
 def cmd_evaluate(args) -> int:
-    from .refsets import is_comparable
+    from .refsets import SetClassification, is_comparable
     from .scoring import BasicAssumptionsViolatedError, score_ranges
 
     model, table = _load_inputs(args)
@@ -149,6 +149,7 @@ def cmd_evaluate(args) -> int:
         print("warning: scoring despite basic-assumption violations", file=sys.stderr)
 
     level_labels = [f"B{k + 1}" for k in range(len(model.refs.sets))]
+    text = {rel: rel.value for rel in SetClassification}
     comparability = {
         rng.action: is_comparable(relations)
         for rng, relations in zip(result.ranges, result.relations)
@@ -156,18 +157,16 @@ def cmd_evaluate(args) -> int:
     # one record at a time, each made as the writer reaches it
     actions_out = (
         {
-            "action": rng.action,
-            "lower": rng.lower,
-            "upper": rng.upper,
-            "lower_level": None if rng.lower_level is None else rng.lower_level + 1,
-            "upper_level": None if rng.upper_level is None else rng.upper_level + 1,
-            "range": f"]{rng.lower:.6f}, {rng.upper:.6f}[" if rng.defined else None,
-            "reason": rng.reason,
-            "classifications": {
-                label: rel.value for label, rel in zip(level_labels, relations)
-            },
+            "action": action,
+            "lower": lower,
+            "upper": upper,
+            "lower_level": None if lo is None else lo + 1,
+            "upper_level": None if hi is None else hi + 1,
+            "range": None if lower is None or upper is None else f"]{lower:.6f}, {upper:.6f}[",
+            "reason": reason,
+            "classifications": dict(zip(level_labels, map(text.__getitem__, relations))),
         }
-        for rng, relations in zip(result.ranges, result.relations)
+        for (action, lower, upper, lo, hi, reason), relations in zip(result.ranges, result.relations)
     )
 
     report = {

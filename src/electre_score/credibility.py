@@ -59,9 +59,10 @@ def _compile_spec(spec: ThresholdSpec, is_max: bool) -> tuple[int, float, float]
 class CompiledCriteria(NamedTuple):
     """Criteria flattened to plain tuples for :func:`sigma_pair`.
 
-    Each row is ``(name, is_max, weight, q, p, v)`` where q, p and v are
-    ``(base, intercept, slope)`` and v is None without a veto. The base,
-    CONSTANT, LOWER or HIGHER, says which value of a pair a threshold reads.
+    Each row is ``(name, is_max, weight, q, p, v, variable)`` where q, p
+    and v are ``(base, intercept, slope)`` and v is None without a veto.
+    The base, CONSTANT, LOWER or HIGHER, says which value of a pair a
+    threshold reads, and ``variable`` whether any of the three reads one.
     """
 
     criteria: tuple[Criterion, ...]
@@ -84,7 +85,8 @@ def compile_criteria(criteria: Sequence[Criterion]) -> CompiledCriteria:
             None if spec is None else _compile_spec(spec, is_max)
             for spec in (crit.indifference, crit.preference, crit.veto)
         )
-        rows.append((crit.name, is_max, crit.weight, q, p, v))
+        variable = any(spec is not None and spec[0] != CONSTANT for spec in (q, p, v))
+        rows.append((crit.name, is_max, crit.weight, q, p, v, variable))
     return CompiledCriteria(criteria, tuple(rows), total)
 
 
@@ -100,25 +102,32 @@ def sigma_pair(
     """``(credibility(a, b), credibility(b, a))`` in one pass over the criteria."""
     num_ab = 0.0
     num_ba = 0.0
-    vetoes = []  # veto criteria that discount a direction or fail their check
-    for (name, is_max, w, qs, ps, vs), x, y in zip(kernel.rows, pa, pb):
+    vetoes = ()  # veto criteria that discount a direction or fail their check
+    for (name, is_max, w, qs, ps, vs, variable), x, y in zip(kernel.rows, pa, pb):
         d = x - y if is_max else y - x
-        lower, higher = (y, x) if y < x else (x, y)
-        # a constant threshold (base 0) is its intercept, with no addition
-        base, q, slope = qs
-        if base:
-            q = q + slope * (lower if base == LOWER else higher)
-        if q < 0:
-            raise _negative(name, q, x, y)
-        base, p, slope = ps
-        if base:
-            p = p + slope * (lower if base == LOWER else higher)
-        if p < 0:
-            raise _negative(name, p, x, y)
-        if q > p:
-            raise InvertedThresholdsError(
-                f"criterion {name}: q={q} > p={p} for pair ({x}, {y})"
-            )
+        if variable:
+            if y < x:
+                lower, higher = y, x
+            else:
+                lower, higher = x, y
+            # a constant threshold (base 0) is its intercept, with no addition
+            base, q, slope = qs
+            if base:
+                q = q + slope * (lower if base == LOWER else higher)
+            base, p, slope = ps
+            if base:
+                p = p + slope * (lower if base == LOWER else higher)
+        else:
+            q, p = qs[1], ps[1]
+        if not 0 <= q <= p:  # one test on the common path; NaN raises nothing
+            if q < 0:
+                raise _negative(name, q, x, y)
+            if p < 0:
+                raise _negative(name, p, x, y)
+            if q > p:
+                raise InvertedThresholdsError(
+                    f"criterion {name}: q={q} > p={p} for pair ({x}, {y})"
+                )
         # p = q leaves the weak zone ]q, p] empty, so p - q > 0 below
         if d > q:
             num_ab += w
@@ -136,7 +145,7 @@ def sigma_pair(
             if base:
                 v = v + slope * (lower if base == LOWER else higher)
             if v <= p or d < -p or d > p:
-                vetoes.append((name, x, y, d, p, v))
+                vetoes += ((name, x, y, d, p, v),)
     c_ab = num_ab / kernel.total_weight
     c_ba = num_ba / kernel.total_weight
     sigma_ab, sigma_ba = c_ab, c_ba
@@ -203,7 +212,7 @@ def dominates(
     strict = False
     for crit, x, y in zip(criteria, pa, pb):
         delta = x - y if crit.direction is Direction.MAX else y - x
-        if delta < 0:
+        if not delta >= 0:  # a NaN coordinate is never at least as good
             return False
         if delta > 0:
             strict = True

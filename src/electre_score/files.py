@@ -329,7 +329,7 @@ def load_performances_csv(path: str | Path, criteria) -> PerformanceTable:
         )
     table_rows: dict[str, tuple[float, ...]] = {}
     for line_no, row in rows:
-        if not row or all(not cell.strip() for cell in row):
+        if not any(map(str.strip, row)):  # a blank row
             continue
         if len(row) != len(names) + 1:
             raise ParseError(
@@ -338,10 +338,17 @@ def load_performances_csv(path: str | Path, criteria) -> PerformanceTable:
         action = row[0].strip()
         if not action:
             raise ParseError(f"{path}:{line_no}: empty action id")
-        values = tuple(
-            _cell_number(cell, f"{path}:{line_no}: column {name!r}")
-            for name, cell in zip(names, row[1:])
-        )
+        cells = row[1:]
+        try:  # float also reads "1_0" and "nan"; a finite sum has finite terms
+            values = tuple(map(float, cells))
+            checked = "_" not in "".join(cells) and math.isfinite(sum(values))
+        except ValueError:
+            checked = False
+        if not checked:  # cell by cell, naming the cell that fails
+            values = tuple(
+                _cell_number(cell, f"{path}:{line_no}: column {name!r}")
+                for name, cell in zip(names, cells)
+            )
         if action in table_rows:
             raise ParseError(f"{path}:{line_no}: duplicate action {action!r}")
         table_rows[action] = values
@@ -370,7 +377,7 @@ def load_target_csv(path: str | Path) -> dict[tuple[str, str], str]:
     target: dict[tuple[str, str], str] = {}
     profiles: set[str] = set()
     for line_no, row in rows:
-        if not row or all(not cell.strip() for cell in row):
+        if not any(map(str.strip, row)):  # a blank row
             continue
         profile = row[0].strip()
         if profile in profiles:
@@ -429,23 +436,26 @@ def _encode(value: Any, pieces: list[str], write, newline: str) -> None:
             pieces.append("{}")
             return
         inner = newline + "  "
-        sep = "{" + inner
+        sep, comma = "{" + inner, "," + inner
         for key, item in value.items():
-            pieces.append(f"{sep}{_quote(key)}: ")
-            _encode(item, pieces, write, inner)
+            if isinstance(item, str):  # the common leaf, written inline
+                pieces.append(f"{sep}{_quote(key)}: {_quote(item)}")
+            else:
+                pieces.append(f"{sep}{_quote(key)}: ")
+                _encode(item, pieces, write, inner)
             if len(pieces) >= CHUNK_PIECES:
                 _flush(pieces, write)
-            sep = "," + inner
+            sep = comma
         pieces.append(newline + "}")
     elif isinstance(value, (list, tuple, Iterator)):
         inner = newline + "  "
-        sep = "[" + inner
+        sep, comma = "[" + inner, "," + inner
         for item in value:
             pieces.append(sep)
             _encode(item, pieces, write, inner)
             if len(pieces) >= CHUNK_PIECES:
                 _flush(pieces, write)
-            sep = "," + inner
+            sep = comma
         pieces.append(newline + "]" if sep[0] == "," else "[]")  # "[]": no item came
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -306,9 +306,13 @@ def validate_model(
     if table is not None:
         for j, crit in enumerate(table.criteria):
             observed = _observed_values(table, refs, j)
-            for g in observed:
-                q = crit.indifference.at(g)
-                p = crit.preference.at(g)
+            (q0, q1, q_mode), (p0, p1, p_mode) = crit.indifference, crit.preference
+            v0, v1, v_mode = crit.veto or crit.preference  # unread without a veto
+            # each distinct value once, and constant thresholds at one only
+            constant = q_mode is p_mode is v_mode is ThresholdMode.CONSTANT
+            for g in observed[:1] if constant else dict.fromkeys(observed):
+                q = q0 + q1 * g  # ThresholdSpec.at, written out
+                p = p0 + p1 * g
                 if q < 0:
                     errors.append(
                         f"criterion {crit.name}: indifference threshold {q} < 0 at g={g}"
@@ -318,7 +322,7 @@ def validate_model(
                         f"criterion {crit.name}: q({g})={q} exceeds p({g})={p}"
                     )
                 if crit.veto is not None:
-                    v = crit.veto.at(g)
+                    v = v0 + v1 * g
                     if not p < v:
                         errors.append(
                             f"criterion {crit.name}: veto v({g})={v} must exceed p({g})={p}"

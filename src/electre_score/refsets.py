@@ -112,14 +112,14 @@ def classify_relations(relations: Iterable[SetClassification]) -> SetClassificat
     if empty:
         raise ValueError("reference set produced no per-profile relations")
     if ap and bp:
-        return SetClassification.INCOMPARABLE
+        return _INCOMPARABLE
     if ap:
-        return SetClassification.ACTION_PREFERRED
+        return _ACTION_PREFERRED
     if bp:
-        return SetClassification.SET_PREFERRED
+        return _SET_PREFERRED
     if ind:
-        return SetClassification.INDIFFERENT
-    return SetClassification.INCOMPARABLE
+        return _INDIFFERENT
+    return _INCOMPARABLE
 
 
 def profile_relations(
@@ -134,8 +134,13 @@ def profile_relations(
     and building one per action and level raises the peak memory of a
     large ``evaluate`` measurably.
     """
-    pairs = (sigma_pair(kernel, action, prof) for prof in profiles)
-    return (derived_relation(sab >= lam, sba >= lam) for sab, sba in pairs)
+    for prof in profiles:
+        sab, sba = sigma_pair(kernel, action, prof)
+        # derived_relation(sab >= lam, sba >= lam), written out
+        if sab >= lam:
+            yield _INDIFFERENT if sba >= lam else _ACTION_PREFERRED
+        else:
+            yield _SET_PREFERRED if sba >= lam else _INCOMPARABLE
 
 
 def _thresholds_hold(kernel: CompiledCriteria, vectors: Sequence[Sequence[float]]) -> bool:
@@ -143,28 +148,25 @@ def _thresholds_hold(kernel: CompiledCriteria, vectors: Sequence[Sequence[float]
 
     A pair's variable thresholds read its lower or its higher value, one
     of the column's values. When a criterion's variable thresholds all
-    read one base, ``0 <= q <= p < v`` at every column value rules out
-    every threshold error. Values must be finite and vectors full, since
-    the certificate takes bounds over them.
+    read one base, ``0 <= q <= p < v`` at every distinct column value
+    rules out every threshold error. Values must be finite and vectors
+    full, since the certificate takes bounds over them.
     """
     n = len(kernel.rows)
     if not math.isfinite(kernel.total_weight) or any(len(x) != n for x in vectors):
         return False
-    for (_, _, _, *specs), column in zip(kernel.rows, zip(*vectors)):
-        specs = [spec for spec in specs if spec is not None]  # q, p and v if any
-        variable = {base for base, _, _ in specs} - {CONSTANT}
-        if len(variable) > 1:
+    for (_, _, _, q, p, v, variable), column in zip(kernel.rows, zip(*vectors)):
+        if not all(map(math.isfinite, column)):
             return False
-        for g in column:
-            if not math.isfinite(g):
-                return False
-        # a constant threshold is its intercept at every value
-        for g in set(column) if variable else column[:1]:
-            # each threshold as the kernel evaluates it at g
-            q, p, *v = [t if base == CONSTANT else t + slope * g for base, t, slope in specs]
-            # written so that a NaN fails every test
-            if not 0 <= q <= p or (v and not p < v[0]):
-                return False
+        if len({spec[0] for spec in (q, p, v) if spec} - {CONSTANT}) > 1:
+            return False
+        # t + slope * g compares as the kernel's t where slope is 0.0, so
+        # a criterion with constant thresholds only is checked at one g;
+        # no veto bounds p by inf, and a NaN fails every test
+        (_, q0, q1), (_, p0, p1), (_, v0, v1) = q, p, v or (CONSTANT, math.inf, 0.0)
+        if not all(0 <= q0 + q1 * g <= p0 + p1 * g < v0 + v1 * g
+                   for g in (set(column) if variable else column[:1])):
+            return False
     return True
 
 
@@ -173,7 +175,7 @@ def _clearing_tests(kernel: CompiledCriteria, level: Sequence[Sequence[float]]) 
     profile of ``level``, and for one losing to every profile; see
     :class:`CertifiedFold`."""
     wins, losses = [], []
-    for (_, is_max, _, _, (base, t, slope), _), column in zip(kernel.rows, zip(*level)):
+    for (_, is_max, _, _, (base, t, slope), _, _), column in zip(kernel.rows, zip(*level)):
         lo, hi = min(column), max(column)
         # p at a profile's value is monotone in it, rounding included, so
         # the largest over the profiles is p at one end of the column
@@ -254,7 +256,7 @@ class CertifiedFold:
         profiles = (b for level in self.levels for b in level)
         if any(any(sides) for sides in tests) and _thresholds_hold(kernel, [*actions, *profiles]):
             self._tests = tests
-            self._p = [p[1:] for _, _, _, _, p, _ in kernel.rows]
+            self._p = [p[1:] for _, _, _, _, p, _, _ in kernel.rows]
 
     def relations(self, action: Sequence[float]) -> tuple[SetClassification, ...]:
         """Relation of one action to every level, bottom to top; a
@@ -290,10 +292,7 @@ def classify_action_vs_levels(
 
 def is_comparable(relations: Sequence[SetClassification]) -> bool:
     """Strictly above the bottom set and strictly below the top set."""
-    return (
-        relations[0] is SetClassification.ACTION_PREFERRED
-        and relations[-1] is SetClassification.SET_PREFERRED
-    )
+    return relations[0] is _ACTION_PREFERRED and relations[-1] is _SET_PREFERRED
 
 
 class LevelPairFlags(NamedTuple):
@@ -338,11 +337,11 @@ def soft_dominance(
     rule, :func:`adjacent_dominance` over each two neighbouring levels.
 
     Only adjacent levels are compared. Dominance is componentwise ``>=``
-    with one strict ``>``, and on finite values the sign of each
-    difference is exact, so dominance is transitive. A chain of adjacent
-    witnesses then gives a witness at any higher (primal) or lower (dual)
-    level, and both flags over adjacent pairs equal the flags over all
-    pairs.
+    with one strict ``>``, the sign of each difference is exact, and a
+    NaN difference is never ``>= 0``, so dominance is transitive. A
+    chain of adjacent witnesses then gives a witness at any higher
+    (primal) or lower (dual) level, and both flags over adjacent pairs
+    equal the flags over all pairs.
     """
     primal = dual = True
     for low, high in zip(refs.sets, refs.sets[1:]):

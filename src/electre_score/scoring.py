@@ -68,19 +68,20 @@ def scan_bounds(
     set-preferred level of the top run of set-preferred or incomparable
     levels. A missing bound is ``None``.
     """
-    lower = upper = None
+    lo = hi = None
     for k, r in enumerate(relations):
         if r is _ACTION_PREFERRED:
-            lower = scores[k], k
+            lo = k
         elif r is not _INCOMPARABLE:
             break
-    for k in reversed(range(len(relations))):
-        r = relations[k]
+    k = len(relations)
+    for r in reversed(relations):
+        k -= 1
         if r is _SET_PREFERRED:
-            upper = scores[k], k
+            hi = k
         elif r is not _INCOMPARABLE:
             break
-    return lower, upper
+    return (None if lo is None else (scores[lo], lo)), (None if hi is None else (scores[hi], hi))
 
 
 class ScoringResult(NamedTuple):
@@ -111,16 +112,11 @@ def _range_findings(
     # (scores of a structure built in code are not checked to increase);
     # violations are reported, never repaired
     findings = []
-    if not scores[lo_idx] < scores[hi_idx]:
-        findings.append(
-            f"{action}: bounds not strictly ordered "
-            f"({scores[lo_idx]} !< {scores[hi_idx]})"
-        )
+    lo, hi = scores[lo_idx], scores[hi_idx]
+    if not lo < hi:
+        findings.append(f"{action}: bounds not strictly ordered ({lo} !< {hi})")
     for k, c in enumerate(relations):
-        if scores[lo_idx] < scores[k] < scores[hi_idx] and c in (
-            SetClassification.ACTION_PREFERRED,
-            SetClassification.SET_PREFERRED,
-        ):
+        if lo < scores[k] < hi and (c is _ACTION_PREFERRED or c is _SET_PREFERRED):
             findings.append(
                 f"{action}: strict preference strictly inside the range "
                 f"(level {k + 1}, {c.value})"
@@ -163,13 +159,15 @@ def score_ranges(
         lower, upper = scan_bounds(relations, scores)
         lo, lo_idx = lower or (None, None)
         hi, hi_idx = upper or (None, None)
-        reason = "; ".join(
-            f"no {side} bound" for side, bound in (("lower", lower), ("upper", upper))
-            if bound is None
-        )
         if lower and upper:
             findings.extend(_range_findings(action, relations, scores, lo_idx, hi_idx))
-        ranges.append(ScoreRange(action, lo, hi, lo_idx, hi_idx, reason or None))
+            reason = None
+        else:
+            reason = "; ".join(
+                f"no {side} bound" for side, bound in (("lower", lower), ("upper", upper))
+                if bound is None
+            )
+        ranges.append(ScoreRange(action, lo, hi, lo_idx, hi_idx, reason))
     fast = all(soft_dominance(criteria, refs))  # reported only; the scan needs no gate
     return ScoringResult(
         tuple(ranges), tuple(findings), fast, tuple(all_relations), tuple(violations)

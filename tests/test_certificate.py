@@ -498,10 +498,20 @@ class TestCertifiedLevelsSkipTheFold:
         model = load_model(inputs.files["model"])
         table = load_performances_csv(inputs.files["performances"], model.criteria)
         assert len(table.rows) * len(model.refs.sets) == 8000
+        kernel_calls = Counter()
+        real = refsets.sigma_pair
+
+        def counting(*args):
+            kernel_calls["calls"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(refsets, "sigma_pair", counting)
         folds = _fold_calls(
             monkeypatch, lambda: score_ranges(table, model.refs, model.criteria, 0.65)
         )
         assert folds == 2579
+        # 190 profile pairs, then one call per profile of an uncertified level
+        assert kernel_calls["calls"] == 7645
 
     @pytest.mark.parametrize("names, folds", [
         (["propositions"], 7157),  # 10,065 when every stored row was folded

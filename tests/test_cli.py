@@ -947,6 +947,30 @@ class TestValidateInvalidModel:
         errors = self._validate(hotel_files, tmp_path, _overflowing_weights, lam, with_perf)
         assert "criterion weights sum to inf, beyond the float range" in errors
 
+    def test_each_value_is_checked_once(self, hotel_files, tmp_path, capsys):
+        # RECRU's constant q = 3 exceeds p = 2 at every value, and ICOST's
+        # q = 250 + 0.03 g exceeds p = 100 + 0.03 g at every value; a1's
+        # values appear twice
+        model, perf, _ = hotel_files
+        raw = json.loads(model.read_text())
+        _q_above_p(raw)
+        raw["criteria"][0]["preference"] = {"intercept": 100.0, "slope": 0.03, "mode": "direct"}
+        model.write_text(json.dumps(raw))
+        with open(perf, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows.append(["a1_copy", *rows[1][1:]])
+        with open(perf, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        code = main(["evaluate", str(model), "--performances", str(perf),
+                     "--lambda", "0.65", "--output", str(tmp_path / "r.json")])
+        assert code == EXIT_VALIDATION
+        messages = capsys.readouterr().err.split("; ")
+        icost = {float(row[1]) for row in rows[1:]}
+        icost.update(vec[0] for level in raw["reference_sets"] for vec in level["profiles"])
+        assert len(icost) < len(rows) - 1 + sum(len(s["profiles"]) for s in raw["reference_sets"])
+        assert sum("ICOST" in m and "exceeds p" in m for m in messages) == len(icost)
+        assert sum("RECRU" in m and "exceeds p" in m for m in messages) == 1
+
     def test_evaluate_rejects_overflowing_weights(self, hotel_files, tmp_path, capsys):
         # an infinite total made every credibility NaN, which read as
         # spurious within-set preferences (b41 > b42, b61 > b62)

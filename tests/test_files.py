@@ -288,3 +288,22 @@ class TestErrorsNamePhysicalLines:
         with pytest.raises(ParseError) as info:
             load_target_csv(path)
         assert str(info.value) == f"{path}:5: cell must be 'a', 'b' or empty, got 'c'"
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("1_000", "not a number: '1_000'"),
+    ("nan", "non-finite number 'nan'"),
+    ("inf", "non-finite number 'inf'"),
+    ("1e999", "non-finite number '1e999'"),
+    ("x", "not a number: 'x'"),
+    ("", "not a number: ''"),
+])
+def test_performance_cell_errors_name_the_cell(tmp_path, cell, message):
+    # a row that float() reads whole, or fails on, is checked cell by cell
+    # before it is refused, so the error names the line and the column
+    path = tmp_path / "perf.csv"
+    path.write_text(PERF_HEADER + f"a1,1,1,1,1,1\na2,1,1,1,1,1\na3,1,1,1,1,{cell}\n",
+                    encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load_performances_csv(path, HOTEL_CRITERIA)
+    assert str(info.value) == f"{path}:4: column 'ACCES': {message}"

@@ -1,9 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
 
-from electre_score.credibility import compile_criteria
+from electre_score.credibility import compile_criteria, dominates
 from electre_score.properties import GeneratorConfig, apply_edit, generate_instance, make_edits
 from electre_score.refsets import (
     ProfileTable,
@@ -276,6 +277,31 @@ class TestSoftDominance:
     def test_hotel_fails_both_ways(self, hotel):
         # the level-3 profile has IMAGE 1, below both level-2 profiles
         assert soft_dominance(hotel["criteria"], hotel["refs"]) == (False, False)
+
+    def test_nan_coordinate_breaks_no_chain(self):
+        # a NaN difference is never at least as good, so the NaN middle
+        # level dominates nothing and nothing dominates it; read as a tie,
+        # it made both adjacent pairs hold although the top does not
+        # dominate the bottom
+        from electre_score.model import (
+            Criterion,
+            Direction,
+            ReferenceSet,
+            ReferenceStructure,
+            ThresholdSpec,
+        )
+
+        crit = tuple(Criterion(f"g{j}", Direction.MAX, 1.0, ThresholdSpec(1.0),
+                               ThresholdSpec(2.0)) for j in (1, 2))
+        bottom, middle, top = (5.0, 0.0), (math.nan, 1.0), (0.0, 2.0)
+        refs = ReferenceStructure(tuple(
+            ReferenceSet(10.0 * k, (vec,)) for k, vec in enumerate((bottom, middle, top), 1)
+        ))
+        assert not dominates(crit, middle, bottom) and not dominates(crit, top, middle)
+        assert not dominates(crit, top, bottom)
+        assert soft_dominance(crit, refs) == (False, False)
+        sep = ProfileTable(compile_criteria(crit), refs).separability(0.75)
+        assert all_pairs(sep, "soft_dominance") == (False, False)
 
 
 class TestSoftPreference:

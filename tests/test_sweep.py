@@ -43,7 +43,7 @@ class TestSelfConsistency:
         assert result.feasible
         assert any(iv.lower < 0.75 <= iv.upper for iv in result.intervals)
 
-    def test_interval_endpoints_are_breakpoints(self, hotel):
+    def test_interval_endpoints_are_breakpoints(self):
         inst = generate_instance(3, GeneratorConfig(
             n_criteria=3, n_levels=3, max_profiles_per_level=2, n_actions=4,
             strong_dominance=False))
@@ -57,10 +57,8 @@ class TestSelfConsistency:
 
 class TestImpossibleTargets:
     def test_demanding_preference_below_half(self, hotel):
-        # both credibilities under 0.5 can never yield a strict preference
-        target = dict(hotel["target"])
-        # a4 vs b42: both credibilities equal 0.5
-        target[("b42", "a4")] = "a"
+        # a4 vs b42: both credibilities equal 0.5, below every cutting
+        # level in ]0.5, 1], so a4 is never strictly preferred to b42
         result = sweep_lambda(hotel["table"], hotel["refs"], hotel["criteria"],
                               {("b42", "a4"): "a"})
         assert not result.feasible
