@@ -215,7 +215,7 @@ def cmd_validate(args) -> int:
         [violations] = profiles.basic_assumption_violations([lam])
         report["basic_assumptions"] = {"lambda": lam, "violations": violations}
         invalid = bool(violations)
-        report["separability"] = _separability_json(model, profiles, lam)
+        report["separability"] = _separability_json(profiles, lam)
         if table is not None:
             comparability = check_comparability(table, model.refs, model.criteria, lam)
             report["comparability"] = comparability
@@ -230,7 +230,7 @@ def cmd_validate(args) -> int:
                 [0.5, *ends], ends, profiles.basic_assumption_violations(ends)
             )
         ]
-        report["separability"] = _separability_json(model, profiles, 1.0)
+        report["separability"] = _separability_json(profiles, 1.0)
 
     _write_report(args.output, report)
     if invalid:
@@ -240,22 +240,17 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _separability_json(model, profiles: ProfileTable, lam: float) -> dict:
-    from .refsets import soft_dominance
-
-    pairs = [
+def _separability_json(profiles: ProfileTable, lam: float) -> dict:
+    pairs = profiles.separability(lam)
+    report: dict = {"pairs": [
         {"lower_level": lo + 1, "higher_level": hi + 1, **flags._asdict()}
-        for (lo, hi), flags in profiles.separability(lam).items()
-    ]
-    dominance = soft_dominance(model.criteria, model.refs)
-    preference = profiles.soft_preference(lam)
-    return {
-        "pairs": pairs,
-        "all_soft_dominance_primal": dominance[0],
-        "all_soft_dominance_dual": dominance[1],
-        "all_soft_preference_primal": preference[0],
-        "all_soft_preference_dual": preference[1],
-    }
+        for (lo, hi), flags in pairs.items()
+    ]}
+    # a soft hypothesis over all pairs holds where it holds for every pair
+    for key in ("soft_dominance_primal", "soft_dominance_dual",
+                "soft_preference_primal", "soft_preference_dual"):
+        report["all_" + key] = all(getattr(flags, key) for flags in pairs.values())
+    return report
 
 
 def cmd_sigma(args) -> int:

@@ -469,19 +469,15 @@ def _flush(pieces: list[str], write, final: bool = False) -> None:
         del pieces[:CHUNK_PIECES]
 
 
-def write_report(report: dict, write: Callable[[list[str]], Any] | None = None) -> str | None:
-    """The report as deterministic JSON: streamed to ``write``, or, with
-    no ``write``, returned as one text.
+def write_report(report: dict, write: Callable[[list[str]], Any]) -> None:
+    """Stream the report to ``write`` as deterministic JSON.
 
     ``write`` receives the text in order as chunks, each a new list of
-    at most ``CHUNK_PIECES`` strings, so a streamed report is never held
-    whole. An encoding error (a non-finite float, a value that is not
-    JSON) raises partway, after the chunks before it were written.
+    at most ``CHUNK_PIECES`` strings, so the report is never held whole.
+    An encoding error (a non-finite float, a value that is not JSON)
+    raises partway, after the chunks before it were written.
     """
-    text: list[str] = []
     pieces: list[str] = []
-    sink = text.extend if write is None else write
-    _encode(report, pieces, sink, "\n")
+    _encode(report, pieces, write, "\n")
     pieces.append("\n")
-    _flush(pieces, sink, final=True)
-    return "".join(text) if write is None else None
+    _flush(pieces, write, final=True)

@@ -5,7 +5,8 @@ threads and across repeated evaluations, and cheap to define and build.
 Structural checks that need the whole model (threshold ordering over the
 observed performance range, score ordering, profile arity) live in
 :func:`validate_model`, which reports violations instead of raising so a
-caller can show all problems at once.
+caller can show all problems at once. Its threshold rule,
+:func:`threshold_faults`, is also the certified fold's guard.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 
 class AllZeroWeightsError(ValueError):
@@ -240,106 +241,94 @@ class ValidationReport(NamedTuple):
         return not self.errors
 
 
-def _observed_values(
-    table: PerformanceTable | None, refs: ReferenceStructure | None, j: int
-) -> list[float]:
-    # tolerant of short profiles: their arity is reported separately,
-    # threshold checks just use what is present
-    values: list[float] = []
-    if table is not None:
-        values.extend(row[j] for row in table.rows.values())
-    if refs is not None:
-        for ref in refs.sets:
-            values.extend(vec[j] for vec in ref.profiles if j < len(vec))
-    return values
+def threshold_faults(crit: Criterion, values: Sequence[float]) -> Iterator[str]:
+    """One message per failure of ``0 <= q <= p < v`` at each distinct value
+    of ``values``, or at the first only when every threshold is constant;
+    v is inf without a veto, so p must be finite. A NaN threshold fails a
+    test, so nothing is yielded exactly when the rule holds at every value."""
+    (q0, q1, q_mode), (p0, p1, p_mode) = crit.indifference, crit.preference
+    v0, v1, v_mode = crit.veto or (math.inf, 0.0, ThresholdMode.CONSTANT)
+    constant = q_mode is p_mode is v_mode is ThresholdMode.CONSTANT
+    for g in values[:1] if constant else dict.fromkeys(values):
+        q = q0 + q1 * g  # ThresholdSpec.at, written out
+        p = p0 + p1 * g
+        v = v0 + v1 * g
+        if q < 0:
+            yield f"criterion {crit.name}: indifference threshold {q} < 0 at g={g}"
+        if not q <= p:
+            yield f"criterion {crit.name}: q({g})={q} exceeds p({g})={p}"
+        if not p < v:
+            yield (
+                f"criterion {crit.name}: veto v({g})={v} must exceed p({g})={p}"
+                if crit.veto else
+                f"criterion {crit.name}: preference threshold p({g})={p} is not finite"
+            )
 
 
 def validate_model(
-    table: PerformanceTable | None,
-    refs: ReferenceStructure | None,
+    table: PerformanceTable,
+    refs: ReferenceStructure,
 ) -> ValidationReport:
-    """Check every structural invariant of the supplied model pieces.
+    """Check every structural invariant of a model's table and reference sets.
 
     Returns a report listing all violations; an empty report means the
-    model is well formed. Either argument may be omitted to validate the
-    pieces separately.
+    model is well formed.
     """
     errors: list[str] = []
     warnings: list[str] = []
 
-    if table is not None:
-        names = [c.name for c in table.criteria]
-        if len(set(names)) != len(names):
-            errors.append("criterion names are not unique")
-        if not any(c.weight > 0 for c in table.criteria):
-            errors.append("no criterion has positive weight")
-        total = 0.0
-        for crit in table.criteria:
-            # in criterion order, as the credibility kernel adds them
-            total += crit.weight
-        if not math.isfinite(total):
-            errors.append(f"criterion weights sum to {total}, beyond the float range")
+    names = [c.name for c in table.criteria]
+    if len(set(names)) != len(names):
+        errors.append("criterion names are not unique")
+    if not any(c.weight > 0 for c in table.criteria):
+        errors.append("no criterion has positive weight")
+    total = 0.0
+    for crit in table.criteria:
+        # in criterion order, as the credibility kernel adds them
+        total += crit.weight
+    if not math.isfinite(total):
+        errors.append(f"criterion weights sum to {total}, beyond the float range")
 
-    if refs is not None:
-        scores = refs.scores
-        for lo, hi in zip(scores, scores[1:]):
-            if not lo < hi:
-                errors.append(
-                    f"reference scores not strictly increasing: {lo} !< {hi}"
-                )
-        if table is not None:
-            width = len(table.criteria)
-            for name, k, p, vec in refs.flat_profiles():
-                if len(vec) != width:
-                    errors.append(
-                        f"profile {name}: expected {width} values, got {len(vec)}"
-                    )
-            flat_names = [n for n, _, _, _ in refs.flat_profiles()]
-            if len(set(flat_names)) != len(flat_names):
-                errors.append("profile names are not unique")
-            overlap = set(flat_names) & set(table.actions)
-            if overlap:
-                errors.append(
-                    f"identifiers used both as action and profile: {sorted(overlap)}"
-                )
+    scores = refs.scores
+    for lo, hi in zip(scores, scores[1:]):
+        if not lo < hi:
+            errors.append(
+                f"reference scores not strictly increasing: {lo} !< {hi}"
+            )
+    width = len(table.criteria)
+    for name, k, p, vec in refs.flat_profiles():
+        if len(vec) != width:
+            errors.append(
+                f"profile {name}: expected {width} values, got {len(vec)}"
+            )
+    flat_names = [n for n, _, _, _ in refs.flat_profiles()]
+    if len(set(flat_names)) != len(flat_names):
+        errors.append("profile names are not unique")
+    overlap = set(flat_names) & set(table.actions)
+    if overlap:
+        errors.append(
+            f"identifiers used both as action and profile: {sorted(overlap)}"
+        )
 
-    if table is not None:
-        for j, crit in enumerate(table.criteria):
-            observed = _observed_values(table, refs, j)
-            (q0, q1, q_mode), (p0, p1, p_mode) = crit.indifference, crit.preference
-            v0, v1, v_mode = crit.veto or crit.preference  # unread without a veto
-            # each distinct value once, and constant thresholds at one only
-            constant = q_mode is p_mode is v_mode is ThresholdMode.CONSTANT
-            for g in observed[:1] if constant else dict.fromkeys(observed):
-                q = q0 + q1 * g  # ThresholdSpec.at, written out
-                p = p0 + p1 * g
-                if q < 0:
-                    errors.append(
-                        f"criterion {crit.name}: indifference threshold {q} < 0 at g={g}"
+    for j, crit in enumerate(table.criteria):
+        # short profiles are reported above; the thresholds use what is present
+        observed = [row[j] for row in table.rows.values()]
+        for ref in refs.sets:
+            observed.extend(vec[j] for vec in ref.profiles if j < len(vec))
+        errors.extend(threshold_faults(crit, observed))
+        if crit.ordinal:
+            for label, spec in (
+                ("indifference", crit.indifference),
+                ("preference", crit.preference),
+                ("veto", crit.veto),
+            ):
+                if spec is None:
+                    continue
+                variable = spec.mode is not ThresholdMode.CONSTANT
+                if variable or not float(spec.intercept).is_integer():
+                    warnings.append(
+                        f"criterion {crit.name}: ordinal scale with non-integer "
+                        f"or variable {label} threshold"
                     )
-                if not q <= p:
-                    errors.append(
-                        f"criterion {crit.name}: q({g})={q} exceeds p({g})={p}"
-                    )
-                if crit.veto is not None:
-                    v = v0 + v1 * g
-                    if not p < v:
-                        errors.append(
-                            f"criterion {crit.name}: veto v({g})={v} must exceed p({g})={p}"
-                        )
-            if crit.ordinal:
-                for label, spec in (
-                    ("indifference", crit.indifference),
-                    ("preference", crit.preference),
-                    ("veto", crit.veto),
-                ):
-                    if spec is None:
-                        continue
-                    variable = spec.mode is not ThresholdMode.CONSTANT
-                    if variable or not float(spec.intercept).is_integer():
-                        warnings.append(
-                            f"criterion {crit.name}: ordinal scale with non-integer "
-                            f"or variable {label} threshold"
-                        )
 
     return ValidationReport(tuple(errors), tuple(warnings))

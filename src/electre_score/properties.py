@@ -35,8 +35,8 @@ from .refsets import (
     CertifiedFold,
     ProfileTable,
     SetClassification,
-    adjacent_dominance,
     classify_relations,
+    dominance_flags,
     profile_relations,
     soft_dominance,
 )
@@ -408,8 +408,10 @@ def check_conformity(trial: Trial) -> PropertyReport:
     )
 
 
+# the checkers test by identity; a global is cheaper than an enum attribute
+_AP, _SP = SetClassification.ACTION_PREFERRED, SetClassification.SET_PREFERRED
 # the classifications under which the action outranks the set (a S B)
-_OUTRANKS_SET = (SetClassification.ACTION_PREFERRED, SetClassification.INDIFFERENT)
+_OUTRANKS_SET = (_AP, SetClassification.INDIFFERENT)
 
 
 def _flag_checks_for_action(
@@ -424,9 +426,9 @@ def _flag_checks_for_action(
     for k in range(n):
         if primal and relations[k] in _OUTRANKS_SET:
             for h in range(k):
-                if relations[h] is SetClassification.SET_PREFERRED:
+                if relations[h] is _SP:
                     bad.append(f"{name}: outranks level {k+1} but level {h+1} preferred to it")
-        if primal and relations[k] is SetClassification.SET_PREFERRED:
+        if primal and relations[k] is _SP:
             for h in range(k + 1, n):
                 if relations[h] in _OUTRANKS_SET:
                     bad.append(f"{name}: level {k+1} preferred yet outranks level {h+1}")
@@ -435,9 +437,9 @@ def _flag_checks_for_action(
                 for h in range(k):
                     if relations[h] not in _OUTRANKS_SET:
                         bad.append(f"{name}: outranks level {k+1} but not level {h+1}")
-            if relations[k] is SetClassification.SET_PREFERRED:
+            if relations[k] is _SP:
                 for h in range(k + 1, n):
-                    if relations[h] is not SetClassification.SET_PREFERRED:
+                    if relations[h] is not _SP:
                         bad.append(f"{name}: level {k+1} preferred but level {h+1} not")
     return bad
 
@@ -482,20 +484,20 @@ def check_propositions(trial: Trial) -> PropertyReport:
             continue
         lo_idx, hi_idx = lo[1], hi[1]
         # under both flags the bounds are the highest AP and the lowest SP level
-        ap = [k for k, r in enumerate(relations) if r is SetClassification.ACTION_PREFERRED]
-        sp = [k for k, r in enumerate(relations) if r is SetClassification.SET_PREFERRED]
+        ap = [k for k, r in enumerate(relations) if r is _AP]
+        sp = [k for k, r in enumerate(relations) if r is _SP]
         if (ap[-1], sp[0]) != (lo_idx, hi_idx):
             fail(f"{name}: fast path diverges", f"{(lo, hi)}",
                  f"{((scores[ap[-1]], ap[-1]), (scores[sp[0]], sp[0]))}")
         for k, r in enumerate(relations):
-            if k <= lo_idx and r is not SetClassification.ACTION_PREFERRED:
+            if k <= lo_idx and r is not _AP:
                 fail(f"{name}: level {k+1} at/below lower bound", "action preferred",
                      r.value)
-            if k >= hi_idx and r is not SetClassification.SET_PREFERRED:
+            if k >= hi_idx and r is not _SP:
                 fail(f"{name}: level {k+1} at/above upper bound", "set preferred",
                      r.value)
             inside = lo_idx < k < hi_idx
-            strict = r in (SetClassification.ACTION_PREFERRED, SetClassification.SET_PREFERRED)
+            strict = r in (_AP, _SP)
             if inside and strict:
                 fail(f"{name}: level {k+1} inside range", "no strict preference",
                      r.value)
@@ -514,7 +516,7 @@ def check_propositions(trial: Trial) -> PropertyReport:
                              "outranks", relations[h].value)
             if preference_primal:
                 for h in range(k + 1, len(scores)):
-                    if relations[h] is not SetClassification.SET_PREFERRED:
+                    if relations[h] is not _SP:
                         fail(f"profile L{k}P{p}: level {h+1} must be preferred to it",
                              "set preferred", relations[h].value)
 
@@ -554,7 +556,7 @@ def _keeps_dominance(
     sets = new_refs.sets
     pairs = ((at - 1, at),) if isinstance(edit, DeleteSet) else ((at - 1, at), (at, at + 1))
     return all(
-        all(adjacent_dominance(criteria, sets[lo], sets[hi]))
+        all(dominance_flags(criteria, sets[lo], sets[hi])[1:])
         for lo, hi in pairs if lo >= 0 and hi < len(sets)
     )
 
@@ -565,8 +567,6 @@ def _keeps_dominance(
 # profile before the edit, the scores ``x``, its bound levels ``r`` and
 # ``t``, and ``added``, its relation to the inserted profiles. ``at`` is
 # the level the edit touches; only that level is classified again.
-
-_AP, _SP = SetClassification.ACTION_PREFERRED, SetClassification.SET_PREFERRED
 
 
 def _after_insert_set(edit, at, relations, rows, x, r, t, added):

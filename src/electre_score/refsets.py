@@ -30,7 +30,8 @@ Each separability hypothesis has one rule: soft dominance comes from
 :func:`soft_dominance`, which compares adjacent levels and computes no
 credibility, and soft preference from :meth:`ProfileTable.soft_preference`,
 which compares every pair of levels. :meth:`ProfileTable.separability`
-gives the flags per level pair, for the validator's report only. The
+gives the flags per level pair; the validator reads each hypothesis off
+them, as holding where it holds for every pair. The
 public functions validate the cutting level once and compile the
 criteria themselves.
 """
@@ -58,6 +59,7 @@ from .model import (
     ReferenceSet,
     ReferenceStructure,
     check_cutting_level,
+    threshold_faults,
 )
 
 
@@ -148,24 +150,19 @@ def _thresholds_hold(kernel: CompiledCriteria, vectors: Sequence[Sequence[float]
 
     A pair's variable thresholds read its lower or its higher value, one
     of the column's values. When a criterion's variable thresholds all
-    read one base, ``0 <= q <= p < v`` at every distinct column value
-    rules out every threshold error. Values must be finite and vectors
-    full, since the certificate takes bounds over them.
+    read one base, no :func:`~.model.threshold_faults` at any column
+    value rules out every threshold error. Values must be finite and
+    vectors full, since the certificate takes bounds over them.
     """
     n = len(kernel.rows)
     if not math.isfinite(kernel.total_weight) or any(len(x) != n for x in vectors):
         return False
-    for (_, _, _, q, p, v, variable), column in zip(kernel.rows, zip(*vectors)):
+    for crit, (_, _, _, q, p, v, _), column in zip(kernel.criteria, kernel.rows, zip(*vectors)):
         if not all(map(math.isfinite, column)):
             return False
         if len({spec[0] for spec in (q, p, v) if spec} - {CONSTANT}) > 1:
             return False
-        # t + slope * g compares as the kernel's t where slope is 0.0, so
-        # a criterion with constant thresholds only is checked at one g;
-        # no veto bounds p by inf, and a NaN fails every test
-        (_, q0, q1), (_, p0, p1), (_, v0, v1) = q, p, v or (CONSTANT, math.inf, 0.0)
-        if not all(0 <= q0 + q1 * g <= p0 + p1 * g < v0 + v1 * g
-                   for g in (set(column) if variable else column[:1])):
+        if any(threshold_faults(crit, column)):
             return False
     return True
 
@@ -249,6 +246,11 @@ class CertifiedFold:
                   for side in _clearing_tests(kernel, level))
             for level in self.levels
         ]
+        # per level its two certified rows, every profile taking the class
+        self._certified = [
+            [(cls, (cls,) * len(level)) for cls in (_ACTION_PREFERRED, _SET_PREFERRED)]
+            for level in self.levels
+        ]
         # per level the tests for winning and for losing, each None where
         # nothing is certified, and p's (intercept, slope) per criterion
         self._tests = [(None, None)] * len(self.levels)
@@ -269,11 +271,11 @@ class CertifiedFold:
         to its profiles, to be read once."""
         kernel, lam = self.kernel, self.lam
         p_action = [t + slope * x for (t, slope), x in zip(self._p, action)]
-        for level, (better, worse) in zip(self.levels, self._tests):
+        for level, (better, worse), (won, lost) in zip(self.levels, self._tests, self._certified):
             if better and _clears(better, action, p_action):
-                yield _ACTION_PREFERRED, (_ACTION_PREFERRED,) * len(level)
+                yield won
             elif worse and _clears(worse, action, p_action):
-                yield _SET_PREFERRED, (_SET_PREFERRED,) * len(level)
+                yield lost
             else:
                 yield None, profile_relations(kernel, action, level, lam)
 
@@ -312,18 +314,18 @@ def _flags(matrix: Sequence[Sequence[bool]]) -> tuple[bool, bool, bool]:
     return (all(map(all, matrix)), all(map(any, matrix)), all(map(any, zip(*matrix))))
 
 
-def adjacent_dominance(
+def dominance_flags(
     criteria: Sequence[Criterion], low: ReferenceSet, high: ReferenceSet
-) -> tuple[bool, bool]:
-    """(primal, dual) soft dominance of level ``high`` over level ``low``.
+) -> tuple[bool, bool, bool]:
+    """(strong, primal, dual) dominance of level ``high`` over level ``low``.
 
+    Strong: each profile of ``high`` dominates each profile of ``low``.
     Primal: each profile of ``low`` is dominated by some profile of
     ``high``. Dual: each profile of ``high`` dominates some profile of
     ``low``. It needs no credibility, so no threshold is evaluated.
     """
     dom = [[dominates(criteria, up, down) for up in high.profiles] for down in low.profiles]
-    _, primal, dual = _flags(dom)
-    return primal, dual
+    return _flags(dom)
 
 
 def soft_dominance(
@@ -334,7 +336,7 @@ def soft_dominance(
     Primal: each profile of a lower level is dominated by some profile of
     every higher level. Dual: each profile of a higher level dominates
     some profile of every lower level. This is the one soft-dominance
-    rule, :func:`adjacent_dominance` over each two neighbouring levels.
+    rule, :func:`dominance_flags` over each two neighbouring levels.
 
     Only adjacent levels are compared. Dominance is componentwise ``>=``
     with one strict ``>``, the sign of each difference is exact, and a
@@ -345,7 +347,7 @@ def soft_dominance(
     """
     primal = dual = True
     for low, high in zip(refs.sets, refs.sets[1:]):
-        p, d = adjacent_dominance(criteria, low, high)
+        _, p, d = dominance_flags(criteria, low, high)
         primal, dual = primal and p, dual and d
     return primal, dual
 
@@ -457,17 +459,15 @@ class ProfileTable:
         """Dominance and preference flags at ``lam`` per level pair.
 
         Keyed by (lower, higher) 0-based level indices, in sorted order.
-        The hypotheses over all pairs are :func:`soft_dominance` and
-        :meth:`soft_preference`.
+        A soft flag holds for every pair exactly where :func:`soft_dominance`
+        or :meth:`soft_preference` gives it over all pairs.
         """
         sets, levels = self.refs.sets, list(self._levels())
         pairs = {}
         for lo, hi in combinations(range(len(sets)), 2):
-            # rows: the lower level's profiles; columns: the higher level's
-            dom = [[dominates(self.criteria, high, low) for high in sets[hi].profiles]
-                   for low in sets[lo].profiles]
-            pref = self._preferred(levels[lo], levels[hi], lam)
-            pairs[(lo, hi)] = LevelPairFlags(*_flags(dom), *_flags(pref))
+            dom = dominance_flags(self.criteria, sets[lo], sets[hi])
+            pref = _flags(self._preferred(levels[lo], levels[hi], lam))
+            pairs[(lo, hi)] = LevelPairFlags(*dom, *pref)
         return pairs
 
 

@@ -11,7 +11,7 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from electre_score import properties, refsets, suites
@@ -29,6 +29,7 @@ from electre_score.model import (
     ReferenceStructure,
     ThresholdMode,
     ThresholdSpec,
+    validate_model,
 )
 from electre_score.properties import GeneratorConfig, generate_instance
 from electre_score.refsets import CertifiedFold, check_comparability
@@ -521,3 +522,75 @@ class TestCertifiedLevelsSkipTheFold:
     def test_checked_suites_fold_count_is_pinned(self, monkeypatch, names, folds):
         # a trial's relations take a certified level's class as it is
         assert _fold_calls(monkeypatch, lambda: suites.run_checked_suites(names, 100, 1)) == folds
+
+
+# finite values, some large enough that a slope near 1e300 overflows;
+# none negative, where a large slope would make p negative at once
+_WIDE_VALUE = (
+    st.integers(0, 40).map(lambda i: i / 10) | st.sampled_from([1e9, 1e200])
+    | st.floats(0.0, 1e12)
+)
+
+
+@st.composite
+def _single_base_model(draw):
+    """A model whose criteria each read one base with their variable
+    thresholds, with finite values, positive weights and unique names."""
+    n = draw(st.integers(1, 3))
+    criteria = []
+    for j in range(n):
+        mode = draw(st.sampled_from([_D, _I]))
+
+        def spec(intercept):
+            if draw(st.booleans()):
+                return ThresholdSpec(intercept)
+            # mostly a small slope; sometimes one that overflows
+            wild = draw(st.integers(0, 3)) == 0
+            slope = draw(st.floats(-1e300, 1e300) | st.floats(1e290, 1e300) if wild
+                         else st.sampled_from([0.0, 0.01]))
+            return ThresholdSpec(intercept, slope, mode)
+
+        q = draw(st.sampled_from([0.0, 0.5, 1.0]))
+        p = q + draw(st.sampled_from([0.5, 2.0, 0.0, -0.5]))
+        veto = spec(p + draw(st.sampled_from([1.0, 5.0, 0.0]))) if draw(st.booleans()) else None
+        criteria.append(Criterion(
+            f"g{j + 1}", draw(st.sampled_from(list(Direction))),
+            draw(st.sampled_from([0.5, 1.0, 2.0])), spec(q), spec(p), veto,
+        ))
+    vector = st.tuples(*[_WIDE_VALUE] * n)
+    levels = draw(st.lists(st.lists(vector, min_size=1, max_size=2), min_size=2, max_size=3))
+    refs = ReferenceStructure(tuple(
+        ReferenceSet(10.0 * k, tuple(level)) for k, level in enumerate(levels)
+    ))
+    actions = draw(st.lists(vector, min_size=1, max_size=3))
+    table = PerformanceTable.from_rows(criteria, {f"a{i + 1}": a for i, a in enumerate(actions)})
+    return criteria, table, refs
+
+
+def _infinite_p_model():
+    """p = 1 + 1e200 * g overflows at every value of g1, which has no veto."""
+    criteria = [
+        Criterion("g1", Direction.MAX, 1.0, ThresholdSpec(0.5), ThresholdSpec(1.0, 1e200, _D)),
+        Criterion("g2", Direction.MAX, 1.0, ThresholdSpec(1.0), ThresholdSpec(2.0)),
+    ]
+    refs = ReferenceStructure((
+        ReferenceSet(0.0, ((1e200, 0.0),)), ReferenceSet(100.0, ((3e200, 100.0),)),
+    ))
+    return criteria, PerformanceTable.from_rows(criteria, {"a1": (2e200, 50.0)}), refs
+
+
+class TestGatesAgree:
+    """The validator and the certificate's guard read one threshold rule:
+    on a model each of whose criteria reads one base, with finite values,
+    the validator reports an error exactly when the guard refuses."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_single_base_model())
+    @example(_infinite_p_model())
+    def test_validator_errs_exactly_when_the_guard_refuses(self, model):
+        criteria, table, refs = model
+        vectors = [*table.rows.values(), *(b for ref in refs.sets for b in ref.profiles)]
+        report = validate_model(table, refs)
+        assert report.ok == refsets._thresholds_hold(compile_criteria(criteria), vectors), (
+            report.errors
+        )

@@ -880,8 +880,10 @@ class TestNonFiniteInput:
     def test_report_writer_refuses_nan(self):
         from electre_score.files import write_report
 
+        chunks = []
         with pytest.raises(ValueError):
-            write_report({"value": float("nan")})
+            write_report({"value": float("nan")}, chunks.append)
+        assert chunks == []
 
 
 def _zero_weights(raw):
@@ -1034,6 +1036,60 @@ class TestThresholdFailsAtPair:
         assert proc.returncode == EXIT_VALIDATION, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr == "error: criterion g2: q=3.5 > p=3.0 for pair (0.0, 7.0)\n"
+
+
+class TestInfinitePreferenceThreshold:
+    """g1's p = 1 + 1e200 * g overflows to inf at every value, and g1 has
+    no veto: the kernel would give NaN credibilities, so every command
+    that reads the model refuses it with exit 3."""
+
+    ERRORS = [
+        f"criterion g1: preference threshold p({g})=inf is not finite"
+        for g in ("2e+200", "1e+200", "3e+200")
+    ]
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "criteria": [
+                {"name": "g1", "direction": "max", "weight": 1,
+                 "indifference": {"intercept": 0.5},
+                 "preference": {"intercept": 1, "slope": 1e200, "mode": "direct"}},
+                {"name": "g2", "direction": "max", "weight": 1,
+                 "indifference": {"intercept": 1}, "preference": {"intercept": 2}},
+            ],
+            "reference_sets": [
+                {"score": 0, "profiles": [[1e200, 0]]},
+                {"score": 100, "profiles": [[3e200, 100]]},
+            ],
+        }))
+        perf = tmp_path / "perf.csv"
+        perf.write_text("action,g1,g2\na1,2e200,50\n")
+        return model, perf
+
+    @pytest.mark.parametrize("command", [["sigma"], ["evaluate", "--lambda", "0.75"]],
+                             ids=lambda c: c[0])
+    def test_command_exits_3(self, files, tmp_path, capsys, command):
+        model, perf = files
+        out = tmp_path / "out"
+        code = main([command[0], str(model), "--performances", str(perf),
+                     "--output", str(out), *command[1:]])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: model validation failed: " + "; ".join(self.ERRORS) + "\n"
+        )
+        assert not out.exists()
+
+    def test_validate_reports_the_error(self, files, tmp_path):
+        model, perf = files
+        out = tmp_path / "report.json"
+        code = main(["validate", str(model), "--performances", str(perf),
+                     "--lambda", "0.75", "--output", str(out)])
+        assert code == EXIT_VALIDATION
+        report = json.loads(out.read_text())
+        assert report["model_errors"] == self.ERRORS
+        assert "separability" not in report
 
 
 class TestCredibilityTie:

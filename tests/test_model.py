@@ -22,6 +22,13 @@ def _const_criterion(name="g", weight=1.0, q=1.0, p=2.0):
     )
 
 
+# a valid reference structure for one criterion, for the threshold checks
+TWO_SETS = ReferenceStructure((
+    ReferenceSet(0.0, ((0.0,),)),
+    ReferenceSet(1.0, ((5.0,),)),
+))
+
+
 class TestThresholdSpec:
     def test_constant_requires_zero_slope(self):
         with pytest.raises(ValueError):
@@ -70,7 +77,7 @@ class TestValidateModel:
     def test_inverted_thresholds_detected(self):
         crit = (Criterion("g", Direction.MAX, 1.0, ThresholdSpec(3.0), ThresholdSpec(1.0)),)
         table = PerformanceTable.from_rows(crit, {"a": (0.0,)})
-        report = validate_model(table, None)
+        report = validate_model(table, TWO_SETS)
         assert any("exceeds" in e for e in report.errors)
 
     def test_veto_must_exceed_preference(self):
@@ -79,7 +86,7 @@ class TestValidateModel:
                       veto=ThresholdSpec(2.0)),
         )
         table = PerformanceTable.from_rows(crit, {"a": (0.0,)})
-        report = validate_model(table, None)
+        report = validate_model(table, TWO_SETS)
         assert any("veto" in e for e in report.errors)
 
     def test_ordinal_noninteger_threshold_flagged_as_warning(self):
@@ -88,9 +95,29 @@ class TestValidateModel:
                       ordinal=True),
         )
         table = PerformanceTable.from_rows(crit, {"a": (3.0,)})
-        report = validate_model(table, None)
+        report = validate_model(table, TWO_SETS)
         assert report.ok
         assert any("ordinal" in w for w in report.warnings)
+
+    def test_infinite_preference_threshold_is_an_error(self):
+        # p = 1 + 1e200 * g overflows to inf at every value of g1; without
+        # a veto p must be finite, or the kernel's credibilities are NaN
+        crit = (
+            Criterion("g1", Direction.MAX, 1.0, ThresholdSpec(0.5),
+                      ThresholdSpec(1.0, 1e200, ThresholdMode.DIRECT)),
+            _const_criterion("g2", q=1.0, p=2.0),
+        )
+        refs = ReferenceStructure((
+            ReferenceSet(0.0, ((1e200, 0.0),)),
+            ReferenceSet(100.0, ((3e200, 100.0),)),
+        ))
+        table = PerformanceTable.from_rows(crit, {"a1": (2e200, 50.0)})
+        report = validate_model(table, refs)
+        assert report.errors == (
+            "criterion g1: preference threshold p(2e+200)=inf is not finite",
+            "criterion g1: preference threshold p(1e+200)=inf is not finite",
+            "criterion g1: preference threshold p(3e+200)=inf is not finite",
+        )
 
     def test_duplicate_action_profile_ids(self):
         crit = (_const_criterion(),)
