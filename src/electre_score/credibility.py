@@ -5,7 +5,9 @@ pseudo-criterion thresholds, a weighted concordance index, optional veto
 discordance, and the classical discount of concordance by criteria whose
 discordance exceeds it. The discordance band is ``d = 1`` strictly below
 the veto margin. Minimized criteria need no data preprocessing. The
-relations read from these numbers live in :mod:`.refsets`.
+relations read from these numbers live in :mod:`.refsets`;
+:func:`preferred_bands` makes its crisp cut at every band end, and is
+kept here so that the sweep loads no :mod:`.refsets`.
 """
 
 from __future__ import annotations
@@ -190,19 +192,19 @@ def band_ends(sigmas: Iterable[float]) -> list[float]:
     return sorted({s for s in sigmas if 0.5 < s <= 1.0} | {1.0})
 
 
-def preferred_bands(ends: Sequence[float], sab: float, sba: float) -> range:
-    """Indices of the bands of ``ends`` on which a is strictly preferred to b.
+def preferred_bands(ends: Sequence[float], sab: float, sba: float) -> tuple[range, range]:
+    """Runs of the bands of ``ends`` on which a P b and on which b P a.
 
     Band i of the sorted cutting levels ``ends`` is judged at its right
-    endpoint, and ``sigma >= ends[i]`` holds exactly for i below
-    ``bisect_right(ends, sigma)``. So the run is where
-    ``refsets.derived_relation(sab >= u, sba >= u)`` is ACTION_PREFERRED,
-    found by comparisons alone; ``ends=[lam]`` judges the single level
-    lam. An empty run starts at its stop, so ``range(start)`` and
+    endpoint u, so each run is where ``refsets.derived_relation(sab, sba, u)``
+    is ACTION_PREFERRED, and where it is SET_PREFERRED. ``sigma >= ends[i]``
+    holds exactly for i below ``bisect_right(ends, sigma)``, so one
+    bisection per credibility finds both; ``ends=[lam]`` judges the single
+    level lam. An empty run starts at its stop, so ``range(start)`` and
     ``range(stop, len(ends))`` are its complement.
     """
-    stop = bisect_right(ends, sab)
-    return range(min(bisect_right(ends, sba), stop), stop)
+    a, b = bisect_right(ends, sab), bisect_right(ends, sba)
+    return range(min(a, b), a), range(min(a, b), b)
 
 
 def dominates(

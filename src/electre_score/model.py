@@ -199,12 +199,6 @@ class DeckOfCards(NamedTuple):
     def levels(self) -> int:
         return len(self.blank_cards) + 1
 
-    def unit(self) -> float:
-        """Value of one unit: the anchor span divided by the total unit count."""
-        low, high = self.anchors
-        # exact operands, so one correctly rounded division gives the unit
-        return (high - low) / sum(e + 1 for e in self.blank_cards)
-
 
 def deck_of_cards_scores(deck: DeckOfCards) -> list[float]:
     """Scores for all levels: cumulative blank-card units between the anchors.

@@ -3,10 +3,11 @@ structural checks on a reference collection: basic assumptions,
 dominance/preference separability, and comparability.
 
 :class:`SetClassification` is the one four-valued relation, a P b,
-b P a, a I b or a R b, whether b is one profile (:func:`derived_relation`)
-or a whole set (:func:`classify_relations`, which folds the relations to
-the set's profiles). The first vector plays the action, or a profile
-scored as one. The six set relations are read from it:
+b P a, a I b or a R b, whether b is one profile (:func:`derived_relation`,
+the one crisp cut: a S b exactly where σ(a, b) ≥ λ) or a whole set
+(:func:`classify_relations`, which folds the relations to the set's
+profiles). The first vector plays the action, or a profile scored as
+one. The six set relations are read from it:
 
 ==================  ==========================
 classification      set relations that hold
@@ -77,15 +78,13 @@ _INDIFFERENT = SetClassification.INDIFFERENT
 _INCOMPARABLE = SetClassification.INCOMPARABLE
 
 
-def derived_relation(sab: bool, sba: bool) -> SetClassification:
-    """Combine the two crisp outranking directions of a pair into its relation."""
-    if sab and not sba:
-        return _ACTION_PREFERRED
-    if sba and not sab:
-        return _SET_PREFERRED
-    if sab and sba:
-        return _INDIFFERENT
-    return _INCOMPARABLE
+def derived_relation(sab: float, sba: float, lam: float) -> SetClassification:
+    """The one crisp cut: a pair's relation at cutting level ``lam``, where
+    a S b exactly when ``sab`` = σ(a, b) >= lam, and b S a when ``sba`` >= lam.
+    :func:`~.credibility.preferred_bands` makes the same cut at band ends."""
+    if sab >= lam:
+        return _INDIFFERENT if sba >= lam else _ACTION_PREFERRED
+    return _SET_PREFERRED if sba >= lam else _INCOMPARABLE
 
 
 def classify_relations(relations: Iterable[SetClassification]) -> SetClassification:
@@ -138,11 +137,7 @@ def profile_relations(
     """
     for prof in profiles:
         sab, sba = sigma_pair(kernel, action, prof)
-        # derived_relation(sab >= lam, sba >= lam), written out
-        if sab >= lam:
-            yield _INDIFFERENT if sba >= lam else _ACTION_PREFERRED
-        else:
-            yield _SET_PREFERRED if sba >= lam else _INCOMPARABLE
+        yield derived_relation(sab, sba, lam)
 
 
 def _thresholds_hold(kernel: CompiledCriteria, vectors: Sequence[Sequence[float]]) -> bool:
@@ -380,8 +375,8 @@ class ProfileTable:
             for lo in range(len(sizes)) for hi in range(lo + 1, len(sizes))
             for p in range(sizes[lo]) for q in range(sizes[hi])
         ]
-        # the diagonal stays None: no check compares a profile with itself
-        self._sigma: list[list[float | None]] = [[None] * len(vectors) for _ in vectors]
+        # the diagonal is the kernel's exact sigma of a vector over itself
+        self._sigma = [[1.0] * len(vectors) for _ in vectors]
         for i, j in self._within + self._across:
             self._sigma[i][j], self._sigma[j][i] = sigma_pair(kernel, vectors[i], vectors[j])
 
@@ -399,16 +394,13 @@ class ProfileTable:
         i = self._start[k] + p
         out, back = self._sigma[i], [row[i] for row in self._sigma]
         return tuple(
-            classify_relations(
-                _INDIFFERENT if j == i else derived_relation(out[j] >= lam, back[j] >= lam)
-                for j in level
-            )
+            classify_relations(derived_relation(out[j], back[j], lam) for j in level)
             for level in self._levels()
         )
 
     def breakpoints(self) -> list[float]:
-        """Band ends cut by the credibilities between distinct profiles."""
-        return band_ends(s for row in self._sigma for s in row if s is not None)
+        """Band ends cut by the credibilities between profiles."""
+        return band_ends(s for row in self._sigma for s in row)
 
     def basic_assumption_violations(self, ends: Sequence[float]) -> list[list[str]]:
         """One message list per band of the sorted cutting levels ``ends``.
@@ -423,15 +415,16 @@ class ProfileTable:
         names = [name for level in self.refs.profile_names() for name in level]
         sigma = self._sigma
         for i, j in self._within:
-            for a, b in ((i, j), (j, i)):
-                message = f"within-set preference: {names[a]} > {names[b]}"
-                for band in preferred_bands(ends, sigma[a][b], sigma[b][a]):
+            messages = (f"within-set preference: {names[i]} > {names[j]}",
+                        f"within-set preference: {names[j]} > {names[i]}")
+            for run, message in zip(preferred_bands(ends, sigma[i][j], sigma[j][i]), messages):
+                for band in run:
                     bands[band].append(message)
         for i, j in self._across:
             message = (
                 f"lower-set profile preferred to higher-set profile: {names[i]} > {names[j]}"
             )
-            for band in preferred_bands(ends, sigma[i][j], sigma[j][i]):
+            for band in preferred_bands(ends, sigma[i][j], sigma[j][i])[0]:
                 bands[band].append(message)
         return bands
 
@@ -440,7 +433,8 @@ class ProfileTable:
         strictly preferred to each profile of the lower level ``lo`` (rows),
         both given as their rows of the table."""
         sigma = self._sigma
-        return [[sigma[j][i] >= lam and not sigma[i][j] >= lam for j in hi] for i in lo]
+        return [[derived_relation(sigma[i][j], sigma[j][i], lam) is _SET_PREFERRED for j in hi]
+                for i in lo]
 
     def soft_preference(self, lam: float) -> tuple[bool, bool]:
         """(primal, dual) soft preference over every pair of levels.

@@ -84,8 +84,7 @@ def sweep_lambda(
     # every pair's mark fails on at most two runs of bands
     diff = [0] * (n + 1)
     for (_, mark), sap, spa in zip(constrained(), saps, spas):
-        a = preferred_bands(ends, sap, spa)
-        b = preferred_bands(ends, spa, sap)
+        a, b = preferred_bands(ends, sap, spa)
         if mark == "a":
             runs = (range(a.start), range(a.stop, n))
         elif mark == "b":
@@ -112,9 +111,8 @@ def sweep_lambda(
     level = ends[best:best + 1]
     mismatches = []
     for (key, mark), sap, spa in zip(constrained(), saps, spas):
-        a = bool(preferred_bands(level, sap, spa))
-        b = bool(preferred_bands(level, spa, sap))
-        if (a, b) != (mark == "a", mark == "b"):
+        a, b = preferred_bands(level, sap, spa)
+        if (bool(a), bool(b)) != (mark == "a", mark == "b"):
             mismatches.append(key)
     return SweepResult(
         intervals=tuple(intervals),

@@ -122,8 +122,9 @@ def test_criterion_2_score_ranges(hotel_sweep, hotel, data_dir, tmp_path):
 
 @_criterion("3 deck-of-cards unit and scores")
 def test_criterion_3_deck_of_cards(hotel, hotel_deck):
-    assert hotel_deck.unit() == pytest.approx(100.0 / 12.0, abs=1e-6)
     computed = deck_of_cards_scores(hotel_deck)
+    # no blank card between levels 3 and 4: that step is one unit of 12
+    assert computed[3] - computed[2] == pytest.approx(100.0 / 12.0, abs=1e-6)
     formula = [0.0, 16.6667, 41.6667, 50.0, 66.6667, 75.0, 100.0]
     assert computed == pytest.approx(formula, abs=1e-4)
     # the bundled elicited list is not formula-consistent with its own

@@ -34,10 +34,9 @@ class TestPreferredBands:
     def test_matches_derived_relation(self, others, sab, sba, own, lam, single):
         # the band ends may or may not hold the pair's own credibilities
         ends = [lam] if single else band_ends(others + ([sab, sba] if own else []))
-        ab = preferred_bands(ends, sab, sba)
-        ba = preferred_bands(ends, sba, sab)
+        ab, ba = preferred_bands(ends, sab, sba)
         for i, u in enumerate(ends):
-            relation = derived_relation(sab >= u, sba >= u)
+            relation = derived_relation(sab, sba, u)
             assert (i in ab) == (relation is SetClassification.ACTION_PREFERRED)
             assert (i in ba) == (relation is SetClassification.SET_PREFERRED)
         for run in (ab, ba):

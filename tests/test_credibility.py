@@ -198,20 +198,21 @@ class TestCrispAndDerived:
     def test_boundary_inclusive(self):
         # the crisp cut is sigma >= lam: judged at the single level lam,
         # a credibility equal to lam outranks
-        assert preferred_bands([1.0], 1.0, 0.5) == range(0, 1)
-        assert preferred_bands([0.75], 0.75, 0.5) == range(0, 1)
-        assert preferred_bands([0.7], 1.0, 7 / 18) == range(0, 1)
-        assert not preferred_bands([0.7], 7 / 18, 0.0)
+        assert preferred_bands([1.0], 1.0, 0.5)[0] == range(0, 1)
+        assert preferred_bands([0.75], 0.75, 0.5)[0] == range(0, 1)
+        assert preferred_bands([0.7], 1.0, 7 / 18)[0] == range(0, 1)
+        assert not preferred_bands([0.7], 7 / 18, 0.0)[0]
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
             check_cutting_level(0.5)
 
     def test_four_cases(self):
-        assert derived_relation(True, False) is SetClassification.ACTION_PREFERRED
-        assert derived_relation(False, True) is SetClassification.SET_PREFERRED
-        assert derived_relation(True, True) is SetClassification.INDIFFERENT
-        assert derived_relation(False, False) is SetClassification.INCOMPARABLE
+        # a credibility equal to the cutting level outranks
+        assert derived_relation(0.7, 0.6, 0.7) is SetClassification.ACTION_PREFERRED
+        assert derived_relation(0.6, 0.7, 0.7) is SetClassification.SET_PREFERRED
+        assert derived_relation(0.7, 1.0, 0.7) is SetClassification.INDIFFERENT
+        assert derived_relation(0.6, 0.5, 0.7) is SetClassification.INCOMPARABLE
 
     def test_hotel_pairs_at_070(self, hotel, hotel_vectors):
         kernel = compile_criteria(hotel["criteria"])
@@ -221,7 +222,7 @@ class TestCrispAndDerived:
 
         def relation(a, b, lam):
             sab, sba = sigma(a, b)
-            return derived_relation(sab >= lam, sba >= lam)
+            return derived_relation(sab, sba, lam)
 
         assert relation("a1", "b31", 0.7) is SetClassification.ACTION_PREFERRED
         assert relation("a1", "a1", 0.7) is SetClassification.INDIFFERENT
@@ -353,7 +354,7 @@ class TestRangeInvariants:
         st.floats(min_value=0.5, max_value=1.0, exclude_min=True),
     )
     def test_derived_relation_partition(self, sab, sba, lam):
-        rel = derived_relation(sab >= lam, sba >= lam)
+        rel = derived_relation(sab, sba, lam)
         assert rel in SetClassification
 
 

@@ -18,6 +18,7 @@ from electre_score.refsets import (
     validate_basic_assumptions,
 )
 
+import band_reference
 from criterion_reference import credibility
 from oracle import HOTEL_ORACLE_CRITERIA, classify_oracle
 
@@ -85,8 +86,8 @@ class TestClassifyRelations:
     def test_one_relation_type(self, relation):
         # derived_relation gives each member, and a one-profile set has its
         # profile's relation
-        directions = [(sab, sba) for sab in (True, False) for sba in (True, False)]
-        assert relation in [derived_relation(*d) for d in directions]
+        directions = [(sab, sba) for sab in (0.6, 0.8) for sba in (0.6, 0.8)]
+        assert relation in [derived_relation(*d, 0.7) for d in directions]
         assert classify_relations([relation]) is relation
 
 
@@ -118,8 +119,9 @@ class TestClassifyActionVsSet:
 class TestProfileLevels:
     @pytest.mark.parametrize("seed", range(6))
     def test_table_row_matches_profile_scored_as_action(self, seed):
-        # the table reads a profile's own cell as indifferent, which is
-        # what the kernel gives for a vector against itself
+        # the table holds sigma = 1.0 on its diagonal, which is what the
+        # kernel gives for a vector against itself; each band end is a
+        # stored credibility, so sigma == lam holds exactly for some pair
         rng = random.Random(seed)
         inst = generate_instance(seed, GeneratorConfig(
             n_criteria=rng.randint(1, 5), n_levels=rng.randint(2, 5),
@@ -129,10 +131,11 @@ class TestProfileLevels:
         ))
         lam = rng.choice((0.55, 0.7, 0.9, 1.0))
         table = ProfileTable(compile_criteria(inst.criteria), inst.refs)
-        for k, ref in enumerate(inst.refs.sets):
-            for p, vec in enumerate(ref.profiles):
-                assert list(table.profile_levels(k, p, lam)) == classify_action_vs_levels(
-                    vec, inst.refs, inst.criteria, lam)
+        for u in [lam, *table.breakpoints()]:
+            for k, ref in enumerate(inst.refs.sets):
+                for p, vec in enumerate(ref.profiles):
+                    assert list(table.profile_levels(k, p, u)) == classify_action_vs_levels(
+                        vec, inst.refs, inst.criteria, u), (u, k, p)
 
 
 class TestBasicAssumptions:
@@ -220,6 +223,32 @@ class TestSeparability:
         assert not flags.strong_dominance
         assert not flags.soft_dominance_primal
         assert not flags.soft_dominance_dual
+
+    def test_preference_flags_at_every_band_end(self):
+        # each band end is a stored credibility, so the cut meets a tie there
+        seen = set()
+        for seed in range(8):
+            inst = generate_instance(seed, GeneratorConfig(
+                n_criteria=3, n_levels=4, max_profiles_per_level=3, n_actions=0,
+                strong_dominance=False, veto=seed % 2 == 1,
+                threshold_mode=("constant", "variable")[seed // 2 % 2],
+            ))
+            crit, sets = inst.criteria, inst.refs.sets
+            table = ProfileTable(compile_criteria(crit), inst.refs)
+            for u in table.breakpoints():
+                for (lo, hi), flags in table.separability(u).items():
+                    # the higher level's profile (column) preferred to the lower's (row)
+                    pref = [[band_reference.mark(credibility(crit, up, down),
+                                                 credibility(crit, down, up), u) == "a"
+                             for up in sets[hi].profiles] for down in sets[lo].profiles]
+                    expected = (all(map(all, pref)), all(map(any, pref)),
+                                all(map(any, zip(*pref))))
+                    got = (flags.strong_preference, flags.soft_preference_primal,
+                           flags.soft_preference_dual)
+                    assert got == expected, (seed, u, lo, hi)
+                    seen.update(enumerate(got))
+        # every flag is seen both held and failed
+        assert len(seen) == 6, seen
 
     def test_strong_implies_soft(self):
         for seed in range(6):
@@ -387,8 +416,8 @@ class TestSetRelationImplications:
             levels = classify_action_vs_levels(vec, inst.refs, crit, lam)
             for ref, rel in zip(inst.refs.sets, levels):
                 relations = [
-                    derived_relation(credibility(crit, vec, prof) >= lam,
-                                     credibility(crit, prof, vec) >= lam)
+                    derived_relation(credibility(crit, vec, prof),
+                                     credibility(crit, prof, vec), lam)
                     for prof in ref.profiles
                 ]
                 assert SIX[rel] == set_relations(relations)

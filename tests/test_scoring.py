@@ -34,8 +34,10 @@ def bounds(vec, refs, crit, lam):
 
 class TestDeckOfCards:
     def test_unit_value(self, hotel_deck):
-        # 12 units between the anchors: (1+1)+(2+1)+(0+1)+(1+1)+(0+1)+(2+1)
-        assert hotel_deck.unit() == pytest.approx(100.0 / 12.0, abs=1e-6)
+        # 12 units between the anchors: (1+1)+(2+1)+(0+1)+(1+1)+(0+1)+(2+1);
+        # no blank card between levels 3 and 4 makes that step one unit
+        scores = deck_of_cards_scores(hotel_deck)
+        assert scores[3] - scores[2] == pytest.approx(100.0 / 12.0, abs=1e-6)
 
     def test_cumulative_scores(self, hotel_deck):
         scores = deck_of_cards_scores(hotel_deck)
