@@ -32,7 +32,6 @@ from .model import (
     checked,
 )
 from .refsets import (
-    CertifiedFold,
     ProfileTable,
     SetClassification,
     classify_relations,
@@ -313,10 +312,11 @@ class Trial:
     Each derived value is built on its first read and kept: the compiled
     kernel, the :class:`~.refsets.ProfileTable`, soft dominance, soft
     preference at ``lam``, every profile's relation to every level, and
-    every action's relation to every profile (through a
-    :class:`~.refsets.CertifiedFold`) and to every level. Checkers that
-    read one trial compute each pair once between them, and a checker
-    that reads no credibility computes none.
+    every action's relation to every profile, one kernel call each, and
+    to every level. No level is certified: on a trial's few actions the
+    certificate's set-up costs more than the kernel calls it saves.
+    Checkers that read one trial compute each pair once between them, and
+    a checker that reads no credibility computes none.
     """
 
     def __init__(
@@ -357,20 +357,17 @@ class Trial:
         )
 
     @cached_property
-    def rows(self) -> dict[str, tuple[tuple, ...]]:
-        """Per action and level, bottom to top, the level's certified class
-        or None, and the action's relation to every profile of the level."""
-        levels = (ref.profiles for ref in self.refs.sets)
-        fold = CertifiedFold(self.kernel, levels, self.actions.values(), self.lam)
-        return {name: tuple((cls, tuple(row)) for cls, row in fold.rows(vec))
+    def rows(self) -> dict[str, tuple[tuple[SetClassification, ...], ...]]:
+        """Per action and level, bottom to top, the action's relation to
+        every profile of the level."""
+        kernel, lam, levels = self.kernel, self.lam, [ref.profiles for ref in self.refs.sets]
+        return {name: tuple(tuple(profile_relations(kernel, vec, level, lam)) for level in levels)
                 for name, vec in self.actions.items()}
 
     @cached_property
     def relations(self) -> dict[str, tuple[SetClassification, ...]]:
-        """Per action, its relation to every level, bottom to top; a
-        certified level's class goes through without a fold."""
-        return {name: tuple(cls or classify_relations(row) for cls, row in rows)
-                for name, rows in self.rows.items()}
+        """Per action, its relation to every level, bottom to top."""
+        return {name: tuple(map(classify_relations, rows)) for name, rows in self.rows.items()}
 
 
 def check_conformity(trial: Trial) -> PropertyReport:
@@ -669,7 +666,7 @@ def check_stability(trial: Trial, edits: Sequence[EditOperation]) -> PropertyRep
         lo, hi = scan_bounds(relations, x)
         if lo is not None and hi is not None:
             r, t = lo[1], hi[1]
-            rows = [row for _, row in trial.rows[name]]
+            rows = trial.rows[name]
             windows = (x[r - 1] if r >= 1 else -inf, x[r + 1] if r + 1 < len(x) else inf,
                        x[t - 1] if t >= 1 else -inf, x[t + 1] if t + 1 < len(x) else inf)
             bounded.append((name, trial.actions[name], relations, rows, r, t, windows))

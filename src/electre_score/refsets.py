@@ -211,18 +211,23 @@ class CertifiedFold:
     A MIN criterion takes ``min b``, and losing is winning with the
     direction flipped, since ``a - b`` and ``b - a`` round to exact
     negatives. Every other level goes through :func:`profile_relations`,
-    one kernel call per profile. :meth:`rows` gives, per level, a
-    certified class or None with the action's relation to every profile,
-    and :meth:`relations` folds only the rows with no class.
+    one kernel call per profile, and :func:`classify_relations`; a
+    certified level's class goes through without a fold.
 
     A test no action of the table can pass, since its lowest or highest
     value on some criterion fails it, is dropped, so a level no action
     clears costs nothing per action. The kept tests are used only when
     :func:`_thresholds_hold` shows that no pair of the actions and
     profiles can raise, so no skipped pair would have; otherwise no level
-    is certified and the kernel raises where it always did. ``rows`` and
-    ``relations`` take one of ``actions``, and ``lam`` must already be
-    validated.
+    is certified and the kernel raises where it always did.
+    :meth:`relations` takes one of ``actions``, and ``lam`` must already
+    be validated.
+
+    :func:`~.scoring.score_ranges`, :func:`check_comparability` and
+    :func:`classify_action_vs_levels` read it. A trial of ``verify``
+    (:class:`~.properties.Trial`) folds every level through the kernel
+    instead: on its few actions the certificate's set-up costs more
+    than the calls it saves.
     """
 
     def __init__(
@@ -241,11 +246,6 @@ class CertifiedFold:
                   for side in _clearing_tests(kernel, level))
             for level in self.levels
         ]
-        # per level its two certified rows, every profile taking the class
-        self._certified = [
-            [(cls, (cls,) * len(level)) for cls in (_ACTION_PREFERRED, _SET_PREFERRED)]
-            for level in self.levels
-        ]
         # per level the tests for winning and for losing, each None where
         # nothing is certified, and p's (intercept, slope) per criterion
         self._tests = [(None, None)] * len(self.levels)
@@ -258,21 +258,14 @@ class CertifiedFold:
     def relations(self, action: Sequence[float]) -> tuple[SetClassification, ...]:
         """Relation of one action to every level, bottom to top; a
         certified level's class goes through without a fold."""
-        return tuple(cls or classify_relations(row) for cls, row in self.rows(action))
-
-    def rows(self, action: Sequence[float]) -> Iterator[tuple]:
-        """Per level, bottom to top, its certified class and row, in which
-        every profile takes that class; or None and the kernel's relations
-        to its profiles, to be read once."""
         kernel, lam = self.kernel, self.lam
         p_action = [t + slope * x for (t, slope), x in zip(self._p, action)]
-        for level, (better, worse), (won, lost) in zip(self.levels, self._tests, self._certified):
-            if better and _clears(better, action, p_action):
-                yield won
-            elif worse and _clears(worse, action, p_action):
-                yield lost
-            else:
-                yield None, profile_relations(kernel, action, level, lam)
+        return tuple(
+            _ACTION_PREFERRED if better and _clears(better, action, p_action)
+            else _SET_PREFERRED if worse and _clears(worse, action, p_action)
+            else classify_relations(profile_relations(kernel, action, level, lam))
+            for level, (better, worse) in zip(self.levels, self._tests)
+        )
 
 
 def classify_action_vs_levels(

@@ -44,10 +44,6 @@ class ScoreRange(NamedTuple):
     upper_level: int | None
     reason: str | None = None
 
-    @property
-    def defined(self) -> bool:
-        return self.lower is not None and self.upper is not None
-
 
 # the scan tests by identity; a global is cheaper than an enum attribute
 _ACTION_PREFERRED = SetClassification.ACTION_PREFERRED

@@ -4,6 +4,7 @@ Every record type is immutable, compares and hashes by value, names its
 class in ``repr`` and checks its invariants when it is built.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -95,6 +96,59 @@ def test_traced_names_resolve():
     suites = importlib.import_module("electre_score.suites")
     assert suites.SUITES
     assert all(isinstance(name, str) and callable(run) for name, run in suites.SUITES.items())
+
+
+# public members with no caller in src/, each kept for a reader outside it
+UNCALLED = {
+    # perfbench/trace_cli.py wraps these four; the direction that moves
+    # the validator onto ProfileTable deletes them
+    "credibility.credibility": "traced; deleted with the one-table validator",
+    "refsets.classify_action_vs_levels": "traced; deleted with the one-table validator",
+    "refsets.validate_basic_assumptions": "traced; deleted with the one-table validator",
+    "refsets.check_separability": "traced; deleted with the one-table validator",
+    "ThresholdSpec.at": "tests/criterion_reference.py reads it",
+    "PerformanceTable.vector": "the README's library example reads it",
+}
+
+
+def _uncalled_members() -> set[str]:
+    """Public functions and methods of src/ that nothing else there names.
+
+    A module-level function needs a ``Name`` or ``Attribute`` reference
+    outside its own definition, a method an ``Attribute`` reference.
+    ``__init__.py`` is not searched, so its re-exports do not count, nor
+    does a name in a string. References match by name alone, so a method
+    that shares its name with another attribute counts as called.
+    """
+    src = Path(electre_score.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    members = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                members.append((f"{module}.{node.name}", node, (ast.Name, ast.Attribute)))
+            elif isinstance(node, ast.ClassDef):
+                members.extend(
+                    (f"{node.name}.{item.name}", item, (ast.Attribute,)) for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                )
+    refs = [
+        (ref, ref.id if isinstance(ref, ast.Name) else ref.attr)
+        for module, tree in trees.items() if module != "__init__"
+        for ref in ast.walk(tree) if isinstance(ref, (ast.Name, ast.Attribute))
+    ]
+    uncalled = set()
+    for qualname, node, kinds in members:
+        own = {id(inner) for inner in ast.walk(node)}
+        if not any(name == node.name and isinstance(ref, kinds) and id(ref) not in own
+                   for ref, name in refs):
+            uncalled.add(qualname)
+    return uncalled
+
+
+def test_public_members_have_a_caller():
+    # a member nothing calls is deleted, or listed in UNCALLED with its reader
+    assert _uncalled_members() == set(UNCALLED)
 
 
 def _criterion(name="g", weight=1.0):

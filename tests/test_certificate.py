@@ -62,11 +62,6 @@ def _plain_rows(kernel, action, refs, lam):
     )
 
 
-def _fold_rows(fold, vector):
-    """The fold's rows without their certified classes."""
-    return tuple(tuple(row) for _, row in fold.rows(vector))
-
-
 def _assert_fold_equals_kernel(criteria, table, refs, lam):
     """Every action's relations, or the error, equal the plain fold's."""
     kernel = compile_criteria(criteria)
@@ -194,20 +189,26 @@ class TestSoundness:
     @settings(max_examples=200, deadline=None)
     @given(_instance(), st.sampled_from(LAMBDAS))
     def test_random_rows_equal_the_plain_rows(self, instance, lam):
+        # a verify trial's rows are the plain rows, and its relations, or
+        # the error, are the certified fold's
         criteria, table, refs = instance
         kernel = compile_criteria(criteria)
         fold = CertifiedFold(kernel, (ref.profiles for ref in refs.sets), table.rows.values(), lam)
         for vector in table.rows.values():
-            assert _outcome(lambda: _fold_rows(fold, vector)) == _outcome(
+            trial = properties.Trial(criteria, refs, lam, {"x": vector})
+            assert _outcome(lambda: trial.rows["x"]) == _outcome(
                 lambda: _plain_rows(kernel, vector, refs, lam)
+            ), vector
+            assert _outcome(lambda: trial.relations["x"]) == _outcome(
+                lambda: fold.relations(vector)
             ), vector
 
     @pytest.mark.parametrize("mode", ["constant", "variable"])
     @pytest.mark.parametrize("veto", [False, True], ids=["no-veto", "veto"])
     @pytest.mark.parametrize("lam", [LAMBDAS[0], LAMBDAS[-1]], ids=["0.5+eps", "1.0"])
     def test_generated_rows(self, monkeypatch, mode, veto, lam):
-        # rows agree with the kernel on every profile of every level, and
-        # relations are the rows folded level by level
+        # the trial sends every action-profile pair to the kernel, the
+        # certified fold fewer, and both give the same relations
         certified = 0
         for seed in range(10):
             inst = generate_instance(seed, GeneratorConfig(
@@ -218,18 +219,16 @@ class TestSoundness:
             fold = CertifiedFold(
                 kernel, (ref.profiles for ref in inst.refs.sets), inst.table.rows.values(), lam
             )
-            for vector in inst.table.rows.values():
-                rows = _fold_rows(fold, vector)
-                assert rows == _plain_rows(kernel, vector, inst.refs, lam)
-                # a certified level's class is every relation of its row
-                for cls, row in fold.rows(vector):
-                    assert cls is None or set(row) == {cls}
-                assert fold.relations(vector) == tuple(map(refsets.classify_relations, rows))
+            trial = properties.Trial(inst.criteria, inst.refs, lam, inst.table.rows)
+            pairs = len(inst.table.rows) * sum(len(ref.profiles) for ref in inst.refs.sets)
+            assert _kernel_calls(monkeypatch, lambda: trial.rows) == pairs
+            for name, vector in inst.table.rows.items():
+                assert trial.rows[name] == _plain_rows(kernel, vector, inst.refs, lam)
+                assert trial.relations[name] == fold.relations(vector)
             calls = _kernel_calls(
                 monkeypatch, lambda: [fold.relations(v) for v in inst.table.rows.values()]
             )
-            profiles = sum(len(ref.profiles) for ref in inst.refs.sets)
-            certified += len(inst.table.rows) * profiles - calls
+            certified += pairs - calls
         assert certified > 0
 
     def test_zero_weight_veto_criterion_is_checked(self, monkeypatch):
@@ -515,12 +514,15 @@ class TestCertifiedLevelsSkipTheFold:
         assert kernel_calls["calls"] == 7645
 
     @pytest.mark.parametrize("names, folds", [
-        (["propositions"], 7157),  # 10,065 when every stored row was folded
-        # 13,952 likewise, and 11,044 while stability folded an inserted set twice
-        (["propositions", "conformity", "stability"], 9993),
+        # 7,157 while a trial took a certified level's class as it was
+        (["propositions"], 10065),
+        # 9,993 likewise, 13,952 when every stored row was folded, and
+        # 11,044 while stability folded an inserted set twice
+        (["propositions", "conformity", "stability"], 12901),
     ], ids=["propositions", "checked"])
     def test_checked_suites_fold_count_is_pinned(self, monkeypatch, names, folds):
-        # a trial's relations take a certified level's class as it is
+        # a trial takes no certified class: it folds every level of every
+        # action, through the kernel, once
         assert _fold_calls(monkeypatch, lambda: suites.run_checked_suites(names, 100, 1)) == folds
 
 

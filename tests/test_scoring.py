@@ -137,7 +137,7 @@ class TestScoreRanges:
                 hotel["table"], hotel["refs"], hotel["criteria"], lam, force=True
             )
             for rng in result.ranges:
-                if rng.defined:
+                if rng.lower is not None and rng.upper is not None:
                     assert rng.lower in hotel["refs"].scores
                     assert rng.upper in hotel["refs"].scores
                     assert rng.lower < rng.upper
@@ -162,7 +162,7 @@ class TestScoreRanges:
         )
         result = score_ranges(table, hotel["refs"], hotel["criteria"], 0.65)
         rng = result.ranges[0]
-        assert not rng.defined
+        assert not (rng.lower is not None and rng.upper is not None)
         assert "no lower bound" in rng.reason
 
 
@@ -370,7 +370,7 @@ class TestFastPathAgreement:
         result = score_ranges(inst.table, inst.refs, inst.criteria, 0.75)
         assert result.used_fast_path
         for rng, relations in zip(result.ranges, result.relations):
-            if not rng.defined:
+            if not (rng.lower is not None and rng.upper is not None):
                 continue
             vec = inst.table.vector(rng.action)
             lower, upper = bounds(vec, inst.refs, inst.criteria, 0.75)

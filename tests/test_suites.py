@@ -161,11 +161,15 @@ def test_run_suites_keeps_the_order_and_repeats(monkeypatch):
 
 
 @pytest.mark.parametrize("names, calls", [
-    (["propositions"], 1913),  # the profile table, then every action's rows
+    # the profile table, then every action's rows (1913 while a trial
+    # certified levels)
+    (["propositions"], 3045),
     (["conformity"], 1024),  # the profile table
-    (["stability"], 1297),  # every action's rows, then the inserted profiles
-    # each of the above once: 5366 when every suite drew its own trials
-    (list(CHECKED), 2321),
+    # every action's rows, then the inserted profiles (1297 likewise)
+    (["stability"], 2429),
+    # each of the above once: 5366 when every suite drew its own trials,
+    # 2321 while a trial certified levels
+    (list(CHECKED), 3453),
 ], ids=lambda x: "+".join(x) if isinstance(x, list) else str(x))
 def test_checked_kernel_calls_are_pinned(monkeypatch, names, calls):
     # one instance per trial, however many checked suites read it
@@ -223,7 +227,9 @@ def test_checked_pass_calls_are_pinned(monkeypatch):
     # the 100-trial seed-1 joint pass: an edited structure's soft dominance
     # reads only the level pairs the edit touches (6,223 dominates and 457
     # soft_dominance calls when every edited structure was read whole),
-    # while every pair and every bound scan the checkers ran is still run
+    # while every pair and every bound scan the checkers ran is still run;
+    # every action-profile pair goes to the kernel (10,256 sigma_pair calls
+    # while a trial certified levels)
     seen = Counter()
 
     def counting(module, name):
@@ -241,4 +247,4 @@ def test_checked_pass_calls_are_pinned(monkeypatch):
     counting(properties, "scan_bounds")
     assert all(r.passed for r in suites.run_checked_suites(list(CHECKED), 100, 1).values())
     assert seen == {"dominates": 2891, "soft_dominance": 100,
-                    "sigma_pair": 10256, "scan_bounds": 6323}
+                    "sigma_pair": 15115, "scan_bounds": 6323}
