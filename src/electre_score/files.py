@@ -78,11 +78,22 @@ def _string(raw: Any, where: str) -> str:
     return raw
 
 
+def _known_keys(raw: Any, keys: tuple[str, ...], where: str) -> None:
+    """A key of the object ``raw`` that no reader looks up is a ParseError
+    naming ``where``; a misspelled optional key, a ``slop`` for ``slope``,
+    would otherwise be dropped silently. A value that is not an object is
+    left to its reader."""
+    for key in raw if isinstance(raw, dict) else ():
+        if key not in keys:
+            raise ParseError(f"{where}: unknown key {key!r}")
+
+
 def _threshold_from_json(raw: Any, where: str) -> ThresholdSpec:
     if isinstance(raw, (int, float)):
         return ThresholdSpec(_number(raw, where))
     if not isinstance(raw, dict):
         raise ParseError(f"{where}: threshold must be a number or an object")
+    _known_keys(raw, ("intercept", "slope", "mode"), where)
     try:
         mode = ThresholdMode(raw.get("mode", "constant"))
     except ValueError as exc:
@@ -105,6 +116,8 @@ def _criterion_from_json(raw: Any, index: int) -> Criterion:
     if not isinstance(raw, dict):
         raise ParseError(f"criteria[{index}]: expected an object")
     where = f"criteria[{index}]"
+    _known_keys(raw, ("name", "direction", "weight", "indifference", "preference", "veto",
+                      "ordinal"), where)
     try:
         name = _string(raw["name"], f"{where}.name")
         direction = Direction(raw["direction"])
@@ -183,6 +196,8 @@ def reject_repeated_keys(pairs: list[tuple[str, Any]]) -> dict:
 def _model_from_json(raw: Any) -> LoadedModel:
     if not isinstance(raw, dict):
         raise ParseError("model file must contain a JSON object")
+    _known_keys(raw, ("criteria", "reference_sets", "deck_of_cards", "lambda", "performances"),
+                "model")
 
     raw_criteria = raw.get("criteria")
     if not isinstance(raw_criteria, list) or not raw_criteria:
@@ -197,6 +212,7 @@ def _model_from_json(raw: Any) -> LoadedModel:
     deck_scores = None
     if "deck_of_cards" in raw:
         deck_raw = raw["deck_of_cards"]
+        _known_keys(deck_raw, ("blank_cards", "anchors"), "deck_of_cards")
         try:
             blank_cards = deck_raw["blank_cards"]
             if not isinstance(blank_cards, list):
@@ -221,6 +237,8 @@ def _model_from_json(raw: Any) -> LoadedModel:
             )
         deck_scores = deck_of_cards_scores(deck)
 
+    for i, raw_set in enumerate(raw_sets):
+        _known_keys(raw_set, ("score", "profiles", "names"), f"reference_sets[{i}]")
     explicit = [s.get("score") if isinstance(s, dict) else None for s in raw_sets]
     have_explicit = all(s is not None for s in explicit)
     if have_explicit:

@@ -232,42 +232,33 @@ def apply_edit(refs: ReferenceStructure, edit: EditOperation) -> ReferenceStruct
             raise InvalidEditError("inserted set needs at least one profile")
         sets.append(ReferenceSet(edit.score, tuple(edit.profiles)))
         sets.sort(key=lambda s: s.score)
-    elif isinstance(edit, DeleteSet):
-        if not 0 <= edit.level < len(sets):
-            raise InvalidEditError(f"no level {edit.level}")
+        return ReferenceStructure(tuple(sets))
+    if not isinstance(edit, (DeleteSet, InsertProfile, DeleteProfile)):
+        raise InvalidEditError(f"unknown edit {edit!r}")
+    if not 0 <= edit.level < len(sets):
+        raise InvalidEditError(f"no level {edit.level}")
+    target = sets[edit.level]
+    if isinstance(edit, DeleteSet):
         if len(sets) <= 2:
             raise InvalidEditError("deletion would leave fewer than two sets")
         del sets[edit.level]
     elif isinstance(edit, InsertProfile):
-        if not 0 <= edit.level < len(sets):
-            raise InvalidEditError(f"no level {edit.level}")
-        target = sets[edit.level]
         sets[edit.level] = ReferenceSet(
             target.score,
             target.profiles + (tuple(edit.profile),),
             target.names + (f"ins{len(target.profiles) + 1}",) if target.names else (),
         )
-    elif isinstance(edit, DeleteProfile):
-        if not 0 <= edit.level < len(sets):
-            raise InvalidEditError(f"no level {edit.level}")
-        target = sets[edit.level]
-        if not 0 <= edit.profile_index < len(target.profiles):
-            raise InvalidEditError(f"no profile {edit.profile_index} at level {edit.level}")
+    else:
+        k = edit.profile_index
+        if not 0 <= k < len(target.profiles):
+            raise InvalidEditError(f"no profile {k} at level {edit.level}")
         if len(target.profiles) <= 1:
             raise InvalidEditError("deletion would empty the set")
-        profiles = (
-            target.profiles[: edit.profile_index]
-            + target.profiles[edit.profile_index + 1 :]
+        sets[edit.level] = ReferenceSet(
+            target.score,
+            target.profiles[:k] + target.profiles[k + 1 :],
+            target.names[:k] + target.names[k + 1 :],
         )
-        names = ()
-        if target.names:
-            names = (
-                target.names[: edit.profile_index]
-                + target.names[edit.profile_index + 1 :]
-            )
-        sets[edit.level] = ReferenceSet(target.score, profiles, names)
-    else:  # pragma: no cover - exhaustive union
-        raise InvalidEditError(f"unknown edit {edit!r}")
     return ReferenceStructure(tuple(sets))
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import enum
 import math
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .credibility import (
@@ -302,6 +302,15 @@ def _flags(matrix: Sequence[Sequence[bool]]) -> tuple[bool, bool, bool]:
     return (all(map(all, matrix)), all(map(any, matrix)), all(map(any, zip(*matrix))))
 
 
+def _soft(flags: Iterable[tuple[bool, bool, bool]]) -> tuple[bool, bool]:
+    """(primal, dual) over level pairs, from each pair's (strong, primal,
+    dual): each holds where it holds for every pair. Every pair is judged."""
+    primal = dual = True
+    for _, p, d in flags:
+        primal, dual = primal and p, dual and d
+    return primal, dual
+
+
 def dominance_flags(
     criteria: Sequence[Criterion], low: ReferenceSet, high: ReferenceSet
 ) -> tuple[bool, bool, bool]:
@@ -333,11 +342,7 @@ def soft_dominance(
     (primal) or lower (dual) level, and both flags over adjacent pairs
     equal the flags over all pairs.
     """
-    primal = dual = True
-    for low, high in zip(refs.sets, refs.sets[1:]):
-        _, p, d = dominance_flags(criteria, low, high)
-        primal, dual = primal and p, dual and d
-    return primal, dual
+    return _soft(dominance_flags(criteria, *pair) for pair in zip(refs.sets, refs.sets[1:]))
 
 
 class ProfileTable:
@@ -353,30 +358,16 @@ class ProfileTable:
     def __init__(self, kernel: CompiledCriteria, refs: ReferenceStructure):
         self.criteria = kernel.criteria
         self.refs = refs
-        self._start: list[int] = []
-        vectors: list[Sequence[float]] = []
-        for ref in refs.sets:
-            self._start.append(len(vectors))
-            vectors.extend(ref.profiles)
-        start, sizes = self._start, [len(ref.profiles) for ref in refs.sets]
-        self._within = [
-            (start[k] + p, start[k] + q)
-            for k, size in enumerate(sizes) for p in range(size) for q in range(p + 1, size)
-        ]
-        self._across = [
-            (start[lo] + p, start[hi] + q)
-            for lo in range(len(sizes)) for hi in range(lo + 1, len(sizes))
-            for p in range(sizes[lo]) for q in range(sizes[hi])
-        ]
+        vectors = [b for ref in refs.sets for b in ref.profiles]
+        ends = list(accumulate((len(ref.profiles) for ref in refs.sets), initial=0))
+        # each level's rows of the table, bottom to top
+        self.levels = [range(start, end) for start, end in zip(ends, ends[1:])]
+        self._within = [pair for level in self.levels for pair in combinations(level, 2)]
+        self._across = [(i, j) for lo, hi in combinations(self.levels, 2) for i in lo for j in hi]
         # the diagonal is the kernel's exact sigma of a vector over itself
         self._sigma = [[1.0] * len(vectors) for _ in vectors]
         for i, j in self._within + self._across:
             self._sigma[i][j], self._sigma[j][i] = sigma_pair(kernel, vectors[i], vectors[j])
-
-    def _levels(self) -> Iterator[range]:
-        """Each level's rows of the table, bottom to top."""
-        for start, ref in zip(self._start, self.refs.sets):
-            yield range(start, start + len(ref.profiles))
 
     def profile_levels(self, k: int, p: int, lam: float) -> tuple[SetClassification, ...]:
         """Relation of profile p of level k to every level, bottom to top.
@@ -384,11 +375,11 @@ class ProfileTable:
         The profile scored as an action; its own cell reads as indifferent,
         since the credibility of a vector over itself is 1.
         """
-        i = self._start[k] + p
+        i = self.levels[k][p]
         out, back = self._sigma[i], [row[i] for row in self._sigma]
         return tuple(
             classify_relations(derived_relation(out[j], back[j], lam) for j in level)
-            for level in self._levels()
+            for level in self.levels
         )
 
     def breakpoints(self) -> list[float]:
@@ -436,11 +427,7 @@ class ProfileTable:
         place of dominance. Preference is not transitive, so every pair
         of levels is compared.
         """
-        primal = dual = True
-        for lo, hi in combinations(self._levels(), 2):
-            _, p, d = _flags(self._preferred(lo, hi, lam))
-            primal, dual = primal and p, dual and d
-        return primal, dual
+        return _soft(_flags(self._preferred(*pair, lam)) for pair in combinations(self.levels, 2))
 
     def separability(self, lam: float) -> dict[tuple[int, int], LevelPairFlags]:
         """Dominance and preference flags at ``lam`` per level pair.
@@ -449,13 +436,12 @@ class ProfileTable:
         A soft flag holds for every pair exactly where :func:`soft_dominance`
         or :meth:`soft_preference` gives it over all pairs.
         """
-        sets, levels = self.refs.sets, list(self._levels())
-        pairs = {}
-        for lo, hi in combinations(range(len(sets)), 2):
-            dom = dominance_flags(self.criteria, sets[lo], sets[hi])
-            pref = _flags(self._preferred(levels[lo], levels[hi], lam))
-            pairs[(lo, hi)] = LevelPairFlags(*dom, *pref)
-        return pairs
+        sets, levels = self.refs.sets, self.levels
+        return {
+            (lo, hi): LevelPairFlags(*dominance_flags(self.criteria, sets[lo], sets[hi]),
+                                     *_flags(self._preferred(levels[lo], levels[hi], lam)))
+            for lo, hi in combinations(range(len(sets)), 2)
+        }
 
 
 def validate_basic_assumptions(

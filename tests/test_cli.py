@@ -538,6 +538,28 @@ class TestModelFileParsing:
         err = capsys.readouterr().err
         assert str(model) in err and f"repeated key {key}" in err
 
+    @pytest.mark.parametrize("path, key, message", [
+        ((), "critera", "model: unknown key 'critera'"),
+        (("criteria", 0), "veot", "criteria[0]: unknown key 'veot'"),
+        # a slope read as 0 would make ICOST's q constant with exit 0
+        (("criteria", 0, "indifference"), "slop", "criteria[0].indifference: unknown key 'slop'"),
+        (("reference_sets", 2), "nmes", "reference_sets[2]: unknown key 'nmes'"),
+        (("deck_of_cards",), "anchor", "deck_of_cards: unknown key 'anchor'"),
+    ], ids=["model", "criterion", "threshold", "reference-set", "deck"])
+    def test_unknown_key_rejected(self, hotel_files, tmp_path, capsys, path, key, message):
+        model, perf, _ = hotel_files
+        raw = json.loads(model.read_text())
+        node = raw
+        for step in path:
+            node = node[step]
+        node[key] = 1
+        model.write_text(json.dumps(raw))
+        code = main(["sigma", str(model), "--performances", str(perf),
+                     "--output", str(tmp_path / "s.csv")])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {model}: {message}\n"
+        assert not (tmp_path / "s.csv").exists()
+
     def test_blank_card_counts_must_be_integers(self, hotel_files, tmp_path, capsys):
         # int() would read these as the hotel deck's own 1, 2, 0, 1, 0, 2
         model, perf, _ = hotel_files

@@ -129,6 +129,39 @@ class TestApplyEdit:
         assert once == twice
 
 
+# two levels: an unnamed one of one profile, a named one of two
+EDIT_REFS = ReferenceStructure((
+    ReferenceSet(0.0, ((0.0,),)),
+    ReferenceSet(1.0, ((5.0,), (6.0,)), ("b1", "b2")),
+))
+
+
+class TestApplyEditErrors:
+    # every message, and which check comes first where two apply
+    @pytest.mark.parametrize("edit, message", [
+        (InsertSet(0.0, ()), "score 0.0 already present"),
+        (InsertSet(0.5, ()), "inserted set needs at least one profile"),
+        (DeleteSet(5), "no level 5"),
+        (DeleteSet(0), "deletion would leave fewer than two sets"),
+        (InsertProfile(-1, (1.0,)), "no level -1"),
+        (DeleteProfile(9, 0), "no level 9"),
+        (DeleteProfile(0, 5), "no profile 5 at level 0"),
+        (DeleteProfile(0, 0), "deletion would empty the set"),
+        (("not", "an", "edit"), "unknown edit ('not', 'an', 'edit')"),
+    ])
+    def test_message(self, edit, message):
+        with pytest.raises(InvalidEditError) as exc:
+            apply_edit(EDIT_REFS, edit)
+        assert str(exc.value) == message
+
+    def test_delete_profile_slices_names(self):
+        named = apply_edit(EDIT_REFS, DeleteProfile(1, 0))
+        assert (named.sets[1].profiles, named.sets[1].names) == (((6.0,),), ("b2",))
+        unnamed = apply_edit(apply_edit(EDIT_REFS, InsertProfile(0, (1.0,))), DeleteProfile(0, 1))
+        assert unnamed.sets[0] == EDIT_REFS.sets[0]
+        assert unnamed.sets[0].names == ()
+
+
 class TestConformityChecker:
     def test_generated_collection_passes(self):
         inst = generate_instance(3, GeneratorConfig(

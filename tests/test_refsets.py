@@ -138,6 +138,69 @@ class TestProfileLevels:
                         vec, inst.refs, inst.criteria, u), (u, k, p)
 
 
+class TestProfileTableOrder:
+    # the kernel is called within each level, then each lower level against
+    # each higher level, so a threshold error surfaces at the same pair as
+    # in a pairwise scan
+
+    @staticmethod
+    def _structure(levels, q_slope=0.0):
+        # MAX criteria g1, g2, ...; with a slope, q = 1 + q_slope * w and
+        # p = 2 + q_slope * w at the worse value w of a pair
+        from electre_score.model import (
+            Criterion, Direction, ReferenceSet, ReferenceStructure, ThresholdMode, ThresholdSpec,
+        )
+
+        mode = ThresholdMode.DIRECT if q_slope else ThresholdMode.CONSTANT
+        crit = tuple(
+            Criterion(f"g{c + 1}", Direction.MAX, 1.0, ThresholdSpec(1.0, q_slope, mode),
+                      ThresholdSpec(2.0, q_slope, mode))
+            for c in range(len(levels[0][0]))
+        )
+        refs = ReferenceStructure(tuple(
+            ReferenceSet(float(k), tuple(level)) for k, level in enumerate(levels)
+        ))
+        return crit, refs
+
+    def test_kernel_call_sequence(self, monkeypatch):
+        import electre_score.refsets as refsets
+
+        calls = []
+        real = refsets.sigma_pair
+
+        def spy(kernel, a, b):
+            calls.append((a[0], b[0]))
+            return real(kernel, a, b)
+
+        monkeypatch.setattr(refsets, "sigma_pair", spy)
+        crit, refs = self._structure((((1.0,), (2.0,)), ((3.0,), (4.0,), (5.0,)),
+                                      ((6.0,), (7.0,))))
+        ProfileTable(compile_criteria(crit), refs)
+        assert calls == [
+            (1.0, 2.0), (3.0, 4.0), (3.0, 5.0), (4.0, 5.0), (6.0, 7.0),
+            (1.0, 3.0), (1.0, 4.0), (1.0, 5.0), (2.0, 3.0), (2.0, 4.0), (2.0, 5.0),
+            (1.0, 6.0), (1.0, 7.0), (2.0, 6.0), (2.0, 7.0),
+            (3.0, 6.0), (3.0, 7.0), (4.0, 6.0), (4.0, 7.0), (5.0, 6.0), (5.0, 7.0),
+        ]
+
+    def test_threshold_error_names_first_pair_of_a_pairwise_scan(self):
+        from electre_score.credibility import NegativeThresholdError
+
+        # q < 0 on a criterion exactly where the worse value of a pair
+        # exceeds 10. No pair within a level raises. Across levels 0 and 1,
+        # (11, 0) against (12, 0) raises on g1 and (0, 11) against (0, 12)
+        # on g2, and pairs with level 2 raise on g1 or g2 too; the scan
+        # meets the g1 pair first
+        crit, refs = self._structure((
+            ((11.0, 0.0), (0.0, 11.0)),
+            ((0.0, 12.0), (12.0, 0.0)),
+            ((13.0, 13.0),),
+        ), q_slope=-0.1)
+        with pytest.raises(NegativeThresholdError,
+                           match=r"^criterion g1: .* for pair \(11\.0, 12\.0\)$"):
+            ProfileTable(compile_criteria(crit), refs)
+
+
 class TestBasicAssumptions:
     def test_hotel_clean_in_band(self, hotel):
         assert validate_basic_assumptions(hotel["refs"], hotel["criteria"], 0.65) == []
