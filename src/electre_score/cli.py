@@ -6,10 +6,10 @@ cutting-level bands for a relation target), ``verify`` (randomized
 property suites).
 
 Exit codes: 0 ok; 2 parse/usage error (also an output path that
-cannot be written); 3 validation error (also a
-threshold that fails at a pair of values); 4 comparability failure; 5
-verification failure (a suite found counterexamples, or no cutting level
-reproduces the sweep target).
+cannot be written, or a stdout its reader closed); 3 validation error
+(also a threshold that fails at a pair of values); 4 comparability
+failure; 5 verification failure (a suite found counterexamples, or no
+cutting level reproduces the sweep target).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -71,6 +72,7 @@ def _write_output(output: str | Path | None, emit) -> None:
     """
     if output is None:
         emit(sys.stdout)
+        sys.stdout.flush()  # a closed pipe fails here, where main reports it
         return
     path = Path(output)
     try:
@@ -95,6 +97,16 @@ def _write_report(output: str | Path | None, report: dict) -> None:
         write_report(report, lambda chunk: out.write("".join(chunk)))
 
     _write_output(output, emit)
+
+
+def _plain_float(text: str) -> float:
+    """``float`` without the digit-group underscores the CSV reader refuses."""
+    if "_" in text:
+        raise ValueError(text)
+    return float(text)
+
+
+_plain_float.__name__ = "float"  # argparse names the type in its message
 
 
 def _load_inputs(args) -> tuple[LoadedModel, PerformanceTable | None]:
@@ -373,7 +385,7 @@ def cmd_verify(args) -> int:
         print(
             f"{report.name}: {'PASS' if report.passed else 'FAIL'} "
             f"({report.trials} trials, {len(report.failures)} failures, "
-            f"{report.skipped} skipped)"
+            f"{report.skipped} skipped)", flush=True,
         )
         if out_dir is not None:
             _write_report(
@@ -409,7 +421,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--performances", help="performance table (CSV)", default=None)
         # only evaluate and validate read a cutting level
         if cutting_level:
-            p.add_argument("--lambda", dest="cutting_level", type=float, default=None,
+            p.add_argument("--lambda", dest="cutting_level", type=_plain_float, default=None,
                            help="cutting level in ]0.5, 1]")
         p.add_argument("--output", default=None, help="write the report here")
 
@@ -459,6 +471,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError as exc:
+        # the interpreter flushes stdout again at exit; let that go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return EXIT_PARSE
     except _Exit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -549,80 +549,58 @@ def _keeps_dominance(
     )
 
 
-# Per edit type, the bounds the single-edit case analysis predicts (None =
-# no bound) and the action's relation to every level after the edit, from
-# ``relations`` and ``rows``, its relation to every level and to every
-# profile before the edit, the scores ``x``, its bound levels ``r`` and
-# ``t``, and ``added``, its relation to the inserted profiles. ``at`` is
-# the level the edit touches; only that level is classified again.
-
-
-def _after_insert_set(edit, at, relations, rows, x, r, t, added):
-    cls = classify_relations(added)
-    lower, upper = x[r], x[t]
-    if cls is _AP and x[r] < edit.score < (x[r + 1] if r + 1 < len(x) else math.inf):
-        lower = edit.score
-    if cls is _SP and (x[t - 1] if t >= 1 else -math.inf) < edit.score < x[t]:
-        upper = edit.score
+def _edited(edit, at, relations, rows, added):
+    """The touched level ``at``'s row after ``edit`` (``None`` for a deleted
+    set) and the action's relations after it, from its ``relations`` and
+    ``rows`` before it and ``added``, its relation to the inserted
+    profiles. Only level ``at`` is folded again."""
     out = list(relations)
-    out.insert(at, cls)
-    return lower, upper, out
+    if isinstance(edit, DeleteSet):
+        del out[at]
+        return None, out
+    if isinstance(edit, InsertSet):
+        out.insert(at, None)
+        row = added
+    elif isinstance(edit, InsertProfile):
+        row = rows[at] + added
+    else:
+        row = rows[at][: edit.profile_index] + rows[at][edit.profile_index + 1 :]
+    out[at] = classify_relations(row)
+    return row, out
 
 
-def _after_delete_set(edit, at, relations, rows, x, r, t, added):
-    lower = (x[r - 1] if r >= 1 else None) if at == r else x[r]
-    upper = (x[t + 1] if t + 1 < len(x) else None) if at == t else x[t]
-    out = list(relations)
-    del out[at]
-    return lower, upper, out
+def _predicted(edit, at, row, x, r, t):
+    """The bounds (``None`` = no bound) ``edit`` leaves an action whose
+    bounds were the levels ``r`` and ``t`` of the scores ``x``.
 
-
-def _after_insert_profile(edit, at, relations, rows, x, r, t, added):
-    row, (new,) = rows[at], added
+    The touched level is below the action when the action is strictly
+    preferred to one of its profiles in ``row`` and no profile to it,
+    above in the mirror case. The lower bound moves down one level when
+    level ``r`` is deleted or no longer below, and up to the level just
+    above ``r`` when that level becomes below; the upper bound is the
+    mirror. Only row membership is read, never the fold the scan reads.
+    """
+    s = edit.score if isinstance(edit, InsertSet) else x[at]  # the touched level's score
+    below = row is not None and _AP in row and _SP not in row
+    above = row is not None and _SP in row and _AP not in row
     lower, upper = x[r], x[t]
-    if new is _SP and at == r:
-        lower = x[r - 1] if r >= 1 else None
-    elif new is _AP and at == r + 1 and _SP not in row:
-        lower = x[r + 1]
-    if new is _AP and at == t:
+    if s == x[r] and not below:
+        lower = x[r - 1] if r else None
+    elif below and x[r] < s <= (x[r + 1] if r + 1 < len(x) else math.inf):
+        lower = s
+    if s == x[t] and not above:
         upper = x[t + 1] if t + 1 < len(x) else None
-    elif new is _SP and at == t - 1 and _AP not in row:
-        upper = x[t - 1]
-    out = list(relations)
-    out[at] = classify_relations(row + added)
-    return lower, upper, out
-
-
-def _after_delete_profile(edit, at, relations, rows, x, r, t, added):
-    row, i = rows[at], edit.profile_index
-    gone, others = row[i], row[:i] + row[i + 1 :]
-    lower, upper = x[r], x[t]
-    if at == r and gone is _AP and _AP not in others:
-        lower = x[r - 1] if r >= 1 else None
-    elif at == r + 1 and gone is _SP and _SP not in others and _AP in others:
-        lower = x[r + 1]
-    if at == t and gone is _SP and _SP not in others:
-        upper = x[t + 1] if t + 1 < len(x) else None
-    elif at == t - 1 and gone is _AP and _AP not in others and _SP in others:
-        upper = x[t - 1]
-    out = list(relations)
-    out[at] = classify_relations(others)
-    return lower, upper, out
-
-
-_AFTER_EDIT: dict[type, Callable[..., tuple]] = {
-    InsertSet: _after_insert_set,
-    DeleteSet: _after_delete_set,
-    InsertProfile: _after_insert_profile,
-    DeleteProfile: _after_delete_profile,
-}
+    elif above and (x[t - 1] if t else -math.inf) <= s < x[t]:
+        upper = s
+    return lower, upper
 
 
 def check_stability(trial: Trial, edits: Sequence[EditOperation]) -> PropertyReport:
     """Every single insert/delete moves each bound by at most one level.
 
     Checks the coarse one-level window against the original neighbours
-    and the exact case analysis predicting the new bound. Edits that
+    and the new bound one rule predicts (see :func:`_predicted`): a
+    bound moves only through the level the edit touches. Edits that
     break the soft-dominance hypothesis (before or after) are skipped
     and counted, not failed. The hypothesis is read from dominance
     alone, so the only credibilities computed, and the only threshold
@@ -665,7 +643,6 @@ def check_stability(trial: Trial, edits: Sequence[EditOperation]) -> PropertyRep
     kernel = trial.kernel
     failures: list[PropertyFailure] = []
     for edit, at, new_scores in kept:
-        after = _AFTER_EDIT[type(edit)]
         inserted = (
             edit.profiles if isinstance(edit, InsertSet)
             else (edit.profile,) if isinstance(edit, InsertProfile)
@@ -673,7 +650,8 @@ def check_stability(trial: Trial, edits: Sequence[EditOperation]) -> PropertyRep
         )
         for name, vec, relations, rows, r, t, windows in bounded:
             added = tuple(profile_relations(kernel, vec, inserted, lam)) if inserted else ()
-            exp_lower, exp_upper, edited = after(edit, at, relations, rows, x, r, t, added)
+            row, edited = _edited(edit, at, relations, rows, added)
+            exp_lower, exp_upper = _predicted(edit, at, row, x, r, t)
             new_lo, new_hi = scan_bounds(edited, new_scores)
             got_lower = None if new_lo is None else new_lo[0]
             got_upper = None if new_hi is None else new_hi[0]

@@ -151,6 +151,43 @@ def test_public_members_have_a_caller():
     assert _uncalled_members() == set(UNCALLED)
 
 
+# parameters a body never names, each kept for the signature its callers use
+UNUSED_PARAMETERS = {
+    # a SUITES entry is called with (trials, seed); the hotel deck is fixed
+    "suites.run_deck_example": {"trials", "seed"},
+}
+
+
+def _unused_parameters() -> dict[str, set[str]]:
+    """Per ``def`` in src/ (``module.name``, a method or a nested function
+    under its enclosing names), the parameters its body never names."""
+    src = Path(electre_score.__file__).resolve().parent
+    found: dict[str, set[str]] = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = f"{prefix}{getattr(child, 'name', '')}"
+            if isinstance(child, ast.FunctionDef):
+                a = child.args
+                params = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                          a.vararg, a.kwarg) if p}
+                named = {n.id for stmt in child.body for n in ast.walk(stmt)
+                         if isinstance(n, ast.Name)}
+                if params - named:
+                    found[name] = params - named
+            visit(child, f"{name}." if isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                  else prefix)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), f"{path.stem}.")
+    return found
+
+
+def test_every_parameter_is_read():
+    # a parameter nothing reads is deleted, or listed in UNUSED_PARAMETERS
+    assert _unused_parameters() == UNUSED_PARAMETERS
+
+
 def _criterion(name="g", weight=1.0):
     return Criterion(name, Direction.MAX, weight, ThresholdSpec(1.0),
                      ThresholdSpec(2.0, 0.01, ThresholdMode.DIRECT))

@@ -100,6 +100,21 @@ class TestEvaluate:
                      "--lambda", "0.5", "--output", str(tmp_path / "r.json")])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("command", ["evaluate", "validate"])
+    @pytest.mark.parametrize("text", ["0.6_5", "abc"])
+    def test_lambda_not_a_float(self, hotel_files, tmp_path, capsys, command, text):
+        # float() reads digit-group underscores; --lambda refuses them as
+        # the CSV reader does, with argparse's own message
+        model, perf, _ = hotel_files
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(model), "--performances", str(perf),
+                  "--lambda", text, "--output", str(out)])
+        assert exc.value.code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument --lambda: invalid float value: '{text}'\n")
+        assert not out.exists()
+
     def test_comparability_failure_lists_actions(self, hotel_files, tmp_path, capsys):
         model, perf, _ = hotel_files
         # raise the bottom set above every action: nothing outranks it
@@ -1239,6 +1254,40 @@ class TestUnwritableOutput:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: cannot write ")
         assert str(output.name) in proc.stderr
+
+
+class TestClosedStdout:
+    """A reader that closes stdout before the report is written ends the
+    command with exit 2 and one ``error: cannot write stdout`` line, with
+    stdout block-buffered or not."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", [
+        ["sigma", "MODEL", "--performances", "PERF"],
+        ["verify", "--trials", "5"],
+        # a suite report that cannot be written either: the suite's line
+        # to stdout, written first, fails first
+        ["verify", "--trials", "1", "--output", "BLOCKED"],
+    ], ids=["sigma", "verify", "verify-report"])
+    def test_exit_2_without_traceback(self, hotel_files, tmp_path, command, unbuffered):
+        model, perf, _ = hotel_files
+        (tmp_path / "blocked" / "dominance-implications.json").mkdir(parents=True)
+        paths = {"MODEL": model, "PERF": perf, "BLOCKED": tmp_path / "blocked"}
+        argv = [str(paths.get(a, a)) for a in command]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "electre_score.cli", *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        proc.stdout.close()  # the read end, before anything is written
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_PARSE, stderr
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr
+        assert stderr == "error: cannot write stdout: Broken pipe\n"
 
 
 class TestNoTruncatedReport:

@@ -33,6 +33,9 @@ from electre_score.refsets import (
     soft_dominance,
 )
 from electre_score.scoring import scan_bounds
+from electre_score.suites import LAMBDA_GRID
+
+import stability_reference
 
 
 def soft_preference(inst, lam):
@@ -794,3 +797,85 @@ class TestStabilityHandCases:
         assert report.failures == ()
         edited = apply_edit(refs, edit)
         assert bounds(a, edited, crit, lam) == ((30.0, 2), (40.0, 3))
+
+
+def _reference_and_rule(edit, at, relations, rows, x, r, t, added):
+    """(reference, rule): each the predicted bounds and edited relations."""
+    lower, upper, out = stability_reference.AFTER_EDIT[type(edit)](
+        edit, at, relations, rows, x, r, t, added)
+    row, edited = props._edited(edit, at, relations, rows, added)
+    return (lower, upper, out), (*props._predicted(edit, at, row, x, r, t), edited)
+
+
+_AP, _SP = SetClassification.ACTION_PREFERRED, SetClassification.SET_PREFERRED
+_IN, _INC = SetClassification.INDIFFERENT, SetClassification.INCOMPARABLE
+
+
+def _random_row(rng, size, low=True):
+    """Relations to ``size`` profiles, mostly action-preferred on a low
+    level and set-preferred on a high one, so most actions have bounds."""
+    return tuple(rng.choice((_AP, _AP, _IN, _INC, _SP) if low else (_SP, _SP, _IN, _INC, _AP))
+                 for _ in range(size))
+
+
+class TestStabilityReference:
+    """The one-rule prediction equals the literal per-edit case analysis
+    of ``tests/stability_reference.py``."""
+
+    @pytest.mark.parametrize("veto", [False, True], ids=["no-veto", "veto"])
+    @pytest.mark.parametrize("strong", [True, False], ids=["strong", "free"])
+    def test_generated_trials(self, strong, veto):
+        compared = moved = 0
+        for i, lam in enumerate(LAMBDA_GRID):
+            seed = 500 + i
+            inst = generate_instance(seed, GeneratorConfig(
+                n_levels=5, n_actions=8, veto=veto, strong_dominance=strong))
+            trial = Trial(inst.criteria, inst.refs, lam, inst.table.rows)
+            x = inst.refs.scores
+            for edit in make_edits(inst, random.Random(seed), count=8):
+                at = props._edited_level(inst.refs, edit)
+                inserted = (edit.profiles if isinstance(edit, InsertSet)
+                            else (edit.profile,) if isinstance(edit, InsertProfile) else ())
+                for name, relations in trial.relations.items():
+                    lo, hi = scan_bounds(relations, x)
+                    if lo is None or hi is None:
+                        continue
+                    added = tuple(refsets.profile_relations(
+                        trial.kernel, trial.actions[name], inserted, lam))
+                    reference, rule = _reference_and_rule(
+                        edit, at, relations, trial.rows[name], x, lo[1], hi[1], added)
+                    assert rule == reference, (seed, lam, name, edit)
+                    compared += 1
+                    moved += reference[:2] != (lo[0], hi[0])
+        assert compared > 300 and moved > 30
+
+    def test_random_relation_rows(self):
+        rng = random.Random(34)
+        compared = moved = 0
+        for _ in range(5000):
+            n = rng.randint(2, 7)
+            x = tuple(10.0 * k for k in range(n))
+            cut = rng.randint(1, n - 1)
+            rows = tuple(_random_row(rng, rng.randint(1, 4), k < cut) for k in range(n))
+            relations = tuple(map(refsets.classify_relations, rows))
+            lo, hi = scan_bounds(relations, x)
+            if lo is None or hi is None:
+                continue
+            at = rng.randrange(n)
+            edits = [
+                (InsertProfile(at, ()), at, _random_row(rng, 1, rng.random() < 0.5)),
+                # an inserted set's score sits just below level `at`, or above the top
+                (InsertSet(x[at] - 5.0, ()), at, _random_row(rng, rng.randint(1, 3), at <= cut)),
+                (InsertSet(x[-1] + 5.0, ()), n, _random_row(rng, rng.randint(1, 3), False)),
+            ]
+            if n > 2:
+                edits.append((DeleteSet(at), at, ()))
+            if len(rows[at]) > 1:
+                edits.append((DeleteProfile(at, rng.randrange(len(rows[at]))), at, ()))
+            for edit, level, added in edits:
+                reference, rule = _reference_and_rule(
+                    edit, level, relations, rows, x, lo[1], hi[1], added)
+                assert rule == reference, (rows, edit, added)
+                compared += 1
+                moved += reference[:2] != (lo[0], hi[0])
+        assert compared > 6000 and moved > 1000

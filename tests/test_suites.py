@@ -102,8 +102,8 @@ def _lower_one_level_down(real):
      "2a85caa07a32656768bd7aec01d1339ad6fd7ed3e40d1118d11698ccb8b59dba"),
     ("propositions", 44,
      "ba9bf54df13228f340ad2a3db076cf0deb29e548b6b819933d685fd84b3518f1"),
-    ("stability", 18,
-     "3ea224968afc3065d5b2ba382c08609c56dfa94a3188ab0c9929e45d55a367d0"),
+    ("stability", 19,
+     "a4db2d7638c55b0c171b9339052c48b96665ed91898378aa6a9723c46c01c681"),
 ], ids=["conformity", "propositions", "stability"])
 def test_failing_trials_are_pinned(monkeypatch, suite, failures, sha256):
     # no golden has a failing trial; a lower bound scanned one level too
